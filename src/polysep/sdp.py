@@ -176,11 +176,13 @@ class _BlockOps:
         return [np.einsum("k,kij->ij", y, st) for st in self.stacked]
 
     def schur(self, xblocks, zinv_blocks) -> np.ndarray:
-        """M[j, k] = sum_b <A_j, X A_k Zinv> (symmetric positive definite)."""
+        """M[j, k] = sum_b <A_j, X A_k Zinv> (symmetric positive definite).
+
+        Per block, X A_k Zinv for every k is one batched matmul over the stack.
+        """
         m_mat = np.zeros((self.m, self.m))
         for st, fl, xb, zib in zip(self.stacked, self.flat, xblocks, zinv_blocks):
-            t = np.einsum("ij,kjl,lm->kim", xb, st, zib)
-            m_mat += fl @ t.reshape(self.m, -1).T
+            m_mat += fl @ (xb @ st @ zib).reshape(self.m, -1).T
         return 0.5 * (m_mat + m_mat.T)
 
 
@@ -218,11 +220,23 @@ def _rank_filter(problem: SdpProblem):
     return kept, dropped, inconsistent
 
 
-def _max_step(blocks, directions) -> float:
-    """Largest alpha with M + alpha*D >= 0 on every block, capped at 1e6."""
+def _inverse_factors(blocks) -> list:
+    """L^-1 for each block L L^T; LinAlgError unless every block is positive definite.
+
+    A Cholesky factor has a positive diagonal, so its triangular inverse cannot fail.
+    """
+    return [la.lapack.dtrtri(np.linalg.cholesky(mb), lower=1)[0] for mb in blocks]
+
+
+def _max_step(inv_factors, directions) -> float:
+    """Largest alpha with M + alpha*D >= 0 on every block, capped at 1e6.
+
+    M = L L^T comes as its inverse Cholesky factor L^-1, factored once per
+    iteration: the pencil (D, M) has the eigenvalues of L^-1 D L^-T.
+    """
     alpha = 1e6
-    for mat, d in zip(blocks, directions):
-        lam = la.eigh(d, mat, eigvals_only=True, subset_by_index=(0, 0))[0]
+    for li, d in zip(inv_factors, directions):
+        lam = np.linalg.eigvalsh(li @ d @ li.T)[0]
         if lam < 0.0:
             alpha = min(alpha, -1.0 / lam)
     return alpha
@@ -334,12 +348,9 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
             break
 
         try:
-            zinv = []
-            for zb in z:
-                cf = la.cho_factor(zb, lower=True, check_finite=False)
-                zinv.append(la.cho_solve(cf, np.eye(zb.shape[0]), check_finite=False))
+            lz_inv = _inverse_factors(z)
+            zinv = [li.T @ li for li in lz_inv]
             m_mat = ops.schur(x, zinv)
-            cond = np.linalg.cond(m_mat)
             jitter = 0.0
             while True:
                 try:
@@ -356,16 +367,8 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
             diagnostics["message"] = "Newton system factorization failed"
             break
 
-        tr_a_zinv = np.concatenate(
-            [fl @ zi.reshape(-1, 1) for fl, zi in zip(ops.flat, zinv)], axis=1
-        ).sum(axis=1)
-        x_rd_zinv = [xb @ rb @ zib for xb, rb, zib in zip(x, rd, zinv)]
-        base_rhs = (
-            np.concatenate(
-                [fl @ t.reshape(-1, 1) for fl, t in zip(ops.flat, x_rd_zinv)], axis=1
-            ).sum(axis=1)
-            - b
-        )
+        tr_a_zinv = ops.apply(zinv)
+        base_rhs = ops.apply([xb @ rb @ zib for xb, rb, zib in zip(x, rd, zinv)]) - b
 
         # predictor: pure Newton step toward the boundary (sigma = 0)
         dy_p = la.cho_solve(m_fac, base_rhs, check_finite=False)
@@ -376,8 +379,9 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
             dx_p.append(0.5 * (d + d.T))
 
         try:
-            ap = min(1.0, _max_step(x, dx_p))
-            ad = min(1.0, _max_step(z, dz_p))
+            lx_inv = _inverse_factors(x)
+            ap = min(1.0, _max_step(lx_inv, dx_p))
+            ad = min(1.0, _max_step(lz_inv, dz_p))
         except la.LinAlgError:
             status = SdpStatus.NUMERICAL_TROUBLE
             diagnostics["message"] = "step-length eigensolve failed"
@@ -390,13 +394,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
 
         # corrector: recentred step with Mehrotra's second-order term
         corr = [dxb @ dzb @ zib for dxb, dzb, zib in zip(dx_p, dz_p, zinv)]
-        corr_rhs = (
-            base_rhs
-            + sigma * mu * tr_a_zinv
-            - np.concatenate(
-                [fl @ t.reshape(-1, 1) for fl, t in zip(ops.flat, corr)], axis=1
-            ).sum(axis=1)
-        )
+        corr_rhs = base_rhs + sigma * mu * tr_a_zinv - ops.apply(corr)
         dy = la.cho_solve(m_fac, corr_rhs, check_finite=False)
         dz = [ab - rb for ab, rb in zip(ops.adjoint(dy), rd)]
         dx = []
@@ -406,14 +404,15 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
 
         try:
             step_tau = 0.98
-            ap = min(1.0, step_tau * _max_step(x, dx))
-            ad = min(1.0, step_tau * _max_step(z, dz))
+            ap = min(1.0, step_tau * _max_step(lx_inv, dx))
+            ad = min(1.0, step_tau * _max_step(lz_inv, dz))
         except la.LinAlgError:
             status = SdpStatus.NUMERICAL_TROUBLE
             diagnostics["message"] = "step-length eigensolve failed"
             break
 
-        if cond > 1e14 and max(ap, ad) < 1e-5:
+        # cond (a full SVD) feeds only the stall test, so only a stall pays for it
+        if max(ap, ad) < 1e-5 and (cond := np.linalg.cond(m_mat)) > 1e14:
             status = SdpStatus.NUMERICAL_TROUBLE
             diagnostics["message"] = f"Newton system condition {cond:.2e} exceeds 1e14 and progress stalled"
             break

@@ -61,10 +61,6 @@ class SampleCloud:
         return len(self.points)
 
 
-def membership(s: SemialgebraicSet, point) -> bool:
-    return s.contains(point)
-
-
 def sample_grid(
     s: SemialgebraicSet, resolution: int, budget: int = DEFAULT_GRID_BUDGET
 ) -> SampleCloud:

@@ -116,6 +116,25 @@ def test_separate_is_deterministic(tmp_path, capsys, disk_problem_file):
     assert outputs[0] == outputs[1]
 
 
+def test_separate_4d_writes_result_when_grids_exceed_the_budget(tmp_path, capsys):
+    # 201^4 check points and 101^4 bound points are both over the grid budget
+    problem = write_problem(
+        tmp_path / "balls4.json", 4,
+        ["0.04 - (x1 + 0.5)^2 - x2^2 - x3^2 - x4^2"],
+        ["0.04 - (x1 - 0.5)^2 - x2^2 - x3^2 - x4^2"],
+    )
+    out = tmp_path / "r.json"
+    code, *_ = run(capsys, "separate", problem, "--degree-max", "1", "--out", str(out))
+    assert code == 0
+    result = json.loads(out.read_text())
+    assert result["degree"] == 1
+    assert result["slack"] > 1e-6
+    separation = result["verification"]["separation"]
+    assert separation["passed"] is None
+    assert "exceeds the budget" in separation["skipped"]
+    assert any("exceeds the budget" in w for w in result["bounds"]["warnings"])
+
+
 # ---- verify ----------------------------------------------------------------------
 
 

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from polysep.sdp import (
     DependentConstraintWarning,
     SdpProblem,
     SdpStatus,
+    _BlockOps,
+    _inverse_factors,
+    _max_step,
     min_eigenvalue,
     solve,
 )
@@ -154,6 +158,85 @@ def test_dump_round_trips_basic_structure():
     assert text.startswith("blocks 2\n")
     assert "constraint 0 rhs 1.0" in text
     assert "constraint 1 rhs 0.3" in text
+
+
+# ---- per-iteration kernels ------------------------------------------------
+
+# rounding bound for the well-conditioned (cond < 1e2) blocks drawn below
+KERNEL_RTOL = 1e-12
+
+
+def random_symmetric(rng, s):
+    a = rng.standard_normal((s, s))
+    return 0.5 * (a + a.T)
+
+
+def random_pd(rng, s):
+    a = rng.standard_normal((s, s))
+    return a @ a.T / s + np.eye(s)
+
+
+def three_block_problem(rng):
+    """Random constraints on blocks of sizes 3, 1 and 4; some blocks absent."""
+    sizes = (3, 1, 4)
+    constraints = []
+    for k in range(6):
+        mats = [random_symmetric(rng, s) if (k + bi) % 3 else None for bi, s in enumerate(sizes)]
+        constraints.append((mats, float(k)))
+    return SdpProblem(sizes, [None] * 3, constraints)
+
+
+def reference_max_step(blocks, directions):
+    """Step length from the generalized eigensolver, one call per block."""
+    alpha = 1e6
+    for mat, d in zip(blocks, directions):
+        lam = la.eigh(d, mat, eigvals_only=True, subset_by_index=(0, 0))[0]
+        if lam < 0.0:
+            alpha = min(alpha, -1.0 / lam)
+    return alpha
+
+
+def test_schur_matches_explicit_traces():
+    rng = np.random.default_rng(11)
+    prob = three_block_problem(rng)
+    x = [random_pd(rng, s) for s in prob.block_sizes]
+    z = [random_pd(rng, s) for s in prob.block_sizes]
+    zinv = [np.linalg.inv(zb) for zb in z]
+    ops = _BlockOps(prob.block_sizes, prob.constraints)
+    expected = np.zeros((6, 6))
+    for j, (mats_j, _) in enumerate(prob.constraints):
+        for k, (mats_k, _) in enumerate(prob.constraints):
+            for aj, ak, xb, zib in zip(mats_j, mats_k, x, zinv):
+                if aj is not None and ak is not None:
+                    expected[j, k] += np.trace(aj @ xb @ ak @ zib)
+    np.testing.assert_allclose(ops.schur(x, zinv), expected, rtol=KERNEL_RTOL, atol=1e-12)
+
+
+def test_max_step_matches_generalized_eigensolver():
+    rng = np.random.default_rng(12)
+    sizes = (3, 1, 4)
+    for _ in range(20):
+        blocks = [random_pd(rng, s) for s in sizes]
+        directions = [random_symmetric(rng, s) for s in sizes]
+        expected = reference_max_step(blocks, directions)
+        assert expected < 1e6  # some block direction is indefinite or negative
+        assert _max_step(_inverse_factors(blocks), directions) == pytest.approx(
+            expected, rel=KERNEL_RTOL
+        )
+
+
+def test_max_step_caps_psd_directions():
+    rng = np.random.default_rng(13)
+    sizes = (3, 1, 4)
+    blocks = [random_pd(rng, s) for s in sizes]
+    directions = [random_pd(rng, s) - np.eye(s) for s in sizes]
+    assert reference_max_step(blocks, directions) == 1e6
+    assert _max_step(_inverse_factors(blocks), directions) == 1e6
+
+
+def test_inverse_factors_reject_indefinite_blocks():
+    with pytest.raises(la.LinAlgError):
+        _inverse_factors([np.eye(2), np.diag([1.0, -1.0])])
 
 
 # ---- minimum eigenvalue ----------------------------------------------------
