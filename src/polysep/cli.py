@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -146,12 +147,6 @@ def _bound_report(a, b, n, resolution, loj_coeff, loj_exponent, jackson_constant
     dist = dist_estimate(a, b, resolution)
     lip = lipschitz_constant(dist)
     gens_a, gens_b = list(a.generators), list(b.generators)
-    comp_a = quadratic_module_complexity(
-        n, loj_exponent, loj_coeff, len(gens_a), max(g.total_degree() for g in gens_a)
-    )
-    comp_b = quadratic_module_complexity(
-        n, loj_exponent, loj_coeff, len(gens_b), max(g.total_degree() for g in gens_b)
-    )
     params = BoundParams(
         n=n,
         dist=dist,
@@ -161,38 +156,23 @@ def _bound_report(a, b, n, resolution, loj_coeff, loj_exponent, jackson_constant
         max_generator_degree=max(g.total_degree() for g in gens_a + gens_b),
         jackson_constant=jackson_constant,
     )
-    sep = separation_degree_bound(params, comp_a, comp_b)
-    params_t1 = BoundParams(
-        n=n,
-        dist=dist,
-        loj_exponent=1.0,
-        loj_coeff=loj_coeff,
-        n_generators=params.n_generators,
-        max_generator_degree=params.max_generator_degree,
-        jackson_constant=jackson_constant,
-    )
-    comp_a1 = quadratic_module_complexity(
-        n, 1.0, loj_coeff, len(gens_a), max(g.total_degree() for g in gens_a)
-    )
-    comp_b1 = quadratic_module_complexity(
-        n, 1.0, loj_coeff, len(gens_b), max(g.total_degree() for g in gens_b)
-    )
-    sep_t1 = separation_degree_bound(params_t1, comp_a1, comp_b1)
 
+    def complexities(exponent):
+        return [
+            quadratic_module_complexity(
+                n, exponent, loj_coeff, len(gens), max(g.total_degree() for g in gens)
+            )
+            for gens in (gens_a, gens_b)
+        ]
+
+    comp_a, comp_b = complexities(loj_exponent)
+    sep = separation_degree_bound(params, comp_a, comp_b)
+    sep_t1 = separation_degree_bound(replace(params, loj_exponent=1.0), *complexities(1.0))
     # optional box-to-ball coordinate rescale x -> x/sqrt(n): shrinks the
     # distance by the same factor, which is how the unit-ball normalization
     # of the level bound can be matched
     dist_ball = dist / np.sqrt(n)
-    params_ball = BoundParams(
-        n=n,
-        dist=dist_ball,
-        loj_exponent=loj_exponent,
-        loj_coeff=loj_coeff,
-        n_generators=params.n_generators,
-        max_generator_degree=params.max_generator_degree,
-        jackson_constant=jackson_constant,
-    )
-    sep_ball = separation_degree_bound(params_ball, comp_a, comp_b)
+    sep_ball = separation_degree_bound(replace(params, dist=dist_ball), comp_a, comp_b)
 
     warnings = generator_norm_warnings(gens_a + gens_b)
     warnings.append(
@@ -255,11 +235,11 @@ def cmd_separate(args) -> int:
         return EXIT_NO_SEPARATOR
     elapsed = time.perf_counter() - start
 
-    # a grid over the point budget (n >= 4) skips the check; the separator and
-    # its certificates are still written
+    # a grid over the point budget (n >= 4) or a set with no grid point skips
+    # the check; the separator and its certificates are still written
     try:
         report = verify_separation(result.p, a, b, resolution=201, tol=1e-3)
-    except SampleBudgetError as err:
+    except (SampleBudgetError, EmptySampleError) as err:
         separation = {"resolution": 201, "tol": 1e-3, "skipped": str(err), "passed": None}
     else:
         separation = {
@@ -336,9 +316,11 @@ def cmd_verify(args) -> int:
     except EmptySampleError as err:
         print(f"verification impossible: {err}", file=sys.stderr)
         return EXIT_EMPTY_SAMPLE
-
-    output = {
-        "separation": {
+    except SampleBudgetError as err:
+        # n >= 4: the certificates alone decide
+        separation = {"resolution": resolution, "tol": tol, "skipped": str(err), "passed": None}
+    else:
+        separation = {
             "min_on_A": report.min_on_A,
             "max_on_B": report.max_on_B,
             "witness_A": list(report.witness_A),
@@ -349,7 +331,7 @@ def cmd_verify(args) -> int:
             "tol": tol,
             "passed": report.passed,
         }
-    }
+    output = {"separation": separation}
 
     cert_ok = True
     certs = data.get("certificates")
@@ -388,7 +370,8 @@ def cmd_verify(args) -> int:
     else:
         output["certificates"] = {"passed": None, "note": "result carries no certificates"}
 
-    passed = bool(report.passed and cert_ok)
+    grid_ok = separation["passed"]
+    passed = bool(cert_ok and (certs if grid_ok is None else grid_ok))
     output["passed"] = passed
     print(json.dumps(output, indent=2))
     return EXIT_OK if passed else EXIT_VERIFY_FAILED

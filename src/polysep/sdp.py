@@ -13,7 +13,9 @@ with the Lagrange dual
 
 The solver is an infeasible-start primal-dual path-following method with a
 Mehrotra predictor-corrector, using the XZ (HKM) search direction and dense
-linear algebra throughout.  It targets desk-scale problems: robustness over
+linear algebra throughout.  ``SdpProblem`` packs the constraints once into
+per-block (m, s, s) stacks; the rank filter and the A(X), A*(y) and Schur
+kernels all read them.  It targets desk-scale problems: robustness over
 speed, no sparsity exploitation, blocks capped at a configured size.
 """
 
@@ -41,12 +43,36 @@ class DependentConstraintWarning(UserWarning):
     """Linearly dependent constraint rows were dropped before solving."""
 
 
-def _check_symmetric(mat: np.ndarray, what: str) -> np.ndarray:
-    asym = np.max(np.abs(mat - mat.T)) if mat.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 0.0)
-    if asym > SYMMETRY_TOL * scale:
-        raise ValueError(f"{what} is not symmetric: max asymmetry {asym:g}")
-    return 0.5 * (mat + mat.T)
+def _pack(rows, sizes, what: str):
+    """Pack rows of per-block matrices (None for an all-zero block) into one matrix.
+
+    Returns the (r, sum s_b^2) matrix whose row k holds ``rows[k]``'s blocks
+    flattened row-major side by side, and the (r, s_b, s_b) view of each
+    block's columns.  Each block is checked for symmetry relative to its
+    largest entry, then symmetrized.
+    """
+    num = len(rows)
+    matrix = np.zeros((num, sum(s * s for s in sizes)))
+    ends = np.cumsum([s * s for s in sizes])
+    stacks = [matrix[:, end - s * s : end].reshape(num, s, s) for s, end in zip(sizes, ends)]
+    for k, mats in enumerate(rows):
+        if len(mats) != len(sizes):
+            raise ValueError(f"{what} must have one matrix (or None) per block")
+        for s, mat, stack in zip(sizes, mats, stacks):
+            if mat is None:
+                continue
+            m = np.asarray(mat, dtype=float)
+            if m.shape != (s, s):
+                raise ValueError(f"{what} block has shape {m.shape}, expected {(s, s)}")
+            stack[k] = m
+    for stack in stacks:
+        trans = np.swapaxes(stack, 1, 2)
+        asym = np.max(np.abs(stack - trans))
+        if asym > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(stack)))):
+            raise ValueError(f"{what} block is not symmetric: max asymmetry {asym:g}")
+        if asym:  # an exactly symmetric stack stays as it is, without temporaries
+            stack[...] = 0.5 * (stack + trans)
+    return matrix, stacks
 
 
 @dataclass
@@ -56,6 +82,11 @@ class SdpProblem:
     ``objective`` holds one symmetric matrix per block (C); each constraint is
     a (per-block matrix list, scalar) pair, where an entry may be None for an
     all-zero block.
+
+    The constructor packs the rows once (``_pack``) into the m x sum(s_b^2)
+    ``matrix``, its (m, s_b, s_b) block views ``stacks`` and the m-vector
+    ``rhs``.  The rank filter reads ``matrix``, the interior-point kernels
+    read ``stacks``; ``constraints`` becomes (per-block views, rhs) pairs.
     """
 
     block_sizes: tuple
@@ -69,36 +100,19 @@ class SdpProblem:
         if any(s > MAX_BLOCK_SIZE for s in sizes):
             raise ValueError(f"block size exceeds the configured limit of {MAX_BLOCK_SIZE}")
         object.__setattr__(self, "block_sizes", sizes)
-        if len(self.objective) != len(sizes):
-            raise ValueError("objective must have one matrix per block")
-        obj = []
-        for s, mat in zip(sizes, self.objective):
-            m = np.zeros((s, s)) if mat is None else np.asarray(mat, dtype=float)
-            if m.shape != (s, s):
-                raise ValueError(f"objective block has shape {m.shape}, expected {(s, s)}")
-            obj.append(_check_symmetric(m, "objective block"))
-        self.objective = obj
+        self.objective = [st[0] for st in _pack([self.objective], sizes, "objective")[1]]
         if not self.constraints:
             raise ValueError("problem needs at least one constraint")
-        rows = []
-        for mats, rhs in self.constraints:
-            if len(mats) != len(sizes):
-                raise ValueError("constraint must have one matrix (or None) per block")
-            row = []
-            for s, mat in zip(sizes, mats):
-                if mat is None:
-                    row.append(None)
-                    continue
-                m = np.asarray(mat, dtype=float)
-                if m.shape != (s, s):
-                    raise ValueError(f"constraint block has shape {m.shape}, expected {(s, s)}")
-                row.append(_check_symmetric(m, "constraint block"))
-            rows.append((row, float(rhs)))
-        self.constraints = rows
+        rows = [mats for mats, _ in self.constraints]
+        self.matrix, self.stacks = _pack(rows, sizes, "constraint")
+        self.rhs = np.array([rhs for _, rhs in self.constraints], dtype=float)
+        self.constraints = [
+            ([stack[k] for stack in self.stacks], float(rhs)) for k, rhs in enumerate(self.rhs)
+        ]
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.rhs)
 
     def dump(self) -> str:
         """Plain-text dump for cross-checking against external solvers.
@@ -114,7 +128,7 @@ class SdpProblem:
         for k, (mats, rhs) in enumerate(self.constraints):
             lines.append(f"constraint {k} rhs {rhs!r}")
             for bi, mat in enumerate(mats):
-                if mat is None or not np.any(mat):
+                if not np.any(mat):
                     continue
                 lines.append(f"  block {bi}")
                 for row in mat:
@@ -149,31 +163,22 @@ def min_eigenvalue(mat) -> float:
 
 
 class _BlockOps:
-    """Vectorized per-block constraint algebra for the interior-point loop."""
+    """Vectorized per-block constraint algebra over (m, s, s) constraint stacks."""
 
-    def __init__(self, sizes, constraints):
-        self.sizes = sizes
-        self.m = len(constraints)
-        # stacked[b] has shape (m, s_b, s_b); flat[b] is its (m, s_b^2) view
-        self.stacked = []
-        for bi, s in enumerate(sizes):
-            arr = np.zeros((self.m, s, s))
-            for k, (mats, _) in enumerate(constraints):
-                if mats[bi] is not None:
-                    arr[k] = mats[bi]
-            self.stacked.append(arr)
-        self.flat = [a.reshape(self.m, -1) for a in self.stacked]
+    def __init__(self, stacks):
+        self.stacks = stacks
+        self.m = len(stacks[0])
 
     def apply(self, blocks) -> np.ndarray:
         """A(X): the m-vector of <A_k, X>."""
         out = np.zeros(self.m)
-        for fb, xb in zip(self.flat, blocks):
-            out += fb @ xb.reshape(-1)
+        for st, xb in zip(self.stacks, blocks):
+            out += st.reshape(self.m, -1) @ xb.reshape(-1)
         return out
 
     def adjoint(self, y) -> list:
         """A*(y): per-block sum_k y_k A_k."""
-        return [np.einsum("k,kij->ij", y, st) for st in self.stacked]
+        return [np.einsum("k,kij->ij", y, st) for st in self.stacks]
 
     def schur(self, xblocks, zinv_blocks) -> np.ndarray:
         """M[j, k] = sum_b <A_j, X A_k Zinv> (symmetric positive definite).
@@ -181,8 +186,8 @@ class _BlockOps:
         Per block, X A_k Zinv for every k is one batched matmul over the stack.
         """
         m_mat = np.zeros((self.m, self.m))
-        for st, fl, xb, zib in zip(self.stacked, self.flat, xblocks, zinv_blocks):
-            m_mat += fl @ (xb @ st @ zib).reshape(self.m, -1).T
+        for st, xb, zib in zip(self.stacks, xblocks, zinv_blocks):
+            m_mat += st.reshape(self.m, -1) @ (xb @ st @ zib).reshape(self.m, -1).T
         return 0.5 * (m_mat + m_mat.T)
 
 
@@ -192,28 +197,20 @@ def _rank_filter(problem: SdpProblem):
     Returns (kept indices, dropped indices, inconsistent flag).
     """
     m = problem.num_constraints
-    dim = sum(s * s for s in problem.block_sizes)
-    vecs = np.zeros((m, dim))
-    for k, (mats, _) in enumerate(problem.constraints):
-        offset = 0
-        for s, mat in zip(problem.block_sizes, mats):
-            if mat is not None:
-                vecs[k, offset : offset + s * s] = mat.reshape(-1)
-            offset += s * s
-    b = np.array([rhs for _, rhs in problem.constraints])
+    b = problem.rhs
 
-    _, r, piv = la.qr(vecs.T, mode="economic", pivoting=True)
+    _, r, piv = la.qr(problem.matrix.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
         return [], list(range(m)), bool(np.any(np.abs(b) > 1e-12))
-    rank = int(np.sum(diag > diag[0] * max(vecs.shape) * np.finfo(float).eps))
+    rank = int(np.sum(diag > diag[0] * max(problem.matrix.shape) * np.finfo(float).eps))
     kept = sorted(piv[:rank].tolist())
     dropped = sorted(set(range(m)) - set(kept))
     inconsistent = False
     if dropped:
-        basis = vecs[kept].T
+        basis = problem.matrix[kept].T
         for j in dropped:
-            coeff, *_ = la.lstsq(basis, vecs[j], lapack_driver="gelsd")
+            coeff, *_ = la.lstsq(basis, problem.matrix[j], lapack_driver="gelsd")
             if abs(b[j] - coeff @ b[kept]) > 1e-8 * (1.0 + abs(b[j])):
                 inconsistent = True
                 break
@@ -282,11 +279,12 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
     if not kept:
         raise ValueError("all constraint rows are zero; the problem is not a proper SDP")
 
-    constraints = [problem.constraints[k] for k in kept]
-    b = np.array([rhs for _, rhs in constraints])
+    stacks, b = problem.stacks, problem.rhs
+    if dropped:
+        stacks, b = [st[kept] for st in stacks], b[kept]
     c_blocks = problem.objective
-    ops = _BlockOps(sizes, constraints)
-    m = len(constraints)
+    ops = _BlockOps(stacks)
+    m = len(b)
     n_total = sum(sizes)
     eye = [np.eye(s) for s in sizes]
 
@@ -426,8 +424,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
         iterations = max_iter
 
     y_full = np.zeros(problem.num_constraints)
-    for pos, k in enumerate(kept):
-        y_full[k] = y[pos]
+    y_full[kept] = y
 
     return SdpSolution(
         status=status,

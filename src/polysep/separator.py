@@ -20,9 +20,9 @@ from .sdp import SdpProblem, SdpStatus, solve as sdp_solve
 from .semialg import EmptySampleError, SemialgebraicSet, sample_grid
 from .sos import (
     QmCertificate,
-    _contribution_rows,
-    _multiplier_bases,
     expand_gram,
+    gram_incidence,
+    margin_sdp_data,
     monomials_up_to_degree,
     reconstruct_residual,
 )
@@ -140,50 +140,22 @@ def _assemble_separation(n, gens_a, gens_b, degree, level):
     which caps t at 1 (a separator certified with any margin rescales to
     margin 1) and keeps the problem bounded.
     """
-    mults_a = [Polynomial.constant(n, 1.0)] + list(gens_a)
-    mults_b = [Polynomial.constant(n, 1.0)] + list(gens_b)
-    bases_a = _multiplier_bases(n, mults_a, level)
-    bases_b = _multiplier_bases(n, mults_b, level)
-    contrib_a = _contribution_rows(mults_a, bases_a)
-    contrib_b = _contribution_rows(mults_b, bases_b)
-
-    num_a = len(mults_a)
-    block_sizes = (1, 1) + tuple(len(b2) for b2 in bases_a) + tuple(len(b2) for b2 in bases_b)
-    num_blocks = len(block_sizes)
-    first_a = 2
-    first_b = 2 + num_a
-
-    constraints = []
-    zero = (0,) * n
-    for alpha in monomials_up_to_degree(n, level):
-        mats: list = [None] * num_blocks
-        for i, mat in contrib_a.get(alpha, {}).items():
-            mats[first_a + i] = mat
-        for i, mat in contrib_b.get(alpha, {}).items():
-            mats[first_b + i] = mat
-        rhs = 0.0
-        if alpha == zero:
-            mats[0] = np.array([[2.0]])
-            mats[1] = np.array([[-2.0]])
-            rhs = -1.0
-        if any(m is not None for m in mats):
-            constraints.append((mats, rhs))
-    for alpha in monomials_up_to_degree(n, level):
-        if sum(alpha) <= degree or alpha not in contrib_a:
-            continue
-        mats = [None] * num_blocks
-        for i, mat in contrib_a[alpha].items():
-            mats[first_a + i] = mat
-        constraints.append((mats, 0.0))
-    norm_row: list = [None] * num_blocks
-    norm_row[0] = np.array([[1.0]])
-    constraints.append((norm_row, 1.0))
-
-    objective = [np.zeros((s, s)) for s in block_sizes]
-    objective[0][0, 0] = 1.0
-    objective[1][0, 0] = -1.0
-    problem = SdpProblem(block_sizes, objective, constraints)
-    return problem, bases_a, bases_b, first_a, first_b
+    bases_a, stacks_a = gram_incidence(n, gens_a, level)
+    bases_b, stacks_b = gram_incidence(n, gens_b, level)
+    row_degrees = np.array([sum(alpha) for alpha in monomials_up_to_degree(n, level)])
+    touched_a = np.any([st.any(axis=(1, 2)) for st in stacks_a], axis=0)
+    touched_b = np.any([st.any(axis=(1, 2)) for st in stacks_b], axis=0)
+    # rows no Gram entry reaches (odd top degrees) are dropped, never row 0 (the
+    # constant, reached by s_0); rebinding frees the full stacks before packing
+    joint = np.flatnonzero(touched_a | touched_b)
+    eliminate = np.flatnonzero(touched_a & (row_degrees > degree))
+    rows = np.concatenate([joint, eliminate])
+    stacks_a = [st[rows] for st in stacks_a]
+    stacks_b = [np.pad(st[joint], ((0, len(eliminate)), (0, 0), (0, 0))) for st in stacks_b]
+    constant = rows == 0  # the row of the constant monomial
+    margin, rhs = np.where(constant, 2.0, 0.0), np.where(constant, -1.0, 0.0)
+    problem = SdpProblem(*margin_sdp_data(stacks_a + stacks_b, margin, rhs))
+    return problem, bases_a, bases_b
 
 
 def solve_fixed_level(prob: SeparatorProblem) -> SeparatorResult:
@@ -191,7 +163,7 @@ def solve_fixed_level(prob: SeparatorProblem) -> SeparatorResult:
     opts = prob.options
     n = prob.A.n
     gens_a, gens_b = _augmented_generators(prob.A, prob.B, opts)
-    sdp_problem, bases_a, bases_b, first_a, first_b = _assemble_separation(
+    sdp_problem, bases_a, bases_b = _assemble_separation(
         n, gens_a, gens_b, prob.p_degree, prob.level
     )
     sol = sdp_solve(sdp_problem, tol=opts.solver_tol, max_iter=opts.max_iter)
@@ -201,8 +173,8 @@ def solve_fixed_level(prob: SeparatorProblem) -> SeparatorResult:
     if t <= opts.margin_tol:
         raise InfeasibleAtLevelError(prob.p_degree, prob.level, t)
 
-    grams_a = tuple(sol.X[first_a + i] for i in range(len(bases_a)))
-    grams_b = tuple(sol.X[first_b + i] for i in range(len(bases_b)))
+    # the Gram blocks follow the margin blocks w and u, the A side first
+    grams_a, grams_b = tuple(sol.X[2 : 2 + len(bases_a)]), tuple(sol.X[2 + len(bases_a) :])
     s_g = Polynomial.zero(n)
     for f, gram, bas in zip([Polynomial.constant(n, 1.0)] + list(gens_a), grams_a, bases_a):
         s_g = s_g + expand_gram(gram, bas) * f

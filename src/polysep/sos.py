@@ -5,7 +5,9 @@ generators f_1..f_t when q = s_0 + sum_i s_i f_i with every multiplier s_i a
 sum of squares, deg(s_0) <= l and deg(s_i f_i) <= l.  Each s_i is
 parameterized by a Gram matrix over the monomial basis of half degree
 floor((l - deg f_i)/2), turning membership into a block SDP with one linear
-constraint per monomial of degree <= l.
+constraint per monomial of degree <= l.  ``gram_incidence`` builds those
+constraints' Gram blocks as one (m, s, s) stack per multiplier; membership
+here and the separator's joint SDP both lay out their rows from it.
 
 Feasibility is always solved with a margin: the Gram blocks are shifted by
 t*I and t is maximized subject to t <= 1.  A positive optimum certifies
@@ -129,37 +131,59 @@ class MembershipAssembly:
     first_gram_block: int = 2
 
 
-def _multiplier_bases(n: int, multipliers, level: int):
-    out = []
+def gram_incidence(n: int, generators, level: int):
+    """Gram bases and incidence stacks of the level-``level`` quadratic module.
+
+    The module element is sum_i z_i^T G_i z_i f_i over the multipliers
+    f_0 = 1, f_i = ``generators[i-1]``.  Returns (bases, stacks):
+    ``bases[i]`` is the monomial basis z_i and ``stacks[i]`` an (m, s_i, s_i)
+    array over the m rows ``monomials_up_to_degree(n, level)``, whose entry
+    [k, a, b] is the coefficient with which G_i[a, b] feeds the coefficient
+    of row monomial k.  Both assemblers build their constraint rows from it.
+    """
+    multipliers = [Polynomial.constant(n, 1.0)] + list(generators)
+    bases = []
     for f in multipliers:
         d = f.total_degree()
         if d > level:
             raise LevelTooSmallError(f"level {level} is below generator degree {d}")
-        out.append(basis(n, (level - d) // 2))
-    return out
+        bases.append(basis(n, (level - d) // 2))
+    # exponents are at most level: with c(alpha) = alpha's digits in base B =
+    # level + 1 (x1 first), deg(alpha)*B^n - c(alpha) is a linear key rising
+    # along the graded-lex rows; Python integers keep it exact past int64
+    base = level + 1
+    dtype = np.int64 if base ** (n + 1) < 2**63 else object
+    weights = np.array([base**n - base ** (n - 1 - j) for j in range(n)], dtype=dtype)
+    row_keys = np.array(monomials_up_to_degree(n, level)) @ weights
+    stacks = []
+    for f, bas in zip(multipliers, bases):
+        keys = np.array(bas.elements) @ weights
+        pair_keys = keys[:, None] + keys[None, :]
+        k = len(keys)
+        stack = np.zeros((len(row_keys), k, k))
+        for beta, coeff in f.terms.items():
+            rows = np.searchsorted(row_keys, pair_keys + np.array(beta) @ weights)
+            stack[rows, np.arange(k)[:, None], np.arange(k)] += coeff
+        stacks.append(stack)
+    return bases, stacks
 
 
-def _contribution_rows(multipliers, bases_list):
-    """Per-monomial constraint matrices of sum_i z_i^T G_i z_i * f_i.
+def margin_sdp_data(stacks, margin, rhs):
+    """Block sizes, objective and rows of a max-margin SDP over Gram stacks.
 
-    Returns dict: monomial -> {multiplier index -> symmetric matrix}; entry
-    (a, b) of matrix i is the coefficient with which G_i[a, b] feeds the
-    monomial's coefficient.
+    Blocks 0 and 1 are the 1x1 blocks w and u, block 2 + i takes ``stacks[i]``.
+    Row k reads <stacks[i][k], X_i> summed over i, plus ``margin[k]`` times the
+    margin t = w - u, equal to ``rhs[k]``.  A last row pins w = 1, so the
+    objective t is capped at 1.  Returns the arguments of ``SdpProblem``.
     """
-    rows: dict = {}
-    for i, (f, bas) in enumerate(zip(multipliers, bases_list)):
-        elems = bas.elements
-        k = len(elems)
-        for a in range(k):
-            for b2 in range(a, k):
-                pair_mono = tuple(x + y for x, y in zip(elems[a], elems[b2]))
-                for beta, coeff in f.terms.items():
-                    alpha = tuple(x + y for x, y in zip(pair_mono, beta))
-                    mat = rows.setdefault(alpha, {}).setdefault(i, np.zeros((k, k)))
-                    mat[a, b2] += coeff
-                    if a != b2:
-                        mat[b2, a] += coeff
-    return rows
+    block_sizes = (1, 1) + tuple(st.shape[1] for st in stacks)
+    constraints = [
+        ([np.array([[c]]), np.array([[-c]])] + [st[k] for st in stacks], r)
+        for k, (c, r) in enumerate(zip(margin, rhs))
+    ]
+    constraints.append(([np.ones((1, 1))] + [None] * (len(block_sizes) - 1), 1.0))
+    objective = [np.ones((1, 1)), -np.ones((1, 1))] + [None] * len(stacks)
+    return block_sizes, objective, constraints
 
 
 def assemble_membership(target: Polynomial, generators, level: int):
@@ -168,6 +192,8 @@ def assemble_membership(target: Polynomial, generators, level: int):
     Returns (SdpProblem, MembershipAssembly).  The per-monomial rows carry
     the target coefficients as right-hand sides exactly; one extra row pins
     the normalization block to 1 so the margin t = w - u is capped at 1.
+    The Grams are shifted by t*I, so each row's margin coefficient is the
+    trace of its Gram incidence.
     """
     n = target.n
     gens = tuple(generators)
@@ -178,38 +204,15 @@ def assemble_membership(target: Polynomial, generators, level: int):
         raise LevelTooSmallError(
             f"level {level} is below the target degree {target.total_degree()}"
         )
-    multipliers = [Polynomial.constant(n, 1.0)] + list(gens)
-    bases_list = _multiplier_bases(n, multipliers, level)
-    contrib = _contribution_rows(multipliers, bases_list)
-
-    block_sizes = (1, 1) + tuple(len(b) for b in bases_list)
-    num_blocks = len(block_sizes)
+    bases, stacks = gram_incidence(n, gens, level)
     row_monomials = monomials_up_to_degree(n, level)
-
-    constraints = []
-    for alpha in row_monomials:
-        mats: list = [None] * num_blocks
-        tr_alpha = 0.0
-        for i, mat in contrib.get(alpha, {}).items():
-            mats[2 + i] = mat
-            tr_alpha += float(np.trace(mat))
-        if tr_alpha != 0.0:
-            mats[0] = np.array([[tr_alpha]])
-            mats[1] = np.array([[-tr_alpha]])
-        constraints.append((mats, target.terms.get(alpha, 0.0)))
-    norm_row: list = [None] * num_blocks
-    norm_row[0] = np.array([[1.0]])
-    constraints.append((norm_row, 1.0))
-
-    objective = [np.zeros((s, s)) for s in block_sizes]
-    objective[0][0, 0] = 1.0
-    objective[1][0, 0] = -1.0
-
-    problem = SdpProblem(block_sizes, objective, constraints)
+    traces = sum(np.trace(st, axis1=1, axis2=2) for st in stacks)
+    rhs = [target.terms.get(alpha, 0.0) for alpha in row_monomials]
+    problem = SdpProblem(*margin_sdp_data(stacks, traces, rhs))
     maps = MembershipAssembly(
         target=target,
         generators=gens,
-        bases=tuple(bases_list),
+        bases=tuple(bases),
         level=level,
         row_monomials=row_monomials,
     )

@@ -135,6 +135,47 @@ def test_separate_4d_writes_result_when_grids_exceed_the_budget(tmp_path, capsys
     assert any("exceeds the budget" in w for w in result["bounds"]["warnings"])
 
 
+def test_separate_keeps_result_when_a_set_has_no_grid_point(tmp_path, capsys):
+    # a disk of radius 1e-3 falls between the points of the 201-grid
+    problem = write_problem(
+        tmp_path / "speck.json", 2, ["1e-6 - (x1 + 0.503)^2 - (x2 - 0.003)^2"], [DISK_RIGHT]
+    )
+    out = tmp_path / "r.json"
+    code, *_ = run(capsys, "separate", problem, "--degree-max", "1", "--out", str(out))
+    assert code == 0
+    result = json.loads(out.read_text())
+    assert result["slack"] > 1e-6
+    separation = result["verification"]["separation"]
+    assert separation["passed"] is None
+    assert "no sample points" in separation["skipped"]
+
+
+def test_separate_then_verify_4d_decides_on_the_certificates(tmp_path, capsys):
+    problem = write_problem(
+        tmp_path / "balls4.json", 4,
+        ["0.04 - (x1 + 0.5)^2 - x2^2 - x3^2 - x4^2"],
+        ["0.04 - (x1 - 0.5)^2 - x2^2 - x3^2 - x4^2"],
+    )
+    out = tmp_path / "r.json"
+    code, *_ = run(capsys, "separate", problem, "--degree-max", "1", "--out", str(out))
+    assert code == 0
+    code, stdout, _ = run(capsys, "verify", problem, str(out))
+    assert code == 0
+    report = json.loads(stdout)
+    assert report["passed"] is True
+    assert report["certificates"]["passed"] is True
+    assert report["separation"]["passed"] is None
+    assert "exceeds the budget" in report["separation"]["skipped"]
+
+    # without certificates nothing is left to decide on
+    data = json.loads(out.read_text())
+    del data["certificates"]
+    out.write_text(json.dumps(data))
+    code, stdout, _ = run(capsys, "verify", problem, str(out))
+    assert code == 3
+    assert json.loads(stdout)["passed"] is False
+
+
 # ---- verify ----------------------------------------------------------------------
 
 
@@ -258,6 +299,16 @@ def test_bounds_lemniscate_problem(capsys, lemniscate_problem_file):
     assert report["separation_degree_log10"] > 20.0
     assert report["separation_degree"].startswith("10^")
     assert any("Lojasiewicz" in w for w in report["warnings"])
+
+
+def test_bounds_t1_variant_matches_a_run_at_t1(capsys, disk_problem_file):
+    code, stdout, _ = run(capsys, "bounds", disk_problem_file, "--T", "2")
+    assert code == 0
+    at_t2 = json.loads(stdout)
+    code, stdout, _ = run(capsys, "bounds", disk_problem_file, "--T", "1")
+    assert code == 0
+    assert at_t2["separation_degree_T1_log10"] == json.loads(stdout)["separation_degree_log10"]
+    assert at_t2["separation_degree_log10"] > at_t2["separation_degree_T1_log10"]
 
 
 def test_bounds_empty_set_exits_four(tmp_path, capsys):

@@ -1,0 +1,23 @@
+"""Every demo script runs to completion against the package sources."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    # tmp_path as working directory: a demo may write files there
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -202,7 +202,7 @@ def test_schur_matches_explicit_traces():
     x = [random_pd(rng, s) for s in prob.block_sizes]
     z = [random_pd(rng, s) for s in prob.block_sizes]
     zinv = [np.linalg.inv(zb) for zb in z]
-    ops = _BlockOps(prob.block_sizes, prob.constraints)
+    ops = _BlockOps(prob.stacks)
     expected = np.zeros((6, 6))
     for j, (mats_j, _) in enumerate(prob.constraints):
         for k, (mats_k, _) in enumerate(prob.constraints):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import CIRCLE, LEMNISCATE
 from polysep import sdp
 from polysep.poly import Polynomial, parse
+from polysep.separator import _assemble_separation
 from polysep.sos import (
     LevelTooSmallError,
     NegativeSlackError,
@@ -13,7 +15,9 @@ from polysep.sos import (
     basis,
     expand_gram,
     extract_certificate,
+    gram_incidence,
     membership_slack,
+    monomials_up_to_degree,
     reconstruct_residual,
 )
 
@@ -22,6 +26,41 @@ def solve_membership(target, generators, level, tol=1e-8):
     problem, maps = assemble_membership(target, generators, level)
     sol = sdp.solve(problem, tol=tol)
     return sol, maps
+
+
+def reference_contribution_rows(multipliers, bases_list):
+    """Per-monomial constraint matrices of sum_i z_i^T G_i z_i * f_i, by loops.
+
+    Returns dict: monomial -> {multiplier index -> symmetric matrix}; entry
+    (a, b) of matrix i is the coefficient with which G_i[a, b] feeds the
+    monomial's coefficient.  Monomials no Gram entry reaches are absent.
+    """
+    rows: dict = {}
+    for i, (f, bas) in enumerate(zip(multipliers, bases_list)):
+        elems = bas.elements
+        k = len(elems)
+        for a in range(k):
+            for b2 in range(a, k):
+                pair_mono = tuple(x + y for x, y in zip(elems[a], elems[b2]))
+                for beta, coeff in f.terms.items():
+                    alpha = tuple(x + y for x, y in zip(pair_mono, beta))
+                    mat = rows.setdefault(alpha, {}).setdefault(i, np.zeros((k, k)))
+                    mat[a, b2] += coeff
+                    if a != b2:
+                        mat[b2, a] += coeff
+    return rows
+
+
+def reference_block(contrib, alpha, i, size):
+    return contrib.get(alpha, {}).get(i, np.zeros((size, size)))
+
+
+def assert_normalization_row(row):
+    """The last row pins the 1x1 block w (block 0) to 1 and reads nothing else."""
+    mats, rhs = row
+    assert rhs == 1.0
+    assert mats[0][0, 0] == 1.0
+    assert not any(np.any(m) for m in mats[1:])
 
 
 # ---- monomial bases ----------------------------------------------------------
@@ -54,6 +93,35 @@ def test_basis_graded_lex_order():
 # ---- assembly ----------------------------------------------------------------
 
 
+# n, generators (several terms, odd degrees among them), level
+INCIDENCE_CASES = [
+    (1, ["1 - x1^2", "x1^3 - 0.5*x1 + 0.25"], 4),
+    (1, ["1 - x1^2", "x1^3 - 0.5*x1 + 0.25"], 5),
+    (2, [LEMNISCATE, "0.3*x1 - 2*x2^3 + x1*x2 - 1/3"], 6),
+    (2, [LEMNISCATE, "0.3*x1 - 2*x2^3 + x1*x2 - 1/3"], 7),
+    (3, ["1 - x1^2 - x2^2 - x3^2", "x1*x2*x3 - 0.7*x3 + 0.1"], 4),
+    (3, ["1 - x1^2 - x2^2 - x3^2", "x1*x2*x3 - 0.7*x3 + 0.1"], 5),
+    # 3^41 > 2^63: the monomial keys leave int64
+    (40, [" - ".join(["40"] + [f"x{i}^2" for i in range(1, 41)])], 2),
+]
+
+
+@pytest.mark.parametrize("n, generators, level", INCIDENCE_CASES)
+def test_gram_incidence_matches_reference_loop(n, generators, level):
+    gens = [parse(g, n) for g in generators]
+    bases, stacks = gram_incidence(n, gens, level)
+    mults = [Polynomial.constant(n, 1.0)] + gens
+    contrib = reference_contribution_rows(mults, bases)
+    rows = monomials_up_to_degree(n, level)
+    assert set(contrib) <= set(rows)
+    for i, (f, bas, stack) in enumerate(zip(mults, bases, stacks)):
+        assert bas == basis(n, (level - f.total_degree()) // 2)
+        assert stack.shape == (len(rows), len(bas), len(bas))
+        for k, alpha in enumerate(rows):
+            np.testing.assert_array_equal(stack[k], reference_block(contrib, alpha, i, len(bas)))
+
+
+
 def test_constant_one_is_in_level_zero_module():
     one = Polynomial.constant(1, 1.0)
     sol, maps = solve_membership(one, [], 0)
@@ -82,12 +150,53 @@ def test_classic_sos_quartic():
 
 def test_rows_carry_target_coefficients_exactly():
     target = parse("3*x1^2 - 0.5*x1 + 0.25", 1)
-    problem, maps = assemble_membership(target, [parse("1 - x1^2", 1)], 4)
+    gens = [parse("1 - x1^2", 1), parse("x1^3 - 0.5*x1 + 0.25", 1)]
+    problem, maps = assemble_membership(target, gens, 5)
+    contrib = reference_contribution_rows([Polynomial.constant(1, 1.0)] + gens, maps.bases)
     # one row per monomial of degree <= level, then the normalization row
+    assert maps.row_monomials == monomials_up_to_degree(1, 5)
     assert len(problem.constraints) == len(maps.row_monomials) + 1
-    for mono, (_, rhs) in zip(maps.row_monomials, problem.constraints):
+    for mono, (mats, rhs) in zip(maps.row_monomials, problem.constraints):
         assert rhs == target.terms.get(mono, 0.0)
-    assert problem.constraints[-1][1] == 1.0
+        trace = 0.0
+        for i, bas in enumerate(maps.bases):
+            expected = reference_block(contrib, mono, i, len(bas))
+            np.testing.assert_array_equal(mats[maps.first_gram_block + i], expected)
+            trace += float(np.trace(expected))
+        # the Grams are shifted by t*I, t = w - u
+        assert mats[maps.norm_block][0, 0] == trace
+        assert mats[maps.slack_block][0, 0] == -trace
+    assert_normalization_row(problem.constraints[-1])
+
+
+@pytest.mark.parametrize("level", [4, 5])
+def test_separation_rows_match_reference_layout(level):
+    n, degree = 2, 2
+    ball = Polynomial.ball_generator(n)
+    gens_a, gens_b = [parse(LEMNISCATE, n), ball], [parse(CIRCLE, n), ball]
+    problem, bases_a, bases_b = _assemble_separation(n, gens_a, gens_b, degree, level)
+    first_a, first_b = 2, 2 + len(bases_a)
+    one = Polynomial.constant(n, 1.0)
+    contrib_a = reference_contribution_rows([one] + gens_a, bases_a)
+    contrib_b = reference_contribution_rows([one] + gens_b, bases_b)
+    monomials = monomials_up_to_degree(n, level)
+    joint = [alpha for alpha in monomials if alpha in contrib_a or alpha in contrib_b]
+    eliminate = [alpha for alpha in monomials if sum(alpha) > degree and alpha in contrib_a]
+    # at level 5 no Gram entry reaches degree 5, so those rows are dropped
+    assert (len(joint) < len(monomials)) == (level == 5)
+    assert problem.num_constraints == len(joint) + len(eliminate) + 1
+    expected_rows = [(alpha, contrib_b) for alpha in joint] + [(alpha, {}) for alpha in eliminate]
+    for (alpha, b_side), (mats, rhs) in zip(expected_rows, problem.constraints):
+        is_constant = not any(alpha)
+        assert rhs == (-1.0 if is_constant else 0.0)
+        assert (mats[0][0, 0], mats[1][0, 0]) == ((2.0, -2.0) if is_constant else (0.0, 0.0))
+        for i, bas in enumerate(bases_a):
+            expected = reference_block(contrib_a, alpha, i, len(bas))
+            np.testing.assert_array_equal(mats[first_a + i], expected)
+        for i, bas in enumerate(bases_b):
+            expected = reference_block(b_side, alpha, i, len(bas))
+            np.testing.assert_array_equal(mats[first_b + i], expected)
+    assert_normalization_row(problem.constraints[-1])
 
 
 def test_level_too_small_raises():
