@@ -31,7 +31,7 @@ from .bounds import (
     quadratic_module_complexity,
     separation_degree_bound,
 )
-from .poly import ParseError, Polynomial, SampleBudgetError, parse
+from .poly import ParseError, Polynomial, SampleBudgetError, box_grid_points, parse
 from .semialg import EmptySampleError, SemialgebraicSet, dist_estimate
 from .separator import (
     HierarchyExhaustedError,
@@ -146,23 +146,22 @@ def _bound_report(a, b, n, resolution, loj_coeff, loj_exponent, jackson_constant
     """Distance, Lipschitz constant, approximation degree and level bounds."""
     dist = dist_estimate(a, b, resolution)
     lip = lipschitz_constant(dist)
-    gens_a, gens_b = list(a.generators), list(b.generators)
     params = BoundParams(
         n=n,
         dist=dist,
         loj_exponent=loj_exponent,
         loj_coeff=loj_coeff,
-        n_generators=max(len(gens_a), len(gens_b)),
-        max_generator_degree=max(g.total_degree() for g in gens_a + gens_b),
+        n_generators=max(len(a.generators), len(b.generators)),
+        max_generator_degree=max(a.max_generator_degree(), b.max_generator_degree()),
         jackson_constant=jackson_constant,
     )
 
     def complexities(exponent):
         return [
             quadratic_module_complexity(
-                n, exponent, loj_coeff, len(gens), max(g.total_degree() for g in gens)
+                n, exponent, loj_coeff, len(s.generators), s.max_generator_degree()
             )
-            for gens in (gens_a, gens_b)
+            for s in (a, b)
         ]
 
     comp_a, comp_b = complexities(loj_exponent)
@@ -174,7 +173,7 @@ def _bound_report(a, b, n, resolution, loj_coeff, loj_exponent, jackson_constant
     dist_ball = dist / np.sqrt(n)
     sep_ball = separation_degree_bound(replace(params, dist=dist_ball), comp_a, comp_b)
 
-    warnings = generator_norm_warnings(gens_a + gens_b)
+    warnings = generator_norm_warnings(a.generators + b.generators)
     warnings.append(
         "Lojasiewicz data defaults (coefficient 1, exponent 1) are assumptions; "
         "exponent 1 needs linearly independent active-constraint gradients"
@@ -410,19 +409,17 @@ def cmd_grid(args) -> int:
     if a.n != 2:
         raise _fail(f"grid emission is 2-D only, problem has n = {a.n}")
     _, p = _load_result(args.result, a.n)
-    resolution = int(args.resolution)
-    if resolution < 2:
-        raise _fail("resolution must be at least 2")
-
-    axis = np.linspace(-1.0, 1.0, resolution)
-    lines = ["x1,x2,p,inA,inB"]
-    for x1 in axis:
-        for x2 in axis:
-            point = (float(x1), float(x2))
-            lines.append(
-                f"{point[0]!r},{point[1]!r},{p.evaluate(point)!r},"
-                f"{int(a.contains(point))},{int(b.contains(point))}"
-            )
+    # x1-major rows; a resolution below 2 or over the point budget raises here
+    pts = box_grid_points(2, int(args.resolution))
+    # rows straight from the numpy columns: 65k small lists from .tolist()
+    # fragment the heap and raise the peak of later sampling in the process
+    columns = zip(
+        pts[:, 0], pts[:, 1], p.evaluate_many(pts), a.contains_many(pts), b.contains_many(pts)
+    )
+    lines = ["x1,x2,p,inA,inB"] + [
+        f"{float(x1)!r},{float(x2)!r},{float(v)!r},{int(in_a)},{int(in_b)}"
+        for x1, x2, v, in_a, in_b in columns
+    ]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-Monomial = tuple  # exponent vector, one non-negative int per variable
-
 # resolution**n above this raises SampleBudgetError instead of allocating
 DEFAULT_GRID_BUDGET = 10_000_000
 
@@ -29,11 +27,6 @@ class ParseError(ValueError):
 
 class SampleBudgetError(RuntimeError):
     """A grid request exceeded the configured sample budget."""
-
-
-def grlex_key(mono: Monomial) -> tuple:
-    """Sort key for graded lexicographic order with x1 major within a degree."""
-    return (sum(mono), tuple(-e for e in mono))
 
 
 @dataclass(frozen=True)
@@ -162,29 +155,28 @@ class Polynomial:
         return max(sum(m) for m in self.terms)
 
     def evaluate(self, point) -> float:
+        """Value at one point: ``evaluate_many`` on one row, so bit for bit its batch value."""
         x = np.asarray(point, dtype=float).reshape(-1)
         if x.shape != (self.n,):
             raise ValueError(f"point has dimension {x.shape[0] if x.ndim else 0}, expected {self.n}")
-        total = 0.0
-        for mono, c in self.terms.items():
-            v = c
-            for xi, e in zip(x, mono):
-                if e:
-                    v *= xi**e
-            total += v
-        return float(total)
+        return float(self.evaluate_many(x[None])[0])
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at every row of an (m, n) array."""
+        """Evaluate at every row of an (m, n) array; the package's only evaluator."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError(f"points must have shape (m, {self.n})")
         out = np.zeros(len(pts))
         for mono, c in self.terms.items():
-            term = np.full(len(pts), c)
+            # each power is a fresh array that takes the product so far in
+            # place, so a one-variable term needs no array beside its power;
+            # rebinding both names frees the last term before the next power
+            term = power = c
             for i, e in enumerate(mono):
                 if e:
-                    term *= pts[:, i] ** e
+                    power = pts[:, i] ** e
+                    power *= term
+                    term = power
             out += term
         return out
 
@@ -368,7 +360,8 @@ def box_grid_points(n: int, resolution: int, budget: int = DEFAULT_GRID_BUDGET) 
             f"grid of {resolution}^{n} = {count} points exceeds the budget of {budget}"
         )
     axis = np.linspace(-1.0, 1.0, resolution)
-    mesh = np.meshgrid(*([axis] * n), indexing="ij")
+    # broadcast views, so the stacked (m, n) array is the only full-size one
+    mesh = np.meshgrid(*([axis] * n), indexing="ij", copy=False)
     return np.stack(mesh, axis=-1).reshape(-1, n)
 
 

@@ -15,8 +15,8 @@ from scipy.spatial import cKDTree
 
 from .poly import DEFAULT_GRID_BUDGET, Polynomial, box_grid_points, sup_norm_grid
 
-# tiny negative slack keeps boundary grid points in sample clouds; the
-# boolean membership API below stays an exact sign test
+# tiny negative slack keeps boundary grid points in sample clouds;
+# SemialgebraicSet.contains stays an exact sign test
 CLOUD_MEMBERSHIP_SLACK = 1e-12
 
 
@@ -43,8 +43,19 @@ class SemialgebraicSet:
         object.__setattr__(self, "generators", gens)
 
     def contains(self, point) -> bool:
-        """Exact sign test: every generator non-negative at the point."""
-        return all(g.evaluate(point) >= 0.0 for g in self.generators)
+        """Exact sign test at one point: ``contains_many`` on one row, slack 0."""
+        x = np.asarray(point, dtype=float).reshape(-1)
+        return bool(self.contains_many(x[None])[0])
+
+    def contains_many(self, points: np.ndarray, slack: float = 0.0) -> np.ndarray:
+        """The package's one membership test: row mask of every generator >= -slack.
+
+        Slack 0 is the exact sign test; sample clouds use ``CLOUD_MEMBERSHIP_SLACK``.
+        """
+        mask = np.ones(len(points), dtype=bool)
+        for g in self.generators:
+            mask &= g.evaluate_many(points) >= -slack
+        return mask
 
     def max_generator_degree(self) -> int:
         return max(g.total_degree() for g in self.generators)
@@ -64,11 +75,9 @@ class SampleCloud:
 def sample_grid(
     s: SemialgebraicSet, resolution: int, budget: int = DEFAULT_GRID_BUDGET
 ) -> SampleCloud:
-    """All grid points passing membership (with boundary slack); may be empty."""
+    """Grid points passing ``contains_many`` with ``CLOUD_MEMBERSHIP_SLACK``; may be empty."""
     pts = box_grid_points(s.n, resolution, budget)
-    mask = np.ones(len(pts), dtype=bool)
-    for g in s.generators:
-        mask &= g.evaluate_many(pts) >= -CLOUD_MEMBERSHIP_SLACK
+    mask = s.contains_many(pts, CLOUD_MEMBERSHIP_SLACK)
     return SampleCloud(points=pts[mask], resolution=resolution)
 
 

@@ -23,6 +23,7 @@ from .sos import (
     expand_gram,
     gram_incidence,
     margin_sdp_data,
+    margin_sdp_solution,
     monomials_up_to_degree,
     reconstruct_residual,
 )
@@ -169,12 +170,12 @@ def solve_fixed_level(prob: SeparatorProblem) -> SeparatorResult:
     sol = sdp_solve(sdp_problem, tol=opts.solver_tol, max_iter=opts.max_iter)
     if sol.status is not SdpStatus.OPTIMAL:
         raise SeparatorSolverError(sol.status, sol.diagnostics.get("message", ""))
-    t = float(sol.X[0][0, 0] - sol.X[1][0, 0])
+    t, grams = margin_sdp_solution(sol)
     if t <= opts.margin_tol:
         raise InfeasibleAtLevelError(prob.p_degree, prob.level, t)
 
-    # the Gram blocks follow the margin blocks w and u, the A side first
-    grams_a, grams_b = tuple(sol.X[2 : 2 + len(bases_a)]), tuple(sol.X[2 + len(bases_a) :])
+    # the A side's Gram blocks come first
+    grams_a, grams_b = tuple(grams[: len(bases_a)]), tuple(grams[len(bases_a) :])
     s_g = Polynomial.zero(n)
     for f, gram, bas in zip([Polynomial.constant(n, 1.0)] + list(gens_a), grams_a, bases_a):
         s_g = s_g + expand_gram(gram, bas) * f

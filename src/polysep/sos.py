@@ -113,11 +113,10 @@ def expand_gram(gram: np.ndarray, bas: MonomialBasis) -> Polynomial:
 
 @dataclass
 class MembershipAssembly:
-    """Index maps tying SDP blocks and rows back to the membership statement.
+    """Maps tying a membership SDP back to the membership statement.
 
-    Block 0 is the 1x1 normalization block w (pinned to 1), block 1 the 1x1
-    slack block u; the shifted Gram of multiplier i lives in block 2 + i and
-    the margin is t = w - u.  Row k (before the final normalization row)
+    The blocks follow ``margin_sdp_data``: the shifted Gram of multiplier i
+    pairs with ``bases[i]``.  Row k (before the final normalization row)
     matches the coefficient of ``row_monomials[k]``.
     """
 
@@ -126,9 +125,6 @@ class MembershipAssembly:
     bases: tuple
     level: int
     row_monomials: list
-    norm_block: int = 0
-    slack_block: int = 1
-    first_gram_block: int = 2
 
 
 def gram_incidence(n: int, generators, level: int):
@@ -186,6 +182,11 @@ def margin_sdp_data(stacks, margin, rhs):
     return block_sizes, objective, constraints
 
 
+def margin_sdp_solution(sol: SdpSolution):
+    """(t, Gram blocks) of a solved ``margin_sdp_data`` SDP: t = w - u, then blocks 2, 3, ..."""
+    return float(sol.X[0][0, 0] - sol.X[1][0, 0]), list(sol.X[2:])
+
+
 def assemble_membership(target: Polynomial, generators, level: int):
     """Compile ``target in Q_level(generators)`` into a max-margin SDP.
 
@@ -221,7 +222,7 @@ def assemble_membership(target: Polynomial, generators, level: int):
 
 def membership_slack(sol: SdpSolution, maps: MembershipAssembly) -> float:
     """The achieved margin t = w - u; positive means strict membership."""
-    return float(sol.X[maps.norm_block][0, 0] - sol.X[maps.slack_block][0, 0])
+    return margin_sdp_solution(sol)[0]
 
 
 def extract_certificate(
@@ -236,19 +237,15 @@ def extract_certificate(
         raise NegativeSlackError("membership SDP is infeasible at this level")
     if sol.status is not SdpStatus.OPTIMAL:
         raise RuntimeError(f"membership SDP did not converge: {sol.status.value}")
-    t = membership_slack(sol, maps)
+    t, blocks = margin_sdp_solution(sol)
     if t < -slack_tol:
         raise NegativeSlackError(
             f"no strict certificate at level {maps.level}: margin {t:.3e}", slack=t
         )
     shift = max(t, 0.0)
-    grams = []
-    for i, bas in enumerate(maps.bases):
-        block = sol.X[maps.first_gram_block + i]
-        grams.append(block + shift * np.eye(len(bas)))
     return QmCertificate(
         generators=maps.generators,
-        grams=tuple(grams),
+        grams=tuple(block + shift * np.eye(len(block)) for block in blocks),
         bases=maps.bases,
         level=maps.level,
     )

@@ -346,6 +346,15 @@ def test_grid_minimal_resolution(tmp_path, capsys, lemniscate_problem_file):
     assert len(stdout.strip().splitlines()) == 5
 
 
+def test_grid_over_the_point_budget_exits_one(tmp_path, capsys, lemniscate_problem_file):
+    # 3163^2 > 10^7: the budget check raises before any point is allocated
+    result = reference_result_file(tmp_path / "reference.json")
+    code, stdout, stderr = run(capsys, "grid", lemniscate_problem_file, result, "--resolution", "3163")
+    assert code == 1
+    assert stdout == ""
+    assert "exceeds the budget" in stderr
+
+
 def test_grid_rejects_non_planar_problems(tmp_path, capsys):
     problem = write_problem(tmp_path / "p3.json", 3, ["1 - x1^2"], ["x2 - 2"])
     result = tmp_path / "r.json"

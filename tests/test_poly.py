@@ -114,6 +114,20 @@ def test_evaluate_dimension_mismatch():
         p.evaluate([1.0])
 
 
+def test_evaluate_is_bitwise_one_row_of_evaluate_many():
+    # a separate scalar path rounds x**e differently from numpy's array power
+    rng = np.random.default_rng(11)
+    p = random_polynomial(rng, 3, 7, 40)
+    assert max(max(m) for m in p.terms) == 7
+    pts = rng.uniform(-1.0, 1.0, size=(2000, 3))
+    kept = pts.copy()
+    for x in pts:
+        assert p.evaluate(x) == p.evaluate_many(x[None])[0]
+    # the powers are multiplied in place; the caller's points stay untouched
+    np.testing.assert_array_equal(p.evaluate_many(pts), [p.evaluate(x) for x in pts])
+    np.testing.assert_array_equal(pts, kept)
+
+
 # ---- arithmetic ------------------------------------------------------------
 
 

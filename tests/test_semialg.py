@@ -39,6 +39,15 @@ def test_membership_dimension_mismatch(unit_disk):
         unit_disk.contains([0.0])
 
 
+def test_contains_agrees_with_contains_many_at_zero_slack(lemniscate_set):
+    box = SemialgebraicSet(2, (parse("1 - x1^2", 2), parse("1/4 - x2^2", 2)))
+    pts = poly.box_grid_points(2, 41)  # hits the boundaries x1 = +-1, x2 = +-1/2 exactly
+    for s in (lemniscate_set, box):
+        mask = s.contains_many(pts, 0.0)
+        assert mask.any() and not mask.all()
+        assert [s.contains(x) for x in pts] == mask.tolist()
+
+
 def test_set_requires_generators():
     with pytest.raises(ValueError):
         SemialgebraicSet(2, ())

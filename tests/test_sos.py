@@ -158,14 +158,16 @@ def test_rows_carry_target_coefficients_exactly():
     assert len(problem.constraints) == len(maps.row_monomials) + 1
     for mono, (mats, rhs) in zip(maps.row_monomials, problem.constraints):
         assert rhs == target.terms.get(mono, 0.0)
+        # blocks w and u, then one Gram per multiplier (the margin_sdp_data layout)
+        assert len(mats) == 2 + len(maps.bases)
         trace = 0.0
         for i, bas in enumerate(maps.bases):
             expected = reference_block(contrib, mono, i, len(bas))
-            np.testing.assert_array_equal(mats[maps.first_gram_block + i], expected)
+            np.testing.assert_array_equal(mats[2 + i], expected)
             trace += float(np.trace(expected))
         # the Grams are shifted by t*I, t = w - u
-        assert mats[maps.norm_block][0, 0] == trace
-        assert mats[maps.slack_block][0, 0] == -trace
+        assert mats[0][0, 0] == trace
+        assert mats[1][0, 0] == -trace
     assert_normalization_row(problem.constraints[-1])
 
 
