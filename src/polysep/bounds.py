@@ -37,12 +37,6 @@ class LogScaleValue:
     def pow10_string(self, digits: int = 4) -> str:
         return f"10^{self.log10_value:.{digits}f}"
 
-    def to_float(self) -> float:
-        """Plain float value; inf when it overflows double precision."""
-        if self.log10_value > 308.0:
-            return math.inf
-        return 10.0**self.log10_value
-
 
 @dataclass(frozen=True)
 class BoundParams:

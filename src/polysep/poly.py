@@ -13,8 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# resolution**n above this raises SampleBudgetError instead of allocating
+# resolution**n above this raises SampleBudgetError before any point is made;
+# it bounds the work of a grid sweep, since box_grid_chunks keeps only one block
 DEFAULT_GRID_BUDGET = 10_000_000
+
+# rows per box_grid_chunks block, rounded down to whole x1-slabs (at least one):
+# large enough that a 2-D grid up to 256^2 is one block, small enough that a
+# block and its per-term evaluation arrays stay near a megabyte
+GRID_BLOCK_ROWS = 1 << 16
 
 
 class ParseError(ValueError):
@@ -346,12 +352,7 @@ def parse(text: str, n: int) -> Polynomial:
     return _Parser(text, n).parse()
 
 
-def box_grid_points(n: int, resolution: int, budget: int = DEFAULT_GRID_BUDGET) -> np.ndarray:
-    """Uniform resolution**n grid on [-1, 1]^n as an (m, n) array.
-
-    Grids of odd resolutions 3, 5, 9, 17, ... are nested, which the sampling
-    monotonicity guarantees rely on.
-    """
+def _check_grid(n: int, resolution: int, budget: int) -> None:
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     count = resolution**n
@@ -359,15 +360,58 @@ def box_grid_points(n: int, resolution: int, budget: int = DEFAULT_GRID_BUDGET) 
         raise SampleBudgetError(
             f"grid of {resolution}^{n} = {count} points exceeds the budget of {budget}"
         )
+
+
+def box_grid_points(n: int, resolution: int, budget: int = DEFAULT_GRID_BUDGET) -> np.ndarray:
+    """Uniform resolution**n grid on [-1, 1]^n as an (m, n) array, x1-major.
+
+    Row i1*resolution**(n-1) + ... + in holds (axis[i1], ..., axis[in]).
+    Grids of odd resolutions 3, 5, 9, 17, ... are nested, which the sampling
+    monotonicity guarantees rely on.
+    """
+    _check_grid(n, resolution, budget)
     axis = np.linspace(-1.0, 1.0, resolution)
     # broadcast views, so the stacked (m, n) array is the only full-size one
     mesh = np.meshgrid(*([axis] * n), indexing="ij", copy=False)
     return np.stack(mesh, axis=-1).reshape(-1, n)
 
 
+def box_grid_chunks(n: int, resolution: int, budget: int = DEFAULT_GRID_BUDGET):
+    """The rows of ``box_grid_points`` in the same order, as consecutive blocks.
+
+    Each block is a run of whole x1-slabs (resolution**(n-1) rows sharing x1),
+    about ``GRID_BLOCK_ROWS`` rows in all; every value is the same float as in
+    ``box_grid_points``.  The resolution and budget checks run here, before
+    any point is made.  The blocks are views of one buffer that the next
+    block overwrites, so a caller copies whatever it keeps.
+    """
+    _check_grid(n, resolution, budget)
+    return _grid_blocks(n, resolution)
+
+
+def _grid_blocks(n: int, resolution: int):
+    axis = np.linspace(-1.0, 1.0, resolution)
+    slab = resolution ** (n - 1)
+    per_block = max(1, GRID_BLOCK_ROWS // slab)
+    buf = np.empty((min(per_block, resolution) * slab, n))
+    if n > 1:
+        # the trailing (n-1)-D grid, laid out once for every slab of the buffer
+        tail = box_grid_points(n - 1, resolution, slab)
+        buf[:, 1:] = np.tile(tail, (len(buf) // slab, 1))
+    for start in range(0, resolution, per_block):
+        xs = axis[start : start + per_block]
+        block = buf[: len(xs) * slab]
+        block[:, 0] = np.repeat(xs, slab)
+        yield block
+
+
 def sup_norm_grid(p: Polynomial, resolution: int, budget: int = DEFAULT_GRID_BUDGET) -> float:
-    """Max of |p| over the uniform grid; a lower bound on the true box sup-norm."""
-    pts = box_grid_points(p.n, resolution, budget)
+    """Max of |p| over the uniform grid; a lower bound on the true box sup-norm.
+
+    Swept block by block through ``box_grid_chunks``, so memory stays at one
+    block whatever the resolution.
+    """
+    blocks = box_grid_chunks(p.n, resolution, budget)
     if not p.terms:
         return 0.0
-    return float(np.max(np.abs(p.evaluate_many(pts))))
+    return float(np.max([np.max(np.abs(p.evaluate_many(block))) for block in blocks]))

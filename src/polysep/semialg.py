@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .poly import DEFAULT_GRID_BUDGET, Polynomial, box_grid_points, sup_norm_grid
+from .poly import DEFAULT_GRID_BUDGET, Polynomial, box_grid_chunks, sup_norm_grid
 
 # tiny negative slack keeps boundary grid points in sample clouds;
 # SemialgebraicSet.contains stays an exact sign test
@@ -75,10 +75,17 @@ class SampleCloud:
 def sample_grid(
     s: SemialgebraicSet, resolution: int, budget: int = DEFAULT_GRID_BUDGET
 ) -> SampleCloud:
-    """Grid points passing ``contains_many`` with ``CLOUD_MEMBERSHIP_SLACK``; may be empty."""
-    pts = box_grid_points(s.n, resolution, budget)
-    mask = s.contains_many(pts, CLOUD_MEMBERSHIP_SLACK)
-    return SampleCloud(points=pts[mask], resolution=resolution)
+    """Grid points passing ``contains_many`` with ``CLOUD_MEMBERSHIP_SLACK``; may be empty.
+
+    The points keep the x1-major order of ``box_grid_points``.  The grid is
+    swept block by block through ``box_grid_chunks``, so memory stays at one
+    block plus the kept rows whatever the resolution.
+    """
+    kept = [
+        block[s.contains_many(block, CLOUD_MEMBERSHIP_SLACK)]
+        for block in box_grid_chunks(s.n, resolution, budget)
+    ]
+    return SampleCloud(points=np.concatenate(kept), resolution=resolution)
 
 
 def dist_estimate(
@@ -93,9 +100,9 @@ def dist_estimate(
     non-increasing under nested grid refinement.
     """
     cloud_a = sample_grid(a, resolution, budget)
-    cloud_b = sample_grid(b, resolution, budget)
     if len(cloud_a) == 0:
         raise EmptySampleError(f"first set has no sample points at resolution {resolution}")
+    cloud_b = sample_grid(b, resolution, budget)
     if len(cloud_b) == 0:
         raise EmptySampleError(f"second set has no sample points at resolution {resolution}")
     tree = cKDTree(cloud_b.points)

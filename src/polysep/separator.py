@@ -261,9 +261,9 @@ def verify_separation(
 ) -> SeparationReport:
     """Grid check: p >= 1 - tol on samples of A and p <= tol on samples of B."""
     cloud_a = sample_grid(a, resolution, budget)
-    cloud_b = sample_grid(b, resolution, budget)
     if len(cloud_a) == 0:
         raise EmptySampleError(f"first set has no sample points at resolution {resolution}")
+    cloud_b = sample_grid(b, resolution, budget)
     if len(cloud_b) == 0:
         raise EmptySampleError(f"second set has no sample points at resolution {resolution}")
     vals_a = p.evaluate_many(cloud_a.points)

@@ -222,3 +222,60 @@ def test_sup_norm_budget_error():
 def test_grid_requires_resolution_at_least_two():
     with pytest.raises(ValueError):
         poly.box_grid_points(2, 1)
+
+
+# ---- chunked grid sweeps ----------------------------------------------------
+
+# (n, resolution, block rows): n=2 at 1000 ends blocks mid-grid with a partial
+# last block; n=3 at 33 with 500-row blocks has slabs taller than a block
+CHUNK_SHAPES = [(1, 5, None), (1, 1000, 64), (2, 2, None), (2, 1000, None), (3, 33, 500), (4, 31, None)]
+
+
+@pytest.mark.parametrize("n, resolution, block_rows", CHUNK_SHAPES)
+def test_box_grid_chunks_are_box_grid_points_in_whole_slabs(n, resolution, block_rows, monkeypatch):
+    if block_rows is not None:
+        monkeypatch.setattr(poly, "GRID_BLOCK_ROWS", block_rows)
+    slab = resolution ** (n - 1)
+    blocks = [block.copy() for block in poly.box_grid_chunks(n, resolution)]
+    height = max(1, poly.GRID_BLOCK_ROWS // slab) * slab
+    assert all(len(block) == height for block in blocks[:-1])
+    assert 0 < len(blocks[-1]) <= height and len(blocks[-1]) % slab == 0
+    full = poly.box_grid_points(n, resolution)
+    joined = np.concatenate(blocks)
+    assert joined.shape == full.shape and joined.tobytes() == full.tobytes()
+
+
+def test_box_grid_chunks_one_slab_per_block_when_a_slab_exceeds_the_block_height():
+    resolution = 257  # one x1-slab holds 257^2 > GRID_BLOCK_ROWS rows
+    axis = np.linspace(-1.0, 1.0, resolution)
+    tail = poly.box_grid_points(2, resolution).tobytes()
+    count = 0
+    for j, block in enumerate(poly.box_grid_chunks(3, resolution, budget=resolution**3)):
+        assert np.all(block[:, 0] == axis[j])
+        assert block[:, 1:].tobytes() == tail
+        count += 1
+    assert count == resolution
+
+
+@pytest.mark.parametrize("n, resolution, block_rows", CHUNK_SHAPES)
+def test_sup_norm_grid_matches_the_full_grid(n, resolution, block_rows, monkeypatch):
+    if block_rows is not None:
+        monkeypatch.setattr(poly, "GRID_BLOCK_ROWS", block_rows)
+    p = random_polynomial(np.random.default_rng(n * resolution), n, 3, 4)
+    full = poly.box_grid_points(n, resolution)
+    assert sup_norm_grid(p, resolution) == float(np.max(np.abs(p.evaluate_many(full))))
+
+
+def test_grid_checks_fire_before_any_block():
+    # box_grid_chunks checks on the call, not when the first block is drawn
+    with pytest.raises(ValueError, match="resolution must be at least 2, got 1"):
+        poly.box_grid_chunks(2, 1)
+    with pytest.raises(SampleBudgetError, match=r"grid of 101\^2 = 10201 points exceeds the budget of 100"):
+        poly.box_grid_chunks(2, 101, budget=100)
+    # the zero polynomial needs no block, but its grid is still checked
+    zero = Polynomial.zero(2)
+    with pytest.raises(ValueError, match="resolution must be at least 2, got 1"):
+        sup_norm_grid(zero, 1)
+    with pytest.raises(SampleBudgetError):
+        sup_norm_grid(zero, 101, budget=100)
+    assert sup_norm_grid(zero, 101) == 0.0

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from polysep import poly
+from polysep import poly, semialg
 from polysep.poly import parse
 from polysep.semialg import (
+    CLOUD_MEMBERSHIP_SLACK,
     EmptySampleError,
     SemialgebraicSet,
     cloud_distance,
@@ -82,6 +85,76 @@ def test_cloud_points_pass_membership(lemniscate_set):
         assert np.all(g.evaluate_many(cloud.points) >= -1e-12)
 
 
+def reference_cloud(s, resolution):
+    """The whole grid at once, then one mask: what sample_grid must reproduce."""
+    pts = poly.box_grid_points(s.n, resolution)
+    return pts[s.contains_many(pts, CLOUD_MEMBERSHIP_SLACK)]
+
+
+def ball(n, center, radius):
+    terms = " - ".join(f"(x{i + 1} - ({c}))^2" for i, c in enumerate(center))
+    return SemialgebraicSet(n, (parse(f"{radius}^2 - {terms}", n),))
+
+
+# n=2 at 1000 ends blocks mid-grid with a partial last block; n=3 at 33 with
+# 500-row blocks has slabs taller than a block
+SWEEP_CASES = {
+    "n1": (lambda: ball(1, [0.2], 0.3), 1000, 64),
+    "n2-r1000": (lambda: ball(2, [0.5, 0.0], 0.25), 1000, None),
+    "n3-slab-over-block": (lambda: ball(3, [0.1, -0.2, 0.3], 0.6), 33, 500),
+    "n4-r31": (lambda: ball(4, [0.5, 0.0, 0.0, 0.0], 0.45), 31, None),
+    "multi-generator": (
+        lambda: SemialgebraicSet(
+            3, (parse("1 - x1^2 - x2^2 - x3^2", 3), parse("x1*x2 + x3", 3), parse("x2 - x3^3", 3))
+        ),
+        101,
+        None,
+    ),
+    "empty": (lambda: SemialgebraicSet(2, (parse("-1 - x1^2", 2),)), 1000, None),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_sample_grid_matches_the_full_grid(case, monkeypatch):
+    make_set, resolution, block_rows = SWEEP_CASES[case]
+    if block_rows is not None:
+        monkeypatch.setattr(poly, "GRID_BLOCK_ROWS", block_rows)
+    s = make_set()
+    cloud = sample_grid(s, resolution)
+    ref = reference_cloud(s, resolution)
+    assert (len(ref) == 0) == (case == "empty")
+    assert cloud.points.shape == ref.shape and cloud.points.dtype == ref.dtype
+    assert cloud.points.tobytes() == ref.tobytes()
+
+
+def test_sample_grid_checks_fire_before_any_block(unit_disk, monkeypatch):
+    def no_blocks(n, resolution):
+        raise AssertionError("a block was made")
+
+    monkeypatch.setattr(poly, "_grid_blocks", no_blocks)
+    with pytest.raises(ValueError, match="resolution must be at least 2, got 1"):
+        sample_grid(unit_disk, 1)
+    with pytest.raises(poly.SampleBudgetError, match="exceeds the budget of 100"):
+        sample_grid(unit_disk, 101, budget=100)
+
+
+def test_grid_sweeps_at_201_cubed_keep_memory_to_a_block():
+    # the whole 201^3 grid alone is 195 MB; a block and the kept rows are a few MB
+    s = ball(3, [0.5, 0.0, 0.0], 0.25)
+    sweeps = {
+        "sample_grid": lambda: len(sample_grid(s, 201)),
+        "sup_norm_grid": lambda: poly.sup_norm_grid(s.generators[0], 201),
+    }
+    for name, sweep in sweeps.items():
+        tracemalloc.start()
+        try:
+            assert sweep() > 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"{name} peaked at {peak / 2**20:.1f} MB"
+
+
 # ---- distance --------------------------------------------------------------
 
 
@@ -102,6 +175,21 @@ def test_distance_empty_cloud(disk_sets):
     empty = SemialgebraicSet(2, (parse("-1 - x1^2", 2),))
     with pytest.raises(EmptySampleError):
         dist_estimate(a, empty, 51)
+
+
+def test_distance_empty_first_cloud_skips_the_second_sweep(disk_sets, monkeypatch):
+    a, _ = disk_sets
+    empty = SemialgebraicSet(2, (parse("-1 - x1^2", 2),))
+    sampled = []
+
+    def counting(s, resolution, budget):
+        sampled.append(s)
+        return sample_grid(s, resolution, budget)
+
+    monkeypatch.setattr(semialg, "sample_grid", counting)
+    with pytest.raises(EmptySampleError, match="first set has no sample points at resolution 51"):
+        dist_estimate(empty, a, 51)
+    assert sampled == [empty]
 
 
 def test_distance_non_increasing_under_refinement(lemniscate_set, circle_set):

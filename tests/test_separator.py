@@ -1,7 +1,8 @@
 import pytest
 
+from polysep import separator
 from polysep.poly import Polynomial, parse
-from polysep.semialg import EmptySampleError, SemialgebraicSet
+from polysep.semialg import EmptySampleError, SemialgebraicSet, sample_grid
 from polysep.separator import (
     HierarchyExhaustedError,
     InfeasibleAtLevelError,
@@ -201,6 +202,20 @@ def test_verify_separation_empty_sample(lemniscate_set):
     empty = SemialgebraicSet(2, (parse("-1 - x1^2", 2),))
     with pytest.raises(EmptySampleError):
         verify_separation(Polynomial.constant(2, 1.0), lemniscate_set, empty, 51, 1e-3)
+
+
+def test_verify_separation_empty_first_set_skips_the_second_sweep(lemniscate_set, monkeypatch):
+    empty = SemialgebraicSet(2, (parse("-1 - x1^2", 2),))
+    sampled = []
+
+    def counting(s, resolution, budget):
+        sampled.append(s)
+        return sample_grid(s, resolution, budget)
+
+    monkeypatch.setattr(separator, "sample_grid", counting)
+    with pytest.raises(EmptySampleError, match="first set has no sample points at resolution 51"):
+        verify_separation(Polynomial.constant(2, 1.0), empty, lemniscate_set, 51, 1e-3)
+    assert sampled == [empty]
 
 
 def test_ball_constraint_switch_off_still_separates(disk_sets):
