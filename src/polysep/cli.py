@@ -31,7 +31,7 @@ from .bounds import (
     quadratic_module_complexity,
     separation_degree_bound,
 )
-from .poly import ParseError, Polynomial, SampleBudgetError, box_grid_points, parse
+from .poly import ParseError, Polynomial, SampleBudgetError, box_grid_chunks, parse
 from .semialg import EmptySampleError, SemialgebraicSet, dist_estimate
 from .separator import (
     HierarchyExhaustedError,
@@ -77,7 +77,7 @@ def load_problem(path: str):
     try:
         a_gens = tuple(parse(s, n) for s in a_strings)
         b_gens = tuple(parse(s, n) for s in b_strings)
-    except ParseError as err:
+    except (ParseError, TypeError, OverflowError) as err:
         raise _fail(f"bad polynomial in problem file: {err}") from err
     try:
         a = SemialgebraicSet(n, a_gens)
@@ -137,9 +137,10 @@ def _certificate_from_json(data: dict, n: int, level: int) -> QmCertificate:
             half = max((sum(m) for m in elements), default=0)
             bases.append(MonomialBasis(n, half, elements))
             grams.append(gram)
-    except (KeyError, TypeError, ValueError, ParseError) as err:
+        level = int(data.get("level", level))
+    except (KeyError, TypeError, ValueError, OverflowError, ParseError) as err:
         raise _fail(f"malformed certificate entry: {err}") from err
-    return QmCertificate(gens, tuple(grams), tuple(bases), int(data.get("level", level)))
+    return QmCertificate(gens, tuple(grams), tuple(bases), level)
 
 
 def _bound_report(a, b, n, resolution, loj_coeff, loj_exponent, jackson_constant):
@@ -210,20 +211,29 @@ def _bound_report(a, b, n, resolution, loj_coeff, loj_exponent, jackson_constant
     }
 
 
+def _setting(args, file_options: dict, name: str, default, cast):
+    """The flag if given, else the problem file's option, else the default."""
+    value = getattr(args, name)
+    if value is None:
+        value = file_options.get(name, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise _fail(f"option {name} must be {cast.__name__}, got {value!r}") from err
+
+
 def cmd_separate(args) -> int:
     a, b, file_options = load_problem(args.problem)
-    degree_max = args.degree_max if args.degree_max is not None else file_options.get("degree_max", 3)
-    level_max = args.level_max if args.level_max is not None else file_options.get("level_max", 8)
-    tol = args.tol if args.tol is not None else file_options.get("tol", 1e-8)
-    margin = args.margin if args.margin is not None else file_options.get("margin", 1e-6)
+    degree_max = _setting(args, file_options, "degree_max", 3, int)
+    level_max = _setting(args, file_options, "level_max", 8, int)
+    tol = _setting(args, file_options, "tol", 1e-8, float)
+    margin = _setting(args, file_options, "margin", 1e-6, float)
     ball = args.ball if args.ball is not None else file_options.get("ball", "on")
-    options = SeparatorOptions(
-        margin_tol=float(margin), solver_tol=float(tol), ball_constraint=(ball == "on")
-    )
+    options = SeparatorOptions(margin_tol=margin, solver_tol=tol, ball_constraint=(ball == "on"))
 
     start = time.perf_counter()
     try:
-        result = run_hierarchy(a, b, int(degree_max), int(level_max), options)
+        result = run_hierarchy(a, b, degree_max, level_max, options)
     except HierarchyExhaustedError as err:
         payload = {"separated": False, "trace": err.trace}
         if args.out:
@@ -298,7 +308,7 @@ def _load_result(path: str, n: int):
         raise _fail(f"cannot read result file: {err}") from err
     except json.JSONDecodeError as err:
         raise _fail(f"result file is not valid JSON: {err}") from err
-    if "p" not in data:
+    if not isinstance(data, dict) or "p" not in data:
         raise _fail("result file has no polynomial entry")
     p = _poly_from_json(data["p"], n)
     return data, p
@@ -335,8 +345,13 @@ def cmd_verify(args) -> int:
     cert_ok = True
     certs = data.get("certificates")
     if certs:
-        level = int(data.get("level", 0))
-        slack = float(data.get("slack", 0.0))
+        if not isinstance(certs, dict) or not {"A", "B"} <= certs.keys():
+            raise _fail("result certificates must be an object with entries A and B")
+        try:
+            level = int(data.get("level", 0))
+            slack = float(data.get("slack", 0.0))
+        except (TypeError, ValueError, OverflowError) as err:
+            raise _fail(f"malformed level or slack in result file: {err}") from err
         cert_a = _certificate_from_json(certs["A"], a.n, level)
         cert_b = _certificate_from_json(certs["B"], a.n, level)
         mismatches = _foreign_generators(cert_a, a) + _foreign_generators(cert_b, b)
@@ -404,28 +419,41 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+# the inA,inB columns and line end, indexed by 2 * inA + inB
+_GRID_FLAGS = (",0,0\n", ",0,1\n", ",1,0\n", ",1,1\n")
+
+
 def cmd_grid(args) -> int:
     a, b, _ = load_problem(args.problem)
     if a.n != 2:
         raise _fail(f"grid emission is 2-D only, problem has n = {a.n}")
     _, p = _load_result(args.result, a.n)
-    # x1-major rows; a resolution below 2 or over the point budget raises here
-    pts = box_grid_points(2, int(args.resolution))
-    # rows straight from the numpy columns: 65k small lists from .tolist()
-    # fragment the heap and raise the peak of later sampling in the process
-    columns = zip(
-        pts[:, 0], pts[:, 1], p.evaluate_many(pts), a.contains_many(pts), b.contains_many(pts)
-    )
-    lines = ["x1,x2,p,inA,inB"] + [
-        f"{float(x1)!r},{float(x2)!r},{float(v)!r},{int(in_a)},{int(in_b)}"
-        for x1, x2, v, in_a, in_b in columns
-    ]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    resolution = int(args.resolution)
+    # x1-major blocks of whole x1-slabs; a resolution below 2 or over the point
+    # budget raises here, before the output is opened
+    blocks = box_grid_chunks(2, resolution)
+    # each axis value is formatted once; a row is the four strings x1, x2, p
+    # and the flags, and a slab's rows share x1 and run over the x2 axis
+    axis = [repr(v) + "," for v in np.linspace(-1.0, 1.0, resolution).tolist()]
+    parts = [""] * (4 * resolution)
+    parts[1::4] = axis
+    heads = iter(axis)
+    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    try:
+        out.write("x1,x2,p,inA,inB\n")
+        for block in blocks:
+            values = p.evaluate_many(block).tolist()
+            flags = (2 * a.contains_many(block) + b.contains_many(block)).tolist()
+            # one joined slab per write, so no more than a slab is ever text
+            for lo in range(0, len(values), resolution):
+                hi = lo + resolution
+                parts[0::4] = [next(heads)] * resolution
+                parts[2::4] = map(repr, values[lo:hi])
+                parts[3::4] = map(_GRID_FLAGS.__getitem__, flags[lo:hi])
+                out.write("".join(parts))
+    finally:
+        if out is not sys.stdout:
+            out.close()
     return EXIT_OK
 
 
@@ -485,7 +513,7 @@ def main(argv=None) -> int:
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except (ValueError, RuntimeError) as err:
+    except (ValueError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

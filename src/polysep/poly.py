@@ -349,6 +349,8 @@ class _Parser:
 
 def parse(text: str, n: int) -> Polynomial:
     """Parse polynomial text with variables x1..xn into canonical form."""
+    if not isinstance(text, str):
+        raise TypeError(f"polynomial text must be a string, got {type(text).__name__}")
     return _Parser(text, n).parse()
 
 

@@ -177,8 +177,8 @@ class _BlockOps:
         return out
 
     def adjoint(self, y) -> list:
-        """A*(y): per-block sum_k y_k A_k."""
-        return [np.einsum("k,kij->ij", y, st) for st in self.stacks]
+        """A*(y): per-block sum_k y_k A_k, one vector-matrix product per block."""
+        return [(y @ st.reshape(self.m, -1)).reshape(st.shape[1:]) for st in self.stacks]
 
     def schur(self, xblocks, zinv_blocks) -> np.ndarray:
         """M[j, k] = sum_b <A_j, X A_k Zinv> (symmetric positive definite).

@@ -5,8 +5,9 @@ witnessed by quadratic-module memberships of p - 1 over g and of -p over h.
 At a fixed level l the search is one joint SDP: maximize a margin t subject
 to p - 1 - t in Q_l(g) and -p - t in Q_l(h), with the coefficients of p tied
 into both membership systems and eliminated against the g-side expansion.
-A positive optimal margin yields the polynomial and both certificates; the
-hierarchy then sweeps candidate degrees and levels until one succeeds.
+A positive optimal margin yields the polynomial and both certificates.  The
+hierarchy sweeps (degree, level) pairs cheapest first: level-major, with the
+degrees rising at each even level, and the first pair that separates wins.
 """
 
 from __future__ import annotations
@@ -212,10 +213,14 @@ def run_hierarchy(
     l_max: int,
     options: SeparatorOptions = SeparatorOptions(),
 ) -> SeparatorResult:
-    """Sweep degrees d = 1..d_max and even levels up to l_max; first success wins.
+    """Sweep even levels up to l_max, and degrees 1..min(d_max, level) at each.
 
-    For each degree the level starts at max(d, generator degrees) rounded up
-    to even and steps by 2 (odd levels do not change the Gram half-degrees).
+    The sweep is level-major, cheapest attempt first: levels start at the
+    largest generator degree rounded up to even and step by 2 (odd levels do
+    not change the Gram half-degrees), and at each level the degrees run
+    upwards.  The first attempt that certifies a margin wins.  So when degree
+    d fails at level l but a higher degree d' separates there, the answer is
+    (d', l) even if d would have separated at a higher level.
     Raises HierarchyExhaustedError with the full attempt trace if nothing
     separates, which signals intersecting sets or caps that are too small.
     """
@@ -227,10 +232,8 @@ def run_hierarchy(
     gen_degree = max(g.total_degree() for g in gens_a + gens_b)
 
     trace = []
-    for d in range(1, d_max + 1):
-        level = max(d, gen_degree)
-        level += level % 2
-        while level <= l_max:
+    for level in range(gen_degree + gen_degree % 2, l_max + 1, 2):
+        for d in range(1, min(d_max, level) + 1):
             attempt = {"degree": d, "level": level}
             try:
                 result = solve_fixed_level(
@@ -247,7 +250,6 @@ def run_hierarchy(
                 trace.append(attempt)
                 result.diagnostics["trace"] = trace
                 return result
-            level += 2
     raise HierarchyExhaustedError(trace)
 
 

@@ -1,10 +1,14 @@
+import hashlib
 import json
+import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from conftest import DISK_LEFT, DISK_RIGHT, REFERENCE_P, write_problem
-from polysep.cli import main
+from polysep.cli import load_problem, main
+from polysep.poly import box_grid_points, parse
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -51,6 +55,20 @@ def test_separate_then_verify_round_trip(tmp_path, capsys, lemniscate_problem_fi
     report = json.loads(stdout)
     assert report["passed"]
     assert report["certificates"]["passed"]
+
+
+def test_separate_golden_tries_the_cheapest_attempts_first(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code, *_ = run(
+        capsys, "separate", str(DATA_DIR / "golden_problem.json"), "--degree-max", "2",
+        "--out", str(out),
+    )
+    assert code == 0
+    result = json.loads(out.read_text())
+    trace = [(t["degree"], t["level"], t["outcome"]) for t in result["diagnostics"]["trace"]]
+    assert trace == [(1, 4, "no_margin"), (2, 4, "separated")]
+    golden = json.loads((DATA_DIR / "golden_result.json").read_text())
+    assert result["slack"] == pytest.approx(golden["slack"], abs=1e-12)
 
 
 def test_separate_intersecting_sets_exits_two(tmp_path, capsys):
@@ -174,6 +192,45 @@ def test_separate_then_verify_4d_decides_on_the_certificates(tmp_path, capsys):
     code, stdout, _ = run(capsys, "verify", problem, str(out))
     assert code == 3
     assert json.loads(stdout)["passed"] is False
+
+
+MALFORMED_PROBLEMS = {
+    "generator is a number": lambda d: d.update(A_generators=[1]),
+    "degree_max is null": lambda d: d.update(options={"degree_max": None}),
+    "degree_max is a list": lambda d: d.update(options={"degree_max": [1]}),
+    "n is too large for a tuple": lambda d: d.update(n=1e300),
+}
+
+MALFORMED_RESULTS = {
+    "p.string is a number": lambda d: d["p"].update(string=5),
+    "certificate generator is a number": lambda d: d["certificates"]["A"].update(generators=[5]),
+    "certificates is a list": lambda d: d.update(certificates=[d["certificates"]["A"]]),
+    "certificates has no A": lambda d: d["certificates"].pop("A"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PROBLEMS))
+def test_separate_malformed_problem_json_exits_one(tmp_path, capsys, case):
+    data = json.loads((DATA_DIR / "golden_problem.json").read_text())
+    MALFORMED_PROBLEMS[case](data)
+    problem = tmp_path / "bad.json"
+    problem.write_text(json.dumps(data))
+    code, stdout, stderr = run(capsys, "separate", str(problem))
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RESULTS))
+def test_verify_malformed_result_json_exits_one(tmp_path, capsys, case):
+    data = json.loads((DATA_DIR / "golden_result.json").read_text())
+    MALFORMED_RESULTS[case](data)
+    result = tmp_path / "bad.json"
+    result.write_text(json.dumps(data))
+    code, stdout, stderr = run(capsys, "verify", str(DATA_DIR / "golden_problem.json"), str(result))
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: ")
 
 
 # ---- verify ----------------------------------------------------------------------
@@ -355,6 +412,14 @@ def test_grid_over_the_point_budget_exits_one(tmp_path, capsys, lemniscate_probl
     assert "exceeds the budget" in stderr
 
 
+def test_grid_into_a_missing_directory_exits_one(tmp_path, capsys, lemniscate_problem_file):
+    result = reference_result_file(tmp_path / "reference.json")
+    out = tmp_path / "missing" / "grid.csv"
+    code, _, stderr = run(capsys, "grid", lemniscate_problem_file, result, "--out", str(out))
+    assert code == 1
+    assert stderr.startswith("error: ")
+
+
 def test_grid_rejects_non_planar_problems(tmp_path, capsys):
     problem = write_problem(tmp_path / "p3.json", 3, ["1 - x1^2"], ["x2 - 2"])
     result = tmp_path / "r.json"
@@ -378,3 +443,54 @@ def test_grid_marks_membership(tmp_path, capsys, lemniscate_problem_file):
     # members of A sit near the x2 axis, members of B near (1/2, 0)
     assert all(abs(float(r[0])) <= 0.3 for r in in_a)
     assert all(0.25 <= float(r[0]) <= 0.75 for r in in_b)
+
+
+def reference_grid_csv(problem, result, resolution):
+    """The CSV as one formatted line per row, the way grid wrote it unstreamed."""
+    a, b, _ = load_problem(problem)
+    p = parse(json.loads(Path(result).read_text())["p"]["string"], 2)
+    pts = box_grid_points(2, resolution)
+    columns = zip(
+        pts[:, 0], pts[:, 1], p.evaluate_many(pts), a.contains_many(pts), b.contains_many(pts)
+    )
+    lines = ["x1,x2,p,inA,inB"] + [
+        f"{float(x1)!r},{float(x2)!r},{float(v)!r},{int(in_a)},{int(in_b)}"
+        for x1, x2, v, in_a, in_b in columns
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_grid_golden_csv_is_pinned(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    code, *_ = run(
+        capsys, "grid", str(DATA_DIR / "golden_problem.json"), str(DATA_DIR / "golden_result.json"),
+        "--out", str(out),
+    )
+    assert code == 0
+    assert hashlib.md5(out.read_bytes()).hexdigest() == "3727079cb039179a17211aa84f3f063b"
+
+
+@pytest.mark.parametrize("resolution", [3, 257])  # 257^2 rows span two blocks
+def test_grid_matches_the_per_row_formatter(tmp_path, capsys, resolution):
+    problem = str(DATA_DIR / "golden_problem.json")
+    result = str(DATA_DIR / "golden_result.json")
+    out = tmp_path / "g.csv"
+    code, *_ = run(capsys, "grid", problem, result, "--resolution", str(resolution), "--out", str(out))
+    assert code == 0
+    assert out.read_text() == reference_grid_csv(problem, result, resolution)
+
+
+def test_grid_memory_does_not_grow_with_the_resolution(capsys):
+    problem = str(DATA_DIR / "golden_problem.json")
+    result = str(DATA_DIR / "golden_result.json")
+    peaks = {}
+    for resolution in (256, 1000):
+        tracemalloc.start()
+        try:
+            code = main(["grid", problem, result, "--resolution", str(resolution), "--out", os.devnull])
+            peaks[resolution] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    # the whole 1000^2 CSV is about 62 MB; a slab-streamed grid holds a block
+    assert peaks[1000] <= 2 * peaks[256]

@@ -212,6 +212,20 @@ def test_schur_matches_explicit_traces():
     np.testing.assert_allclose(ops.schur(x, zinv), expected, rtol=KERNEL_RTOL, atol=1e-12)
 
 
+def test_adjoint_matches_explicit_sum():
+    rng = np.random.default_rng(14)
+    prob = three_block_problem(rng)
+    y = rng.standard_normal(prob.num_constraints)
+    expected = [np.zeros((s, s)) for s in prob.block_sizes]
+    for yk, (mats, _) in zip(y, prob.constraints):
+        for out, ak in zip(expected, mats):
+            if ak is not None:
+                out += yk * ak
+    got = _BlockOps(prob.stacks).adjoint(y)
+    for g, e in zip(got, expected):
+        np.testing.assert_allclose(g, e, rtol=KERNEL_RTOL, atol=1e-12)
+
+
 def test_max_step_matches_generalized_eigensolver():
     rng = np.random.default_rng(12)
     sizes = (3, 1, 4)

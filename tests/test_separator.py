@@ -167,6 +167,23 @@ def test_hierarchy_exhausts_on_identical_sets(disk_sets):
     assert all(t["outcome"] == "no_margin" for t in info.value.trace)
 
 
+def test_hierarchy_exhausts_level_major_over_the_degree_major_pairs(disk_sets):
+    a, _ = disk_sets
+    d_max, l_max = 3, 6
+    # the pairs of the degree-major sweep: each degree from its own first even level
+    degree_major = []
+    for d in range(1, d_max + 1):
+        level = max(d, 2)  # the disk and the ball generator have degree 2
+        level += level % 2
+        degree_major += [(d, lv) for lv in range(level, l_max + 1, 2)]
+    with pytest.raises(HierarchyExhaustedError) as info:
+        run_hierarchy(a, a, d_max=d_max, l_max=l_max)
+    tried = [(t["degree"], t["level"]) for t in info.value.trace]
+    assert sorted(tried) == sorted(degree_major)
+    assert tried == sorted(degree_major, key=lambda dl: (dl[1], dl[0]))
+    assert all(t["outcome"] == "no_margin" for t in info.value.trace)
+
+
 def test_hierarchy_argument_validation(disk_sets):
     a, b = disk_sets
     with pytest.raises(ValueError):
