@@ -15,7 +15,6 @@ from polysep import (
     verify_certificate,
     verify_separation,
 )
-from polysep.separator import certificate_residuals
 
 a = SemialgebraicSet(2, (parse("1/16 - (x1 + 1/2)^2 - x2^2", 2),))
 b = SemialgebraicSet(2, (parse("1/16 - (x1 - 1/2)^2 - x2^2", 2),))
@@ -28,10 +27,11 @@ print(f"  margin: p >= 1 + {result.slack:.4f} on A and p <= -{result.slack:.4f} 
 # the certificate states p - 1 - margin = s_0 + sum_i s_i g_i with SOS s_i;
 # its quality is the coefficient residual of that identity plus the PSD-ness
 # of the Gram matrices
-res_a, res_b = certificate_residuals(result)
-print(f"  reconstruction residuals: {res_a:.2e} (side A), {res_b:.2e} (side B)")
-print(f"  smallest Gram eigenvalue: {result.cert_A.min_gram_eigenvalue():.2e}")
-print(f"  certificate valid at 1e-6: {verify_certificate(result, 1e-6)}")
+cert = verify_certificate(result, 1e-6)
+print(f"  reconstruction residuals: {cert.residual_A:.2e} (side A), "
+      f"{cert.residual_B:.2e} (side B)")
+print(f"  smallest Gram eigenvalue: {cert.min_gram_eigenvalue:.2e}")
+print(f"  certificate valid at 1e-6: {cert.passed}")
 
 report = verify_separation(result.p, a, b, resolution=201, tol=1e-3)
 print(f"grid check on 201^2 samples: min over A = {report.min_on_A:.4f}, "

@@ -33,6 +33,7 @@ from .sos import (
     reconstruct_residual,
 )
 from .separator import (
+    CertificateReport,
     HierarchyExhaustedError,
     InfeasibleAtLevelError,
     SeparationReport,
@@ -81,6 +82,7 @@ __all__ = [
     "extract_certificate",
     "membership_slack",
     "reconstruct_residual",
+    "CertificateReport",
     "HierarchyExhaustedError",
     "InfeasibleAtLevelError",
     "SeparationReport",

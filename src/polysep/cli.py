@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .separator import (
     SeparatorResult,
     certificate_residuals,
     run_hierarchy,
+    verify_certificate,
     verify_separation,
 )
 from .sos import MonomialBasis, QmCertificate
@@ -56,37 +57,33 @@ class InputError(Exception):
     """Anything wrong with input files or flags; maps to exit code 1."""
 
 
-def _fail(message: str) -> "InputError":
-    return InputError(message)
-
-
 def load_problem(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as err:
-        raise _fail(f"cannot read problem file: {err}") from err
+        raise InputError(f"cannot read problem file: {err}") from err
     except json.JSONDecodeError as err:
-        raise _fail(f"problem file is not valid JSON: {err}") from err
+        raise InputError(f"problem file is not valid JSON: {err}") from err
     try:
         n = int(data["n"])
         a_strings = list(data["A_generators"])
         b_strings = list(data["B_generators"])
     except (KeyError, TypeError, ValueError) as err:
-        raise _fail(f"problem file is missing required fields: {err}") from err
+        raise InputError(f"problem file is missing required fields: {err}") from err
     try:
         a_gens = tuple(parse(s, n) for s in a_strings)
         b_gens = tuple(parse(s, n) for s in b_strings)
     except (ParseError, TypeError, OverflowError) as err:
-        raise _fail(f"bad polynomial in problem file: {err}") from err
+        raise InputError(f"bad polynomial in problem file: {err}") from err
     try:
         a = SemialgebraicSet(n, a_gens)
         b = SemialgebraicSet(n, b_gens)
     except (TypeError, ValueError) as err:
-        raise _fail(f"invalid set description: {err}") from err
+        raise InputError(f"invalid set description: {err}") from err
     options = data.get("options") or {}
     if not isinstance(options, dict):
-        raise _fail("options must be a JSON object")
+        raise InputError("options must be a JSON object")
     return a, b, options
 
 
@@ -105,9 +102,9 @@ def _poly_from_json(data: dict, n: int) -> Polynomial:
             n, {tuple(e["exponents"]): e["coefficient"] for e in data["coefficients"]}
         )
     except (KeyError, TypeError, ValueError) as err:
-        raise _fail(f"malformed polynomial entry: {err}") from err
+        raise InputError(f"malformed polynomial entry: {err}") from err
     if from_string.max_coeff_diff(listed) > COEFF_AGREEMENT_TOL:
-        raise _fail("polynomial string and coefficient list disagree beyond 1e-12")
+        raise InputError("polynomial string and coefficient list disagree beyond 1e-12")
     return from_string
 
 
@@ -139,7 +136,7 @@ def _certificate_from_json(data: dict, n: int, level: int) -> QmCertificate:
             grams.append(gram)
         level = int(data.get("level", level))
     except (KeyError, TypeError, ValueError, OverflowError, ParseError) as err:
-        raise _fail(f"malformed certificate entry: {err}") from err
+        raise InputError(f"malformed certificate entry: {err}") from err
     return QmCertificate(gens, tuple(grams), tuple(bases), level)
 
 
@@ -219,17 +216,24 @@ def _setting(args, file_options: dict, name: str, default, cast):
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError) as err:
-        raise _fail(f"option {name} must be {cast.__name__}, got {value!r}") from err
+        raise InputError(f"option {name} must be {cast.__name__}, got {value!r}") from err
+
+
+def on_or_off(value) -> bool:
+    """True for "on", False for "off"; any other value, JSON true included, raises."""
+    if value not in ("on", "off"):
+        raise ValueError(value)
+    return value == "on"
 
 
 def cmd_separate(args) -> int:
     a, b, file_options = load_problem(args.problem)
     degree_max = _setting(args, file_options, "degree_max", 3, int)
     level_max = _setting(args, file_options, "level_max", 8, int)
-    tol = _setting(args, file_options, "tol", 1e-8, float)
-    margin = _setting(args, file_options, "margin", 1e-6, float)
-    ball = args.ball if args.ball is not None else file_options.get("ball", "on")
-    options = SeparatorOptions(margin_tol=margin, solver_tol=tol, ball_constraint=(ball == "on"))
+    tol = _setting(args, file_options, "tol", SeparatorOptions.solver_tol, float)
+    margin = _setting(args, file_options, "margin", SeparatorOptions.margin_tol, float)
+    ball = _setting(args, file_options, "ball", "on", on_or_off)
+    options = SeparatorOptions(margin_tol=margin, solver_tol=tol, ball_constraint=ball)
 
     start = time.perf_counter()
     try:
@@ -251,13 +255,9 @@ def cmd_separate(args) -> int:
     except (SampleBudgetError, EmptySampleError) as err:
         separation = {"resolution": 201, "tol": 1e-3, "skipped": str(err), "passed": None}
     else:
-        separation = {
-            "min_on_A": report.min_on_A,
-            "max_on_B": report.max_on_B,
-            "resolution": report.resolution,
-            "tol": report.tol,
-            "passed": report.passed,
-        }
+        # the result file keeps the extremes, not the witnesses and counts
+        kept = asdict(report)
+        separation = {k: kept[k] for k in ("min_on_A", "max_on_B", "resolution", "tol", "passed")}
     res_a, res_b = certificate_residuals(result)
     try:
         bound = _bound_report(a, b, a.n, 101, 1.0, 1.0, 1.0)
@@ -305,11 +305,11 @@ def _load_result(path: str, n: int):
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as err:
-        raise _fail(f"cannot read result file: {err}") from err
+        raise InputError(f"cannot read result file: {err}") from err
     except json.JSONDecodeError as err:
-        raise _fail(f"result file is not valid JSON: {err}") from err
+        raise InputError(f"result file is not valid JSON: {err}") from err
     if not isinstance(data, dict) or "p" not in data:
-        raise _fail("result file has no polynomial entry")
+        raise InputError("result file has no polynomial entry")
     p = _poly_from_json(data["p"], n)
     return data, p
 
@@ -329,29 +329,19 @@ def cmd_verify(args) -> int:
         # n >= 4: the certificates alone decide
         separation = {"resolution": resolution, "tol": tol, "skipped": str(err), "passed": None}
     else:
-        separation = {
-            "min_on_A": report.min_on_A,
-            "max_on_B": report.max_on_B,
-            "witness_A": list(report.witness_A),
-            "witness_B": list(report.witness_B),
-            "count_A": report.count_A,
-            "count_B": report.count_B,
-            "resolution": resolution,
-            "tol": tol,
-            "passed": report.passed,
-        }
+        separation = asdict(report)
     output = {"separation": separation}
 
     cert_ok = True
     certs = data.get("certificates")
     if certs:
         if not isinstance(certs, dict) or not {"A", "B"} <= certs.keys():
-            raise _fail("result certificates must be an object with entries A and B")
+            raise InputError("result certificates must be an object with entries A and B")
         try:
             level = int(data.get("level", 0))
             slack = float(data.get("slack", 0.0))
         except (TypeError, ValueError, OverflowError) as err:
-            raise _fail(f"malformed level or slack in result file: {err}") from err
+            raise InputError(f"malformed level or slack in result file: {err}") from err
         cert_a = _certificate_from_json(certs["A"], a.n, level)
         cert_b = _certificate_from_json(certs["B"], a.n, level)
         mismatches = _foreign_generators(cert_a, a) + _foreign_generators(cert_b, b)
@@ -371,16 +361,9 @@ def cmd_verify(args) -> int:
                 level=level,
                 p_degree=p.total_degree(),
             )
-            res_a, res_b = certificate_residuals(result)
-            min_eig = min(cert_a.min_gram_eigenvalue(), cert_b.min_gram_eigenvalue())
-            cert_ok = bool(slack > 0.0 and res_a <= tol and res_b <= tol and min_eig >= -tol)
-            output["certificates"] = {
-                "residual_A": res_a,
-                "residual_B": res_b,
-                "min_gram_eigenvalue": min_eig,
-                "slack": slack,
-                "passed": cert_ok,
-            }
+            report = verify_certificate(result, tol)
+            cert_ok = report.passed
+            output["certificates"] = asdict(report)
     else:
         output["certificates"] = {"passed": None, "note": "result carries no certificates"}
 
@@ -405,9 +388,9 @@ def cmd_bounds(args) -> int:
     a, b, _ = load_problem(args.problem)
     for name, value in (("--c", args.c), ("--T", args.T), ("--C", args.C)):
         if value <= 0:
-            raise _fail(f"{name} must be positive")
+            raise InputError(f"{name} must be positive")
     if args.T < 1.0:
-        raise _fail("--T must be at least 1")
+        raise InputError("--T must be at least 1")
     try:
         report = _bound_report(
             a, b, a.n, int(args.dist_resolution), float(args.c), float(args.T), float(args.C)
@@ -426,7 +409,7 @@ _GRID_FLAGS = (",0,0\n", ",0,1\n", ",1,0\n", ",1,1\n")
 def cmd_grid(args) -> int:
     a, b, _ = load_problem(args.problem)
     if a.n != 2:
-        raise _fail(f"grid emission is 2-D only, problem has n = {a.n}")
+        raise InputError(f"grid emission is 2-D only, problem has n = {a.n}")
     _, p = _load_result(args.result, a.n)
     resolution = int(args.resolution)
     # x1-major blocks of whole x1-slabs; a resolution below 2 or over the point
@@ -510,10 +493,7 @@ def main(argv=None) -> int:
         return EXIT_OK if err.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, RuntimeError, OSError) as err:
+    except (InputError, ValueError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

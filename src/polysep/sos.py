@@ -90,6 +90,12 @@ class QmCertificate:
         """The SOS multipliers s_0..s_t expanded to polynomials."""
         return [expand_gram(g, b) for g, b in zip(self.grams, self.bases)]
 
+    def polynomial(self) -> Polynomial:
+        """The module element s_0 + sum_i s_i f_i that the certificate witnesses."""
+        n = self.bases[0].n
+        mults = [Polynomial.constant(n, 1.0)] + list(self.generators)
+        return sum((s * f for f, s in zip(mults, self.multipliers())), Polynomial.zero(n))
+
     def min_gram_eigenvalue(self) -> float:
         return min(min_eigenvalue(g) for g in self.grams)
 
@@ -253,9 +259,4 @@ def extract_certificate(
 
 def reconstruct_residual(cert: QmCertificate, target: Polynomial) -> float:
     """Coefficient-wise max-norm of target - (s_0 + sum_i s_i f_i)."""
-    n = target.n
-    total = Polynomial.zero(n)
-    mults = [Polynomial.constant(n, 1.0)] + list(cert.generators)
-    for f, gram, bas in zip(mults, cert.grams, cert.bases):
-        total = total + expand_gram(gram, bas) * f
-    return target.max_coeff_diff(total)
+    return target.max_coeff_diff(cert.polynomial())

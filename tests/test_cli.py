@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from conftest import DISK_LEFT, DISK_RIGHT, REFERENCE_P, write_problem
 from polysep.cli import load_problem, main
 from polysep.poly import box_grid_points, parse
+from polysep.separator import SeparationReport
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -121,6 +123,17 @@ def test_separate_ball_switch_off(tmp_path, capsys, disk_problem_file):
     assert len(result["certificates"]["A"]["generators"]) == 1
 
 
+@pytest.mark.parametrize("value", [True, 1, "yes"])
+def test_separate_ball_option_other_than_on_or_off_exits_one(tmp_path, capsys, value):
+    problem = write_problem(
+        tmp_path / "p.json", 2, [DISK_LEFT], [DISK_RIGHT], options={"ball": value}
+    )
+    code, stdout, stderr = run(capsys, "separate", problem, "--degree-max", "1")
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: option ball")
+
+
 def test_separate_is_deterministic(tmp_path, capsys, disk_problem_file):
     outputs = []
     for name in ("first.json", "second.json"):
@@ -148,6 +161,7 @@ def test_separate_4d_writes_result_when_grids_exceed_the_budget(tmp_path, capsys
     assert result["degree"] == 1
     assert result["slack"] > 1e-6
     separation = result["verification"]["separation"]
+    assert set(separation) == {"resolution", "tol", "skipped", "passed"}
     assert separation["passed"] is None
     assert "exceeds the budget" in separation["skipped"]
     assert any("exceeds the budget" in w for w in result["bounds"]["warnings"])
@@ -182,6 +196,7 @@ def test_separate_then_verify_4d_decides_on_the_certificates(tmp_path, capsys):
     report = json.loads(stdout)
     assert report["passed"] is True
     assert report["certificates"]["passed"] is True
+    assert set(report["separation"]) == {"resolution", "tol", "skipped", "passed"}
     assert report["separation"]["passed"] is None
     assert "exceeds the budget" in report["separation"]["skipped"]
 
@@ -325,7 +340,12 @@ def test_verify_golden_result_file(capsys):
         str(DATA_DIR / "golden_result.json"),
     )
     assert code == 0
-    assert json.loads(stdout)["passed"]
+    report = json.loads(stdout)
+    assert report["passed"]
+    assert list(report["separation"]) == [f.name for f in fields(SeparationReport)]
+    assert list(report["certificates"]) == [
+        "residual_A", "residual_B", "min_gram_eigenvalue", "slack", "passed"
+    ]
 
 
 # ---- bounds ----------------------------------------------------------------------

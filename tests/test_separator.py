@@ -1,3 +1,5 @@
+from dataclasses import asdict, replace
+
 import pytest
 
 from polysep import separator
@@ -89,7 +91,21 @@ def test_result_certificates_reconstruct(disk_sets):
     res_a, res_b = certificate_residuals(result)
     assert res_a <= 1e-6
     assert res_b <= 1e-6
-    assert verify_certificate(result, 1e-6)
+    assert verify_certificate(result, 1e-6).passed
+
+
+def test_verify_certificate_reports_residuals_eigenvalue_and_slack(disk_sets):
+    a, b = disk_sets
+    result = fixed(a, b, 1, 4)
+    report = verify_certificate(result, 1e-6)
+    assert (report.residual_A, report.residual_B) == certificate_residuals(result)
+    assert report.min_gram_eigenvalue == min(
+        result.cert_A.min_gram_eigenvalue(), result.cert_B.min_gram_eigenvalue()
+    )
+    assert report.slack == result.slack
+    assert list(asdict(report)) == [
+        "residual_A", "residual_B", "min_gram_eigenvalue", "slack", "passed"
+    ]
 
 
 def test_verify_certificate_rejects_corruption(disk_sets):
@@ -107,7 +123,7 @@ def test_verify_certificate_rejects_corruption(disk_sets):
         level=result.level,
         p_degree=result.p_degree,
     )
-    assert not verify_certificate(broken, 1e-6)
+    assert not verify_certificate(broken, 1e-6).passed
 
 
 def test_verify_certificate_rejects_zero_slack(disk_sets):
@@ -121,7 +137,70 @@ def test_verify_certificate_rejects_zero_slack(disk_sets):
         level=result.level,
         p_degree=result.p_degree,
     )
-    assert not verify_certificate(flat, 1e-6)
+    assert not verify_certificate(flat, 1e-6).passed
+
+
+def _with_gram(cert, index, update):
+    grams = [g.copy() for g in cert.grams]
+    update(grams[index], cert.bases[index].elements)
+    return replace(cert, grams=tuple(grams))
+
+
+def _absorb_margin(result):
+    """Slack 0, with the margin moved into each s_0's constant Gram entry.
+
+    Both identities still hold and the Grams stay PSD, so only the slack
+    rule can reject.
+    """
+
+    def bump(gram, elements):
+        assert elements[0] == (0, 0)  # the constant monomial
+        gram[0, 0] += result.slack
+
+    return replace(
+        result,
+        cert_A=_with_gram(result.cert_A, 0, bump),
+        cert_B=_with_gram(result.cert_B, 0, bump),
+        slack=0.0,
+    )
+
+
+def _break_residual_b(result):
+    def bump(gram, elements):
+        gram[0, 0] += 0.1
+
+    return replace(result, cert_B=_with_gram(result.cert_B, 0, bump))
+
+
+def _break_psd(result):
+    """s_0's Gram with a -1 at x1*x1, offset through 1*x1^2: same polynomial, not PSD."""
+
+    def swap(gram, elements):
+        i, j, k = (elements.index(m) for m in ((1, 0), (0, 0), (2, 0)))
+        delta = gram[i, i] + 1.0
+        gram[i, i] -= delta
+        gram[j, k] += delta / 2
+        gram[k, j] += delta / 2
+
+    return replace(result, cert_A=_with_gram(result.cert_A, 0, swap))
+
+
+@pytest.mark.parametrize(
+    "breaks, rule",
+    [(_absorb_margin, "slack"), (_break_residual_b, "residual_B"), (_break_psd, "eigenvalue")],
+    ids=["slack", "residual_B", "eigenvalue"],
+)
+def test_verify_certificate_rejects_on_each_rule_alone(disk_sets, breaks, rule):
+    a, b = disk_sets
+    report = verify_certificate(breaks(fixed(a, b, 1, 4)), 1e-6)
+    holds = {
+        "slack": report.slack > 0.0,
+        "residual_A": report.residual_A <= 1e-6,
+        "residual_B": report.residual_B <= 1e-6,
+        "eigenvalue": report.min_gram_eigenvalue >= -1e-6,
+    }
+    assert [name for name, ok in holds.items() if not ok] == [rule]
+    assert not report.passed
 
 
 def test_certificate_soundness_implies_grid_separation(disk_sets, lemniscate_set, circle_set):
@@ -131,7 +210,7 @@ def test_certificate_soundness_implies_grid_separation(disk_sets, lemniscate_set
     ]
     for a, b, degree, level in problems:
         result = fixed(a, b, degree, level)
-        assert verify_certificate(result, 1e-6)
+        assert verify_certificate(result, 1e-6).passed
         report = verify_separation(result.p, a, b, 201, 1e-3)
         assert report.passed
 

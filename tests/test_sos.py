@@ -1,10 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import CIRCLE, LEMNISCATE
 from polysep import sdp
+from polysep.cli import _certificate_from_json
 from polysep.poly import Polynomial, parse
 from polysep.separator import _assemble_separation
 from polysep.sos import (
@@ -20,6 +23,8 @@ from polysep.sos import (
     monomials_up_to_degree,
     reconstruct_residual,
 )
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def solve_membership(target, generators, level, tol=1e-8):
@@ -267,3 +272,16 @@ def test_expand_gram_identity_is_sum_of_squared_monomials():
     b = basis(2, 1)
     p = expand_gram(np.eye(3), b)
     assert p == parse("1 + x1^2 + x2^2", 2)
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_certificate_polynomial_matches_expand_and_sum_loop(side):
+    data = json.loads((DATA_DIR / "golden_result.json").read_text())
+    cert = _certificate_from_json(data["certificates"][side], 2, data["level"])
+    # reference: expand each Gram, multiply by its generator, sum in order
+    total = Polynomial.zero(2)
+    mults = [Polynomial.constant(2, 1.0)] + list(cert.generators)
+    for f, gram, bas in zip(mults, cert.grams, cert.bases):
+        total = total + expand_gram(gram, bas) * f
+    assert len(cert.generators) == 2  # the set's generator and the ball
+    assert cert.polynomial().max_coeff_diff(total) == 0.0
