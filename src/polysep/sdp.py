@@ -14,9 +14,14 @@ with the Lagrange dual
 The solver is an infeasible-start primal-dual path-following method with a
 Mehrotra predictor-corrector, using the XZ (HKM) search direction and dense
 linear algebra throughout.  ``SdpProblem`` packs the constraints once into
-per-block (m, s, s) stacks; the rank filter and the A(X), A*(y) and Schur
-kernels all read them.  It targets desk-scale problems: robustness over
-speed, no sparsity exploitation, blocks capped at a configured size.
+one matrix whose columns hold the blocks grouped by size, so each group of
+k equal-size blocks has one (m, k, s, s) constraint stack.  The iterates
+are kept per group as (k, s, s) arrays: A(X), A*(y), the Schur product,
+the Cholesky and inverse factors and the step-length eigensolves each make
+one batched call per group, not one per block.  ``SdpSolution.X`` and
+``SdpSolution.S`` are per-block lists in block order.  It targets
+desk-scale problems: robustness over speed, no sparsity exploitation,
+blocks capped at a configured size.
 """
 
 from __future__ import annotations
@@ -47,14 +52,23 @@ def _pack(rows, sizes, what: str):
     """Pack rows of per-block matrices (None for an all-zero block) into one matrix.
 
     Returns the (r, sum s_b^2) matrix whose row k holds ``rows[k]``'s blocks
-    flattened row-major side by side, and the (r, s_b, s_b) view of each
-    block's columns.  Each block is checked for symmetry relative to its
-    largest entry, then symmetrized.
+    flattened row-major, the (r, s_b, s_b) view of each block's columns in
+    block order, and one (indices, (r, k, s, s) view) pair per group of the
+    k blocks of size s, in ascending size: the columns are laid out group by
+    group, so a group's blocks sit side by side.  Each block is checked for
+    symmetry relative to its largest entry, then symmetrized.
     """
     num = len(rows)
     matrix = np.zeros((num, sum(s * s for s in sizes)))
-    ends = np.cumsum([s * s for s in sizes])
-    stacks = [matrix[:, end - s * s : end].reshape(num, s, s) for s, end in zip(sizes, ends)]
+    stacks, groups, start = [None] * len(sizes), [], 0
+    for s in sorted(set(sizes)):
+        idx = [i for i, t in enumerate(sizes) if t == s]
+        end = start + len(idx) * s * s
+        group = matrix[:, start:end].reshape(num, len(idx), s, s)
+        groups.append((idx, group))
+        for j, i in enumerate(idx):
+            stacks[i] = group[:, j]
+        start = end
     for k, mats in enumerate(rows):
         if len(mats) != len(sizes):
             raise ValueError(f"{what} must have one matrix (or None) per block")
@@ -72,7 +86,7 @@ def _pack(rows, sizes, what: str):
             raise ValueError(f"{what} block is not symmetric: max asymmetry {asym:g}")
         if asym:  # an exactly symmetric stack stays as it is, without temporaries
             stack[...] = 0.5 * (stack + trans)
-    return matrix, stacks
+    return matrix, stacks, groups
 
 
 @dataclass
@@ -84,9 +98,10 @@ class SdpProblem:
     all-zero block.
 
     The constructor packs the rows once (``_pack``) into the m x sum(s_b^2)
-    ``matrix``, its (m, s_b, s_b) block views ``stacks`` and the m-vector
-    ``rhs``.  The rank filter reads ``matrix``, the interior-point kernels
-    read ``stacks``; ``constraints`` becomes (per-block views, rhs) pairs.
+    ``matrix``, its (m, s_b, s_b) block views ``stacks``, its per-size
+    (block indices, (m, k, s, s) view) ``groups`` and the m-vector ``rhs``.
+    The rank filter reads ``matrix``, the interior-point kernels read
+    ``groups``; ``constraints`` becomes (per-block views, rhs) pairs.
     """
 
     block_sizes: tuple
@@ -104,7 +119,7 @@ class SdpProblem:
         if not self.constraints:
             raise ValueError("problem needs at least one constraint")
         rows = [mats for mats, _ in self.constraints]
-        self.matrix, self.stacks = _pack(rows, sizes, "constraint")
+        self.matrix, self.stacks, self.groups = _pack(rows, sizes, "constraint")
         self.rhs = np.array([rhs for _, rhs in self.constraints], dtype=float)
         self.constraints = [
             ([stack[k] for stack in self.stacks], float(rhs)) for k, rhs in enumerate(self.rhs)
@@ -163,7 +178,12 @@ def min_eigenvalue(mat) -> float:
 
 
 class _BlockOps:
-    """Vectorized per-block constraint algebra over (m, s, s) constraint stacks."""
+    """Vectorized constraint algebra over constraint stacks and matching blocks.
+
+    A stack is (m, s, s) for one block or (m, k, s, s) for a group of k
+    blocks of size s; its block argument is then (s, s) or (k, s, s).  Every
+    kernel makes one call per stack.
+    """
 
     def __init__(self, stacks):
         self.stacks = stacks
@@ -177,13 +197,13 @@ class _BlockOps:
         return out
 
     def adjoint(self, y) -> list:
-        """A*(y): per-block sum_k y_k A_k, one vector-matrix product per block."""
+        """A*(y): per stack sum_k y_k A_k, one vector-matrix product each."""
         return [(y @ st.reshape(self.m, -1)).reshape(st.shape[1:]) for st in self.stacks]
 
     def schur(self, xblocks, zinv_blocks) -> np.ndarray:
         """M[j, k] = sum_b <A_j, X A_k Zinv> (symmetric positive definite).
 
-        Per block, X A_k Zinv for every k is one batched matmul over the stack.
+        Per stack, X A_k Zinv for every k is one batched matmul.
         """
         m_mat = np.zeros((self.m, self.m))
         for st, xb, zib in zip(self.stacks, xblocks, zinv_blocks):
@@ -217,23 +237,42 @@ def _rank_filter(problem: SdpProblem):
     return kept, dropped, inconsistent
 
 
-def _inverse_factors(blocks) -> list:
-    """L^-1 for each block L L^T; LinAlgError unless every block is positive definite.
+def _transpose(blocks):
+    return np.swapaxes(blocks, -1, -2)
 
-    A Cholesky factor has a positive diagonal, so its triangular inverse cannot fail.
+
+def _symmetrize(blocks):
+    return 0.5 * (blocks + _transpose(blocks))
+
+
+def _unbatch(members, groups) -> list:
+    """Per-block entries in block order from per-group arrays; members[g] are group g's blocks."""
+    out = [None] * sum(len(idx) for idx in members)
+    for idx, group in zip(members, groups):
+        for j, i in enumerate(idx):
+            out[i] = group[j]
+    return out
+
+
+def _inverse_factors(blocks) -> list:
+    """L^-1 for each block, or stack of blocks, L L^T.
+
+    Raises LinAlgError unless every block is positive definite.  A Cholesky
+    factor has a positive diagonal, so its inverse cannot fail.
     """
-    return [la.lapack.dtrtri(np.linalg.cholesky(mb), lower=1)[0] for mb in blocks]
+    return [np.linalg.inv(np.linalg.cholesky(mb)) for mb in blocks]
 
 
 def _max_step(inv_factors, directions) -> float:
     """Largest alpha with M + alpha*D >= 0 on every block, capped at 1e6.
 
     M = L L^T comes as its inverse Cholesky factor L^-1, factored once per
-    iteration: the pencil (D, M) has the eigenvalues of L^-1 D L^-T.
+    iteration: the pencil (D, M) has the eigenvalues of L^-1 D L^-T.  Each
+    entry may be one block or a stack of equal-size blocks.
     """
     alpha = 1e6
     for li, d in zip(inv_factors, directions):
-        lam = np.linalg.eigvalsh(li @ d @ li.T)[0]
+        lam = np.linalg.eigvalsh(li @ d @ _transpose(li))[..., 0].min()
         if lam < 0.0:
             alpha = min(alpha, -1.0 / lam)
     return alpha
@@ -279,18 +318,19 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
     if not kept:
         raise ValueError("all constraint rows are zero; the problem is not a proper SDP")
 
-    stacks, b = problem.stacks, problem.rhs
+    # the iterates live per group of equal-size blocks, as (k, s, s) arrays
+    members = [idx for idx, _ in problem.groups]
+    stacks, b = [st for _, st in problem.groups], problem.rhs
     if dropped:
         stacks, b = [st[kept] for st in stacks], b[kept]
-    c_blocks = problem.objective
+    c_blocks = [np.stack([problem.objective[i] for i in idx]) for idx in members]
     ops = _BlockOps(stacks)
     m = len(b)
     n_total = sum(sizes)
-    eye = [np.eye(s) for s in sizes]
 
     eta = 1.0 + float(np.max(np.abs(b)))
-    x = [e * eta for e in eye]
-    z = [e * eta for e in eye]
+    x = [np.tile(eta * np.eye(st.shape[-1]), (st.shape[1], 1, 1)) for st in stacks]
+    z = [xb.copy() for xb in x]
     y = np.zeros(m)
 
     b_scale = 1.0 + la.norm(b)
@@ -329,14 +369,15 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
             yhat = y / ynorm
             ray = ops.adjoint(yhat)
             ray_scale = max(1.0, max(float(np.max(np.abs(rb))) for rb in ray))
-            lam_min = min(la.eigvalsh(rb)[0] for rb in ray)
+            block_min = _unbatch(members, [np.linalg.eigvalsh(rb)[:, 0] for rb in ray])
+            lam_min = min(block_min)
             if b @ yhat < -1e-4 * b_scale and lam_min >= -1e-9 * ray_scale:
                 status = SdpStatus.INFEASIBLE
                 diagnostics["infeasibility_ray"] = {
                     "y": yhat.tolist(),
                     "objective": float(b @ yhat),
                     "min_eigenvalue": float(lam_min),
-                    "block_min_eigenvalues": [float(la.eigvalsh(rb)[0]) for rb in ray],
+                    "block_min_eigenvalues": [float(lam) for lam in block_min],
                 }
                 break
 
@@ -347,7 +388,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
 
         try:
             lz_inv = _inverse_factors(z)
-            zinv = [li.T @ li for li in lz_inv]
+            zinv = [_transpose(li) @ li for li in lz_inv]
             m_mat = ops.schur(x, zinv)
             jitter = 0.0
             while True:
@@ -371,10 +412,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
         # predictor: pure Newton step toward the boundary (sigma = 0)
         dy_p = la.cho_solve(m_fac, base_rhs, check_finite=False)
         dz_p = [ab - rb for ab, rb in zip(ops.adjoint(dy_p), rd)]
-        dx_p = []
-        for xb, dzb, zib in zip(x, dz_p, zinv):
-            d = -xb - xb @ dzb @ zib
-            dx_p.append(0.5 * (d + d.T))
+        dx_p = [_symmetrize(-xb - xb @ dzb @ zib) for xb, dzb, zib in zip(x, dz_p, zinv)]
 
         try:
             lx_inv = _inverse_factors(x)
@@ -395,10 +433,10 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
         corr_rhs = base_rhs + sigma * mu * tr_a_zinv - ops.apply(corr)
         dy = la.cho_solve(m_fac, corr_rhs, check_finite=False)
         dz = [ab - rb for ab, rb in zip(ops.adjoint(dy), rd)]
-        dx = []
-        for xb, dzb, zib, cb2 in zip(x, dz, zinv, corr):
-            d = sigma * mu * zib - xb - xb @ dzb @ zib - cb2
-            dx.append(0.5 * (d + d.T))
+        dx = [
+            _symmetrize(sigma * mu * zib - xb - xb @ dzb @ zib - cb2)
+            for xb, dzb, zib, cb2 in zip(x, dz, zinv, corr)
+        ]
 
         try:
             step_tau = 0.98
@@ -428,9 +466,9 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
 
     return SdpSolution(
         status=status,
-        X=x,
+        X=_unbatch(members, x),
         y=y_full,
-        S=z,
+        S=_unbatch(members, z),
         objective=float(pobj),
         dual_objective=float(dobj),
         gap=float(abs(pobj - dobj)),

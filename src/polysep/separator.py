@@ -5,9 +5,19 @@ witnessed by quadratic-module memberships of p - 1 over g and of -p over h.
 At a fixed level l the search is one joint SDP: maximize a margin t subject
 to p - 1 - t in Q_l(g) and -p - t in Q_l(h), with the coefficients of p tied
 into both membership systems and eliminated against the g-side expansion.
-A positive optimal margin yields the polynomial and both certificates.  The
-hierarchy sweeps (degree, level) pairs cheapest first: level-major, with the
-degrees rising at each even level, and the first pair that separates wins.
+A positive optimal margin yields the polynomial and both certificates.
+
+The joint SDP is reduced by the coordinate sign flips that fix every
+generator of both sets, ball included: each Gram splits into one block per
+parity class of its basis monomials and only the rows of flip-invariant
+monomials are kept, which leaves the optimal margin unchanged.  The Grams
+are written back as full matrices, exactly zero off the parity blocks, so
+certificates and result files keep their form.  ``sos.assemble_membership``
+is not reduced, because its target may break the symmetry.
+
+The hierarchy sweeps (degree, level) pairs cheapest first: level-major, with
+the degrees rising at each even level, and the first pair that separates
+wins.
 """
 
 from __future__ import annotations
@@ -26,7 +36,9 @@ from .sos import (
     margin_sdp_data,
     margin_sdp_solution,
     monomials_up_to_degree,
+    parity_classes,
     reconstruct_residual,
+    sign_flips,
 )
 
 
@@ -152,23 +164,64 @@ def _assemble_separation(n, gens_a, gens_b, degree, level):
     margin is encoded as t = w - u with two 1x1 blocks and the row w = 1,
     which caps t at 1 (a separator certified with any margin rescales to
     margin 1) and keeps the problem bounded.
+
+    The SDP is reduced by the coordinate sign flips that fix every generator
+    (``sign_flips``): averaging a solution over them keeps its margin, and an
+    averaged Gram is zero between basis monomials of different parity
+    classes and feeds only flip-invariant monomials.  So each multiplier's
+    Gram becomes one block per parity class of its basis, and only the rows
+    of invariant monomials are kept.  Without a symmetry there is one class
+    and the SDP is the unreduced one.
+
+    Returns (problem, bases_a, bases_b, parts, flips): ``parts[i]`` lists,
+    per block of multiplier i (A side first), the basis indices it covers.
     """
     bases_a, stacks_a = gram_incidence(n, gens_a, level)
     bases_b, stacks_b = gram_incidence(n, gens_b, level)
-    row_degrees = np.array([sum(alpha) for alpha in monomials_up_to_degree(n, level)])
+    flips = sign_flips(n, [alpha for g in gens_a + gens_b for alpha in g.terms])
+    parts = []
+    for bas in bases_a + bases_b:
+        classes = parity_classes(flips, bas.elements)
+        parts.append([np.flatnonzero(classes == c) for c in np.unique(classes)])
+    monomials = monomials_up_to_degree(n, level)
+    row_degrees = np.array([sum(alpha) for alpha in monomials])
+    invariant = parity_classes(flips, monomials) == 0
     touched_a = np.any([st.any(axis=(1, 2)) for st in stacks_a], axis=0)
     touched_b = np.any([st.any(axis=(1, 2)) for st in stacks_b], axis=0)
     # rows no Gram entry reaches (odd top degrees) are dropped, never row 0 (the
     # constant, reached by s_0); rebinding frees the full stacks before packing
-    joint = np.flatnonzero(touched_a | touched_b)
-    eliminate = np.flatnonzero(touched_a & (row_degrees > degree))
+    joint = np.flatnonzero((touched_a | touched_b) & invariant)
+    eliminate = np.flatnonzero(touched_a & invariant & (row_degrees > degree))
     rows = np.concatenate([joint, eliminate])
-    stacks_a = [st[rows] for st in stacks_a]
-    stacks_b = [np.pad(st[joint], ((0, len(eliminate)), (0, 0), (0, 0))) for st in stacks_b]
+
+    def parity_blocks(stacks, parts, rows):
+        return [
+            st[rows[:, None, None], idx[:, None], idx]
+            for st, part in zip(stacks, parts)
+            for idx in part
+        ]
+
+    stacks_a = parity_blocks(stacks_a, parts[: len(bases_a)], rows)
+    stacks_b = [
+        np.pad(st, ((0, len(eliminate)), (0, 0), (0, 0)))
+        for st in parity_blocks(stacks_b, parts[len(bases_a) :], joint)
+    ]
     constant = rows == 0  # the row of the constant monomial
     margin, rhs = np.where(constant, 2.0, 0.0), np.where(constant, -1.0, 0.0)
     problem = SdpProblem(*margin_sdp_data(stacks_a + stacks_b, margin, rhs))
-    return problem, bases_a, bases_b
+    return problem, bases_a, bases_b, parts, flips
+
+
+def _full_grams(blocks, bases, parts) -> list:
+    """Each multiplier's full Gram from its parity blocks, exactly zero off them."""
+    blocks = iter(blocks)
+    grams = []
+    for bas, part in zip(bases, parts):
+        gram = np.zeros((len(bas), len(bas)))
+        for idx in part:
+            gram[np.ix_(idx, idx)] = next(blocks)
+        grams.append(gram)
+    return grams
 
 
 def solve_fixed_level(prob: SeparatorProblem) -> SeparatorResult:
@@ -176,17 +229,18 @@ def solve_fixed_level(prob: SeparatorProblem) -> SeparatorResult:
     opts = prob.options
     n = prob.A.n
     gens_a, gens_b = _augmented_generators(prob.A, prob.B, opts)
-    sdp_problem, bases_a, bases_b = _assemble_separation(
+    sdp_problem, bases_a, bases_b, parts, flips = _assemble_separation(
         n, gens_a, gens_b, prob.p_degree, prob.level
     )
     sol = sdp_solve(sdp_problem, tol=opts.solver_tol, max_iter=opts.max_iter)
     if sol.status is not SdpStatus.OPTIMAL:
         raise SeparatorSolverError(sol.status, sol.diagnostics.get("message", ""))
-    t, grams = margin_sdp_solution(sol)
+    t, blocks = margin_sdp_solution(sol)
     if t <= opts.margin_tol:
         raise InfeasibleAtLevelError(prob.p_degree, prob.level, t)
 
     # the A side's Gram blocks come first
+    grams = _full_grams(blocks, bases_a + bases_b, parts)
     grams_a, grams_b = tuple(grams[: len(bases_a)]), tuple(grams[len(bases_a) :])
     cert_a = QmCertificate(tuple(gens_a), grams_a, tuple(bases_a), prob.level)
     cert_b = QmCertificate(tuple(gens_b), grams_b, tuple(bases_b), prob.level)
@@ -205,6 +259,7 @@ def solve_fixed_level(prob: SeparatorProblem) -> SeparatorResult:
             "sdp_primal_residual": sol.primal_residual,
             "sdp_dual_residual": sol.dual_residual,
             "sdp_gap": sol.gap,
+            "sign_flips": [(np.flatnonzero(f) + 1).tolist() for f in flips],
             "block_sizes": list(sdp_problem.block_sizes),
             "num_constraints": sdp_problem.num_constraints,
             "truncation_error": truncation_error,

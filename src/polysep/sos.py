@@ -8,6 +8,10 @@ floor((l - deg f_i)/2), turning membership into a block SDP with one linear
 constraint per monomial of degree <= l.  ``gram_incidence`` builds those
 constraints' Gram blocks as one (m, s, s) stack per multiplier; membership
 here and the separator's joint SDP both lay out their rows from it.
+``sign_flips`` and ``parity_classes`` find the coordinate sign flips that
+fix a set of monomials and split monomials by how those flips act on them;
+the separator uses them to reduce its SDP.  Membership SDPs are not
+reduced: the target need not share the generators' symmetry.
 
 Feasibility is always solved with a margin: the Gram blocks are shifted by
 t*I and t is maximized subject to t <= 1.  A positive optimum certifies
@@ -115,6 +119,48 @@ def expand_gram(gram: np.ndarray, bas: MonomialBasis) -> Polynomial:
             mono = tuple(x + y for x, y in zip(elems[a], elems[b2]))
             terms[mono] = terms.get(mono, 0.0) + g[a, b2]
     return Polynomial(bas.n, terms)
+
+
+def sign_flips(n: int, exponents) -> np.ndarray:
+    """A basis of the coordinate sign flips that fix every monomial in ``exponents``.
+
+    Flipping the coordinates in a 0/1 vector f maps x^alpha to
+    (-1)^(f . alpha) x^alpha, so f fixes every listed monomial exactly when
+    f . alpha is even for all of them: the flips form the null space over
+    GF(2) of the exponent-parity matrix.  Returns a (k, n) 0/1 array whose
+    rows span it; k = 0 means no flip is a symmetry.
+    """
+    parity = np.array(list(exponents), dtype=np.int64).reshape(-1, n) % 2
+    pivots = []  # Gauss-Jordan elimination mod 2, pivot columns left to right
+    for col in range(n):
+        row = len(pivots)
+        hits = row + np.flatnonzero(parity[row:, col])
+        if hits.size == 0:
+            continue
+        parity[[row, hits[0]]] = parity[[hits[0], row]]
+        others = np.flatnonzero(parity[:, col])
+        others = others[others != row]
+        parity[others] ^= parity[row]
+        pivots.append(col)
+    flips = []
+    for free in (c for c in range(n) if c not in pivots):
+        f = np.zeros(n, dtype=np.int64)
+        f[free] = 1
+        f[pivots] = parity[: len(pivots), free]
+        flips.append(f)
+    return np.array(flips, dtype=np.int64).reshape(-1, n)
+
+
+def parity_classes(flips: np.ndarray, monomials) -> np.ndarray:
+    """Each monomial's parity class: the integer whose bit j is the parity of flips[j] . alpha.
+
+    Class 0 holds the monomials every flip fixes.  Two monomials share a class
+    exactly when every flip in the span changes their signs alike.
+    """
+    parity = (np.array(list(monomials), dtype=np.int64) @ flips.T) % 2
+    # Python integers keep the bits exact past 62 flips
+    dtype = np.int64 if len(flips) < 63 else object
+    return parity @ np.array([1 << j for j in range(len(flips))], dtype=dtype)
 
 
 @dataclass

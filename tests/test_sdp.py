@@ -130,6 +130,52 @@ def test_multiblock_problem():
     assert sol.X[1][0, 0] == pytest.approx(2.0, abs=1e-6)
 
 
+def interleaved_problem():
+    """Blocks of sizes 2, 3, 2, 3; block i has trace i + 1 and maximizes one diagonal entry.
+
+    Block i's optimum is X_i = (i + 1) e_j e_j^T with j = i // 2, and its dual
+    slack is S_i = I - e_j e_j^T (the trace row's multiplier is 1).
+    """
+    sizes = (2, 3, 2, 3)
+    objective, constraints = [], []
+    for i, s in enumerate(sizes):
+        c = np.zeros((s, s))
+        c[i // 2, i // 2] = 1.0
+        objective.append(c)
+        constraints.append(([np.eye(s) if b == i else None for b in range(4)], float(i + 1)))
+    return SdpProblem(sizes, objective, constraints)
+
+
+def test_interleaved_block_sizes_come_back_in_block_order():
+    prob = interleaved_problem()
+    assert [idx for idx, _ in prob.groups] == [[0, 2], [1, 3]]
+    sol = solve(prob, tol=1e-8)
+    assert sol.status is SdpStatus.OPTIMAL
+    assert [xb.shape[0] for xb in sol.X] == [2, 3, 2, 3]
+    assert [sb.shape[0] for sb in sol.S] == [2, 3, 2, 3]
+    for i, (xb, sb) in enumerate(zip(sol.X, sol.S)):
+        s, j = prob.block_sizes[i], i // 2
+        x_opt, s_opt = np.zeros((s, s)), np.eye(s)
+        x_opt[j, j], s_opt[j, j] = i + 1.0, 0.0
+        np.testing.assert_allclose(xb, x_opt, atol=1e-6)
+        np.testing.assert_allclose(sb, s_opt, atol=1e-6)
+
+
+def test_infeasibility_ray_reports_every_block_in_block_order():
+    # sum_i (i + 1) tr(X_i) = -1 has no PSD solution; y = 1 is an improving ray
+    sizes = (2, 3, 2, 3)
+    row = [(i + 1.0) * np.eye(s) for i, s in enumerate(sizes)]
+    prob = SdpProblem(sizes, [None] * 4, [(row, -1.0)])
+    sol = solve(prob, tol=1e-8)
+    assert sol.status is SdpStatus.INFEASIBLE
+    ray = sol.diagnostics["infeasibility_ray"]
+    y = np.array(ray["y"])
+    expected = [np.linalg.eigvalsh(y[0] * mat)[0] for mat in row]
+    np.testing.assert_allclose(ray["block_min_eigenvalues"], expected, rtol=1e-12)
+    assert expected == sorted(expected) and expected[0] > 0.0  # the blocks are told apart
+    assert ray["min_eigenvalue"] == min(ray["block_min_eigenvalues"])
+
+
 # ---- validation ------------------------------------------------------------
 
 
@@ -236,6 +282,35 @@ def test_max_step_matches_generalized_eigensolver():
         assert expected < 1e6  # some block direction is indefinite or negative
         assert _max_step(_inverse_factors(blocks), directions) == pytest.approx(
             expected, rel=KERNEL_RTOL
+        )
+
+
+def test_grouped_kernels_match_per_block_kernels():
+    rng = np.random.default_rng(15)
+    sizes = (3, 1, 3, 4, 1)
+    constraints = [([random_symmetric(rng, s) for s in sizes], float(k)) for k in range(7)]
+    prob = SdpProblem(sizes, [None] * 5, constraints)
+    members = [idx for idx, _ in prob.groups]
+    assert members == [[1, 4], [0, 2], [3]]
+
+    def grouped(blocks):
+        return [np.stack([blocks[i] for i in idx]) for idx in members]
+
+    x = [random_pd(rng, s) for s in sizes]
+    z = [random_pd(rng, s) for s in sizes]
+    y = rng.standard_normal(prob.num_constraints)
+    per_block, per_group = _BlockOps(prob.stacks), _BlockOps([st for _, st in prob.groups])
+    np.testing.assert_allclose(per_group.apply(grouped(x)), per_block.apply(x), rtol=KERNEL_RTOL)
+    np.testing.assert_allclose(
+        per_group.schur(grouped(x), grouped(z)), per_block.schur(x, z), rtol=KERNEL_RTOL
+    )
+    for got, want in zip(per_group.adjoint(y), grouped(per_block.adjoint(y))):
+        np.testing.assert_allclose(got, want, rtol=KERNEL_RTOL, atol=1e-12)
+    for _ in range(20):
+        blocks = [random_pd(rng, s) for s in sizes]
+        directions = [random_symmetric(rng, s) for s in sizes]
+        assert _max_step(_inverse_factors(grouped(blocks)), grouped(directions)) == pytest.approx(
+            _max_step(_inverse_factors(blocks), directions), rel=KERNEL_RTOL
         )
 
 

@@ -1,8 +1,10 @@
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
-from polysep import separator
+from conftest import CIRCLE, LEMNISCATE
+from polysep import sdp, separator
 from polysep.poly import Polynomial, parse
 from polysep.semialg import EmptySampleError, SemialgebraicSet, sample_grid
 from polysep.separator import (
@@ -17,6 +19,7 @@ from polysep.separator import (
     verify_certificate,
     verify_separation,
 )
+from polysep.sos import gram_incidence, margin_sdp_data, margin_sdp_solution, monomials_up_to_degree
 
 
 def fixed(a, b, degree, level, **opts):
@@ -80,6 +83,72 @@ def test_problem_validation(disk_sets):
         SeparatorProblem(A=a, B=b, p_degree=1, level=1)  # below generator degree
     with pytest.raises(ValueError):
         SeparatorProblem(A=a, B=SemialgebraicSet(3, (parse("x1", 3),)), p_degree=1, level=4)
+
+
+# ---- sign-symmetry reduction ----------------------------------------------------
+
+
+def full_margin_sdp(n, gens_a, gens_b, degree, level):
+    """The joint margin SDP without the reduction: whole Grams, every reached row."""
+    _, stacks_a = gram_incidence(n, gens_a, level)
+    _, stacks_b = gram_incidence(n, gens_b, level)
+    row_degrees = np.array([sum(alpha) for alpha in monomials_up_to_degree(n, level)])
+    touched_a = np.any([st.any(axis=(1, 2)) for st in stacks_a], axis=0)
+    touched_b = np.any([st.any(axis=(1, 2)) for st in stacks_b], axis=0)
+    joint = np.flatnonzero(touched_a | touched_b)
+    eliminate = np.flatnonzero(touched_a & (row_degrees > degree))
+    rows = np.concatenate([joint, eliminate])
+    stacks = [st[rows] for st in stacks_a] + [
+        np.concatenate([st[joint], np.zeros((len(eliminate),) + st.shape[1:])]) for st in stacks_b
+    ]
+    margin, rhs = np.where(rows == 0, 2.0, 0.0), np.where(rows == 0, -1.0, 0.0)
+    return sdp.SdpProblem(*margin_sdp_data(stacks, margin, rhs))
+
+
+BALLS3 = ("1/16 - (x1 + 0.55)^2 - x2^2 - x3^2", "0.0484 - (x1 - 0.57)^2 - x2^2 - x3^2")
+BALLS4 = ("0.04 - (x1 + 0.5)^2 - x2^2 - x3^2 - x4^2", "0.04 - (x1 - 0.5)^2 - x2^2 - x3^2 - x4^2")
+
+
+@pytest.mark.parametrize(
+    "n, generators, degree, level, flips",
+    [
+        (2, (LEMNISCATE, CIRCLE), 2, 4, [[2]]),
+        (2, (LEMNISCATE, CIRCLE), 1, 4, [[2]]),  # no margin at degree 1
+        (3, BALLS3, 2, 8, [[2], [3]]),
+        (4, BALLS4, 2, 6, [[2], [3], [4]]),
+    ],
+)
+def test_sign_symmetry_reduction_matches_the_full_sdp(n, generators, degree, level, flips):
+    a, b = (SemialgebraicSet(n, (parse(g, n),)) for g in generators)
+    opts = SeparatorOptions()
+    gens_a, gens_b = separator._augmented_generators(a, b, opts)
+    full_problem = full_margin_sdp(n, gens_a, gens_b, degree, level)
+    full = sdp.solve(full_problem, tol=opts.solver_tol, max_iter=opts.max_iter)
+    assert full.status is sdp.SdpStatus.OPTIMAL
+    full_t = margin_sdp_solution(full)[0]
+    problem = SeparatorProblem(A=a, B=b, p_degree=degree, level=level, options=opts)
+    if full_t <= opts.margin_tol:
+        with pytest.raises(InfeasibleAtLevelError) as info:
+            solve_fixed_level(problem)
+        assert abs(info.value.slack - full_t) <= 1e-9
+        return
+    result = solve_fixed_level(problem)
+    diag = result.diagnostics
+    assert abs(result.slack - full_t) <= 1e-9
+    assert abs(diag["sdp_iterations"] - full.iterations) <= 1
+    assert diag["sign_flips"] == flips
+    assert diag["num_constraints"] < full_problem.num_constraints
+    assert max(diag["block_sizes"]) < max(full_problem.block_sizes)
+
+    def parity(alpha):
+        return tuple(sum(alpha[i - 1] for i in flip) % 2 for flip in flips)
+
+    for cert in (result.cert_A, result.cert_B):
+        for gram, bas in zip(cert.grams, cert.bases):
+            classes = [parity(alpha) for alpha in bas.elements]
+            cross = np.array([[ca != cb for cb in classes] for ca in classes])
+            assert np.all(gram[cross] == 0.0)
+    assert verify_certificate(result, 1e-6).passed
 
 
 # ---- certificates --------------------------------------------------------------

@@ -1,9 +1,12 @@
+import itertools
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CIRCLE, LEMNISCATE
 from polysep import sdp
@@ -21,10 +24,14 @@ from polysep.sos import (
     gram_incidence,
     membership_slack,
     monomials_up_to_degree,
+    parity_classes,
     reconstruct_residual,
+    sign_flips,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
+# a disk off the x1 axis: no coordinate sign flip fixes it, so the SDP is unreduced
+SHIFTED_CIRCLE = "1/16 - (x1 - 1/2)^2 - (x2 - 1/5)^2"
 
 
 def solve_membership(target, generators, level, tol=1e-8):
@@ -93,6 +100,69 @@ def test_basis_sizes_match_binomials():
 def test_basis_graded_lex_order():
     b = basis(2, 2)
     assert b.elements == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+# ---- sign symmetries -----------------------------------------------------------
+
+
+@st.composite
+def exponent_sets(draw):
+    n = draw(st.integers(1, 4))
+    alphas = st.tuples(*[st.integers(0, 5)] * n)
+    return n, draw(st.lists(alphas, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent_sets())
+def test_sign_flips_span_every_symmetry(case):
+    n, alphas = case
+    flips = sign_flips(n, alphas)
+    assert flips.shape[1] == n
+    for f in flips:
+        assert all(np.dot(f, alpha) % 2 == 0 for alpha in alphas)
+    # brute force over all 2^n flip sets against the span of the basis
+    fixing = {
+        s for s in itertools.product((0, 1), repeat=n)
+        if all(np.dot(s, alpha) % 2 == 0 for alpha in alphas)
+    }
+    span = {
+        tuple(int(v) for v in np.array(c, dtype=np.int64) @ flips % 2)
+        for c in itertools.product((0, 1), repeat=len(flips))
+    }
+    assert span == fixing
+    assert len(span) == 2 ** len(flips)  # the basis is independent
+    # two monomials share a parity class iff every fixing flip treats them alike
+    monos = list(itertools.product(range(2), repeat=n))
+    classes = parity_classes(flips, monos)
+    for a, b in itertools.combinations(range(len(monos)), 2):
+        alike = all(np.dot(s, monos[a]) % 2 == np.dot(s, monos[b]) % 2 for s in fixing)
+        assert (classes[a] == classes[b]) == alike
+
+
+def test_sign_flips_of_the_shipped_problems():
+    lemniscate, circle = parse(LEMNISCATE, 2), parse(CIRCLE, 2)
+    ball2, ball3 = Polynomial.ball_generator(2), Polynomial.ball_generator(3)
+    balls3 = parse("1/16 - (x1 + 0.55)^2 - x2^2 - x3^2", 3)
+
+    def flips(n, *gens):
+        basis = sign_flips(n, [alpha for g in gens for alpha in g.terms])
+        return [(np.flatnonzero(f) + 1).tolist() for f in basis]
+
+    assert flips(2, lemniscate, ball2) == [[1], [2]]
+    assert flips(2, lemniscate, circle, ball2) == [[2]]
+    assert flips(3, balls3, ball3) == [[2], [3]]
+    assert flips(2, lemniscate, parse(SHIFTED_CIRCLE, 2)) == []
+
+
+def test_parity_classes_stay_exact_past_62_flips():
+    n = 70
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    flips = sign_flips(n, [unit[0]])  # every flip that leaves x1 alone
+    assert len(flips) == n - 1
+    pair = tuple(a + b for a, b in zip(unit[n - 2], unit[n - 1]))
+    classes = parity_classes(flips, [(0,) * n, unit[0], unit[n - 1], pair])
+    assert classes[0] == classes[1] == 0
+    assert len({classes[2], classes[3], 0}) == 3
 
 
 # ---- assembly ----------------------------------------------------------------
@@ -180,30 +250,63 @@ def test_rows_carry_target_coefficients_exactly():
 def test_separation_rows_match_reference_layout(level):
     n, degree = 2, 2
     ball = Polynomial.ball_generator(n)
-    gens_a, gens_b = [parse(LEMNISCATE, n), ball], [parse(CIRCLE, n), ball]
-    problem, bases_a, bases_b = _assemble_separation(n, gens_a, gens_b, degree, level)
-    first_a, first_b = 2, 2 + len(bases_a)
     one = Polynomial.constant(n, 1.0)
-    contrib_a = reference_contribution_rows([one] + gens_a, bases_a)
-    contrib_b = reference_contribution_rows([one] + gens_b, bases_b)
     monomials = monomials_up_to_degree(n, level)
-    joint = [alpha for alpha in monomials if alpha in contrib_a or alpha in contrib_b]
-    eliminate = [alpha for alpha in monomials if sum(alpha) > degree and alpha in contrib_a]
-    # at level 5 no Gram entry reaches degree 5, so those rows are dropped
-    assert (len(joint) < len(monomials)) == (level == 5)
-    assert problem.num_constraints == len(joint) + len(eliminate) + 1
-    expected_rows = [(alpha, contrib_b) for alpha in joint] + [(alpha, {}) for alpha in eliminate]
-    for (alpha, b_side), (mats, rhs) in zip(expected_rows, problem.constraints):
-        is_constant = not any(alpha)
-        assert rhs == (-1.0 if is_constant else 0.0)
-        assert (mats[0][0, 0], mats[1][0, 0]) == ((2.0, -2.0) if is_constant else (0.0, 0.0))
-        for i, bas in enumerate(bases_a):
-            expected = reference_block(contrib_a, alpha, i, len(bas))
-            np.testing.assert_array_equal(mats[first_a + i], expected)
-        for i, bas in enumerate(bases_b):
-            expected = reference_block(b_side, alpha, i, len(bas))
-            np.testing.assert_array_equal(mats[first_b + i], expected)
-    assert_normalization_row(problem.constraints[-1])
+    # the shifted pair has no symmetry; the golden pair is fixed by x2 -> -x2,
+    # which splits every basis by the parity of the x2 exponent
+    for circle, flips in ((SHIFTED_CIRCLE, []), (CIRCLE, [[2]])):
+        gens_a, gens_b = [parse(LEMNISCATE, n), ball], [parse(circle, n), ball]
+        problem, bases_a, bases_b, parts, flip_basis = _assemble_separation(
+            n, gens_a, gens_b, degree, level
+        )
+        assert [(np.flatnonzero(f) + 1).tolist() for f in flip_basis] == flips
+
+        def parity(alpha):
+            return tuple(sum(alpha[i - 1] for i in flip) % 2 for flip in flips)
+
+        for bas, part in zip(bases_a + bases_b, parts):
+            # each block covers exactly one parity class, in basis order
+            classes = {parity(alpha) for alpha in bas.elements}
+            assert len(part) == len(classes)
+            for idx in part:
+                assert list(idx) == [
+                    k for k, alpha in enumerate(bas.elements)
+                    if parity(alpha) == parity(bas.elements[idx[0]])
+                ]
+        blocks_a = [(i, idx) for i, part in enumerate(parts[: len(bases_a)]) for idx in part]
+        blocks_b = [(i, idx) for i, part in enumerate(parts[len(bases_a) :]) for idx in part]
+        assert problem.block_sizes == (1, 1) + tuple(len(idx) for _, idx in blocks_a + blocks_b)
+        contrib_a = reference_contribution_rows([one] + gens_a, bases_a)
+        contrib_b = reference_contribution_rows([one] + gens_b, bases_b)
+        invariant = [alpha for alpha in monomials if not any(parity(alpha))]
+        joint = [alpha for alpha in invariant if alpha in contrib_a or alpha in contrib_b]
+        eliminate = [alpha for alpha in invariant if sum(alpha) > degree and alpha in contrib_a]
+        if not flips:
+            # the unreduced SDP: whole bases, and at level 5 no Gram entry
+            # reaches degree 5, so only those rows are dropped
+            assert all(len(part) == 1 for part in parts)
+            assert (len(joint) < len(monomials)) == (level == 5)
+        else:
+            # a non-invariant row reads only entries between different classes
+            for alpha in set(monomials) - set(invariant):
+                for contrib, blocks in ((contrib_a, blocks_a), (contrib_b, blocks_b)):
+                    for i, idx in blocks:
+                        mat = contrib.get(alpha, {}).get(i)
+                        assert mat is None or not np.any(mat[np.ix_(idx, idx)])
+        assert problem.num_constraints == len(joint) + len(eliminate) + 1
+        expected_rows = [(alpha, contrib_b) for alpha in joint]
+        expected_rows += [(alpha, {}) for alpha in eliminate]
+        for (alpha, b_side), (mats, rhs) in zip(expected_rows, problem.constraints):
+            is_constant = not any(alpha)
+            assert rhs == (-1.0 if is_constant else 0.0)
+            assert (mats[0][0, 0], mats[1][0, 0]) == ((2.0, -2.0) if is_constant else (0.0, 0.0))
+            # blocks w and u, then the A side's parity blocks, then the B side's
+            sides = [(contrib_a, bases_a, i, idx) for i, idx in blocks_a]
+            sides += [(b_side, bases_b, i, idx) for i, idx in blocks_b]
+            for mat, (contrib, bases, i, idx) in zip(mats[2:], sides, strict=True):
+                expected = reference_block(contrib, alpha, i, len(bases[i]))
+                np.testing.assert_array_equal(mat, expected[np.ix_(idx, idx)])
+        assert_normalization_row(problem.constraints[-1])
 
 
 def test_level_too_small_raises():
