@@ -31,7 +31,7 @@ from .bounds import (
     quadratic_module_complexity,
     separation_degree_bound,
 )
-from .poly import ParseError, Polynomial, SampleBudgetError, box_grid_chunks, parse
+from .poly import ParseError, Polynomial, SampleBudgetError, grid_slabs, on_grid, parse
 from .semialg import EmptySampleError, SemialgebraicSet, dist_estimate
 from .separator import (
     HierarchyExhaustedError,
@@ -414,7 +414,7 @@ def cmd_grid(args) -> int:
     resolution = int(args.resolution)
     # x1-major blocks of whole x1-slabs; a resolution below 2 or over the point
     # budget raises here, before the output is opened
-    blocks = box_grid_chunks(2, resolution)
+    slabs = grid_slabs(2, resolution)
     # each axis value is formatted once; a row is the four strings x1, x2, p
     # and the flags, and a slab's rows share x1 and run over the x2 axis
     axis = [repr(v) + "," for v in np.linspace(-1.0, 1.0, resolution).tolist()]
@@ -424,9 +424,9 @@ def cmd_grid(args) -> int:
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         out.write("x1,x2,p,inA,inB\n")
-        for block in blocks:
-            values = p.evaluate_many(block).tolist()
-            flags = (2 * a.contains_many(block) + b.contains_many(block)).tolist()
+        for axes in slabs:
+            values = on_grid(p.evaluate_axes(axes), axes).ravel().tolist()
+            flags = on_grid(2 * a.contains_axes(axes) + b.contains_axes(axes), axes).ravel().tolist()
             # one joined slab per write, so no more than a slab is ever text
             for lo in range(0, len(values), resolution):
                 hi = lo + resolution

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 # resolution**n above this raises SampleBudgetError before any point is made;
-# it bounds the work of a grid sweep, since box_grid_chunks keeps only one block
+# it bounds the work of a grid sweep, since grid_slabs holds only one block
 DEFAULT_GRID_BUDGET = 10_000_000
 
-# rows per box_grid_chunks block, rounded down to whole x1-slabs (at least one):
+# points per grid_slabs block, rounded down to whole x1-slabs (at least one):
 # large enough that a 2-D grid up to 256^2 is one block, small enough that a
-# block and its per-term evaluation arrays stay near a megabyte
+# block's per-term evaluation arrays stay near a megabyte
 GRID_BLOCK_ROWS = 1 << 16
 
 
@@ -168,22 +168,27 @@ class Polynomial:
         return float(self.evaluate_many(x[None])[0])
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at every row of an (m, n) array; the package's only evaluator."""
+        """Evaluate at every row of an (m, n) array: ``evaluate_axes`` on its columns."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError(f"points must have shape (m, {self.n})")
-        out = np.zeros(len(pts))
+        out = self.evaluate_axes(pts.T)
+        return out if np.ndim(out) else np.full(len(pts), out)
+
+    def evaluate_axes(self, axes) -> np.ndarray:
+        """Values on the broadcast of one array per variable; the package's only term loop.
+
+        Terms are summed in order, each c times its ``axes[i] ** e`` in variable
+        order, so every element is the float ``evaluate_many`` gives at that
+        point; the sum may come back broadcast-smaller than the full grid.
+        """
+        out = 0.0
         for mono, c in self.terms.items():
-            # each power is a fresh array that takes the product so far in
-            # place, so a one-variable term needs no array beside its power;
-            # rebinding both names frees the last term before the next power
-            term = power = c
-            for i, e in enumerate(mono):
+            term = c
+            for x, e in zip(axes, mono):
                 if e:
-                    power = pts[:, i] ** e
-                    power *= term
-                    term = power
-            out += term
+                    term = _into(np.multiply, x**e, term)
+            out = _into(np.add, out, term)
         return out
 
     def truncate(self, max_degree: int) -> "Polynomial":
@@ -378,42 +383,42 @@ def box_grid_points(n: int, resolution: int, budget: int = DEFAULT_GRID_BUDGET) 
     return np.stack(mesh, axis=-1).reshape(-1, n)
 
 
-def box_grid_chunks(n: int, resolution: int, budget: int = DEFAULT_GRID_BUDGET):
-    """The rows of ``box_grid_points`` in the same order, as consecutive blocks.
+def grid_slabs(n: int, resolution: int, budget: int = DEFAULT_GRID_BUDGET):
+    """The grid of ``box_grid_points`` as x1-major blocks of broadcastable axes.
 
-    Each block is a run of whole x1-slabs (resolution**(n-1) rows sharing x1),
-    about ``GRID_BLOCK_ROWS`` rows in all; every value is the same float as in
-    ``box_grid_points``.  The resolution and budget checks run here, before
-    any point is made.  The blocks are views of one buffer that the next
-    block overwrites, so a caller copies whatever it keeps.
+    A block is about ``GRID_BLOCK_ROWS`` points of whole x1-slabs: its x1
+    values shaped (b, 1, ..., 1), then the whole axis along each later
+    dimension.  The resolution and budget checks run here, before any block.
     """
     _check_grid(n, resolution, budget)
-    return _grid_blocks(n, resolution)
+    return _slabs(n, resolution)
 
 
-def _grid_blocks(n: int, resolution: int):
+def _slabs(n: int, resolution: int):
     axis = np.linspace(-1.0, 1.0, resolution)
-    slab = resolution ** (n - 1)
-    per_block = max(1, GRID_BLOCK_ROWS // slab)
-    buf = np.empty((min(per_block, resolution) * slab, n))
-    if n > 1:
-        # the trailing (n-1)-D grid, laid out once for every slab of the buffer
-        tail = box_grid_points(n - 1, resolution, slab)
-        buf[:, 1:] = np.tile(tail, (len(buf) // slab, 1))
+    tail = [axis.reshape((1,) * i + (-1,) + (1,) * (n - 1 - i)) for i in range(1, n)]
+    per_block = max(1, GRID_BLOCK_ROWS // resolution ** (n - 1))
     for start in range(0, resolution, per_block):
-        xs = axis[start : start + per_block]
-        block = buf[: len(xs) * slab]
-        block[:, 0] = np.repeat(xs, slab)
-        yield block
+        yield [axis[start : start + per_block].reshape((-1,) + (1,) * (n - 1)), *tail]
+
+
+def on_grid(values, axes) -> np.ndarray:
+    """``evaluate_axes`` or ``contains_axes`` values as a read-only view of the axes' full grid."""
+    return np.broadcast_to(values, np.broadcast_shapes(*(np.shape(x) for x in axes)))
+
+
+def _into(op, acc, x):
+    # op(acc, x), in place when x broadcasts into the (always fresh) acc: no full-size copy
+    if np.ndim(acc) and np.broadcast(acc, x).shape == acc.shape:
+        return op(acc, x, out=acc)
+    return op(acc, x)
 
 
 def sup_norm_grid(p: Polynomial, resolution: int, budget: int = DEFAULT_GRID_BUDGET) -> float:
     """Max of |p| over the uniform grid; a lower bound on the true box sup-norm.
 
-    Swept block by block through ``box_grid_chunks``, so memory stays at one
+    Swept block by block through ``grid_slabs``, so memory stays at one
     block whatever the resolution.
     """
-    blocks = box_grid_chunks(p.n, resolution, budget)
-    if not p.terms:
-        return 0.0
-    return float(np.max([np.max(np.abs(p.evaluate_many(block))) for block in blocks]))
+    slabs = grid_slabs(p.n, resolution, budget)
+    return float(np.max([np.max(np.abs(p.evaluate_axes(axes))) for axes in slabs]))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .poly import DEFAULT_GRID_BUDGET, Polynomial, box_grid_chunks, sup_norm_grid
+from .poly import DEFAULT_GRID_BUDGET, Polynomial, grid_slabs, on_grid, sup_norm_grid
 
 # tiny negative slack keeps boundary grid points in sample clouds;
 # SemialgebraicSet.contains stays an exact sign test
@@ -52,9 +52,20 @@ class SemialgebraicSet:
 
         Slack 0 is the exact sign test; sample clouds use ``CLOUD_MEMBERSHIP_SLACK``.
         """
-        mask = np.ones(len(points), dtype=bool)
-        for g in self.generators:
-            mask &= g.evaluate_many(points) >= -slack
+        return self._all_at_least(lambda g: g.evaluate_many(points), slack)
+
+    def contains_axes(self, axes, slack: float = 0.0) -> np.ndarray:
+        """``contains_many`` on the grid the axes broadcast to; may be broadcast-smaller."""
+        return self._all_at_least(lambda g: g.evaluate_axes(axes), slack)
+
+    def _all_at_least(self, values, slack: float):
+        # once no entry is left True, the remaining generators are not evaluated
+        first, *rest = self.generators
+        mask = values(first) >= -slack
+        for g in rest:
+            if not mask.any():
+                break
+            mask = mask & (values(g) >= -slack)
         return mask
 
     def max_generator_degree(self) -> int:
@@ -78,13 +89,16 @@ def sample_grid(
     """Grid points passing ``contains_many`` with ``CLOUD_MEMBERSHIP_SLACK``; may be empty.
 
     The points keep the x1-major order of ``box_grid_points``.  The grid is
-    swept block by block through ``box_grid_chunks``, so memory stays at one
+    swept block by block through ``grid_slabs``, so memory stays at one
     block plus the kept rows whatever the resolution.
     """
-    kept = [
-        block[s.contains_many(block, CLOUD_MEMBERSHIP_SLACK)]
-        for block in box_grid_chunks(s.n, resolution, budget)
-    ]
+    kept = [np.empty((0, s.n))]
+    for axes in grid_slabs(s.n, resolution, budget):
+        mask = s.contains_axes(axes, CLOUD_MEMBERSHIP_SLACK)
+        if mask.any():
+            mask = on_grid(mask, axes)
+            index = np.unravel_index(np.flatnonzero(mask), mask.shape)
+            kept.append(np.stack([x.ravel()[i] for x, i in zip(axes, index)], axis=-1))
     return SampleCloud(points=np.concatenate(kept), resolution=resolution)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysep import poly
 from polysep.poly import ParseError, Polynomial, SampleBudgetError, parse, sup_norm_grid
@@ -231,12 +233,23 @@ def test_grid_requires_resolution_at_least_two():
 CHUNK_SHAPES = [(1, 5, None), (1, 1000, 64), (2, 2, None), (2, 1000, None), (3, 33, 500), (4, 31, None)]
 
 
+def slab_points(axes):
+    """A grid_slabs block's points as x1-major rows, like box_grid_points."""
+    return np.stack([poly.on_grid(x, axes).ravel() for x in axes], axis=-1)
+
+
 @pytest.mark.parametrize("n, resolution, block_rows", CHUNK_SHAPES)
 def test_box_grid_chunks_are_box_grid_points_in_whole_slabs(n, resolution, block_rows, monkeypatch):
     if block_rows is not None:
         monkeypatch.setattr(poly, "GRID_BLOCK_ROWS", block_rows)
     slab = resolution ** (n - 1)
-    blocks = [block.copy() for block in poly.box_grid_chunks(n, resolution)]
+    slabs = list(poly.grid_slabs(n, resolution))
+    axis = np.linspace(-1.0, 1.0, resolution)
+    for axes in slabs:
+        # x1 values down the first dimension, the whole axis down each other one
+        assert axes[0].shape == (len(axes[0]),) + (1,) * (n - 1)
+        assert all(x.ravel().tobytes() == axis.tobytes() for x in axes[1:])
+    blocks = [slab_points(axes) for axes in slabs]
     height = max(1, poly.GRID_BLOCK_ROWS // slab) * slab
     assert all(len(block) == height for block in blocks[:-1])
     assert 0 < len(blocks[-1]) <= height and len(blocks[-1]) % slab == 0
@@ -246,15 +259,40 @@ def test_box_grid_chunks_are_box_grid_points_in_whole_slabs(n, resolution, block
 
 
 def test_box_grid_chunks_one_slab_per_block_when_a_slab_exceeds_the_block_height():
-    resolution = 257  # one x1-slab holds 257^2 > GRID_BLOCK_ROWS rows
+    resolution = 257  # one x1-slab holds 257^2 > GRID_BLOCK_ROWS points
     axis = np.linspace(-1.0, 1.0, resolution)
     tail = poly.box_grid_points(2, resolution).tobytes()
     count = 0
-    for j, block in enumerate(poly.box_grid_chunks(3, resolution, budget=resolution**3)):
+    for j, axes in enumerate(poly.grid_slabs(3, resolution, budget=resolution**3)):
+        block = slab_points(axes)
         assert np.all(block[:, 0] == axis[j])
         assert block[:, 1:].tobytes() == tail
         count += 1
     assert count == resolution
+
+
+@st.composite
+def grid_polynomials(draw):
+    """A polynomial with n <= 4 and exponents <= 7, a grid resolution and a block height."""
+    n = draw(st.integers(1, 4))
+    resolution = draw(st.integers(2, {1: 64, 2: 24, 3: 11, 4: 7}[n]))
+    monomials = st.tuples(*[st.integers(0, 7)] * n)
+    coeffs = st.floats(-10.0, 10.0, allow_subnormal=False).filter(bool)
+    terms = draw(st.dictionaries(monomials, coeffs, min_size=1, max_size=30))
+    block_rows = draw(st.integers(1, resolution**n))
+    return Polynomial(n, terms), resolution, block_rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_polynomials())
+def test_evaluate_axes_on_grid_slabs_is_evaluate_many_bit_for_bit(case):
+    p, resolution, block_rows = case
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of a few x1-slabs, down to one slab per block
+        mp.setattr(poly, "GRID_BLOCK_ROWS", block_rows)
+        values = [poly.on_grid(p.evaluate_axes(axes), axes).ravel() for axes in poly.grid_slabs(p.n, resolution)]
+    expected = p.evaluate_many(poly.box_grid_points(p.n, resolution))
+    assert np.concatenate(values).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n, resolution, block_rows", CHUNK_SHAPES)
@@ -267,12 +305,12 @@ def test_sup_norm_grid_matches_the_full_grid(n, resolution, block_rows, monkeypa
 
 
 def test_grid_checks_fire_before_any_block():
-    # box_grid_chunks checks on the call, not when the first block is drawn
+    # grid_slabs checks on the call, not when the first block is drawn
     with pytest.raises(ValueError, match="resolution must be at least 2, got 1"):
-        poly.box_grid_chunks(2, 1)
+        poly.grid_slabs(2, 1)
     with pytest.raises(SampleBudgetError, match=r"grid of 101\^2 = 10201 points exceeds the budget of 100"):
-        poly.box_grid_chunks(2, 101, budget=100)
-    # the zero polynomial needs no block, but its grid is still checked
+        poly.grid_slabs(2, 101, budget=100)
+    # the zero polynomial's grid is checked too
     zero = Polynomial.zero(2)
     with pytest.raises(ValueError, match="resolution must be at least 2, got 1"):
         sup_norm_grid(zero, 1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polysep import poly, semialg
-from polysep.poly import parse
+from polysep.poly import Polynomial, parse
 from polysep.semialg import (
     CLOUD_MEMBERSHIP_SLACK,
     EmptySampleError,
@@ -111,6 +111,15 @@ SWEEP_CASES = {
         None,
     ),
     "empty": (lambda: SemialgebraicSet(2, (parse("-1 - x1^2", 2),)), 1000, None),
+    # an x1-free term first and an x1-only term last: the running sum reaches
+    # the full slab before the x1 terms are added; two x1 values per block
+    "x1-terms-last": (
+        lambda: SemialgebraicSet(
+            3, (Polynomial(3, {(0, 2, 0): -1.0, (0, 0, 2): -1.0, (0, 0, 0): 0.3, (1, 0, 0): 0.2, (2, 0, 0): -1.0}),)
+        ),
+        20,
+        1000,
+    ),
 }
 
 
@@ -131,11 +140,39 @@ def test_sample_grid_checks_fire_before_any_block(unit_disk, monkeypatch):
     def no_blocks(n, resolution):
         raise AssertionError("a block was made")
 
-    monkeypatch.setattr(poly, "_grid_blocks", no_blocks)
+    monkeypatch.setattr(poly, "_slabs", no_blocks)
     with pytest.raises(ValueError, match="resolution must be at least 2, got 1"):
         sample_grid(unit_disk, 1)
     with pytest.raises(poly.SampleBudgetError, match="exceeds the budget of 100"):
         sample_grid(unit_disk, 101, budget=100)
+
+
+def test_generators_after_an_empty_mask_are_not_evaluated(monkeypatch):
+    # x1 >= 0.5 empties every x1-slab left of 0.5, where 1 - x2^2 is skipped
+    first, second = parse("x1 - 0.5", 2), parse("1 - x2^2", 2)
+    s = SemialgebraicSet(2, (first, second))
+    seen = []  # the x1 values the second generator is evaluated at
+    evaluate_axes = Polynomial.evaluate_axes
+
+    def counting(p, axes):
+        if p is second:
+            seen.extend(np.ravel(axes[0]).tolist())
+        return evaluate_axes(p, axes)
+
+    # evaluate_many evaluates on its columns through evaluate_axes
+    monkeypatch.setattr(Polynomial, "evaluate_axes", counting)
+    monkeypatch.setattr(poly, "GRID_BLOCK_ROWS", 21)  # one x1-slab per block
+    cloud = sample_grid(s, 21)
+    axis = np.linspace(-1.0, 1.0, 21)
+    assert seen == axis[axis >= 0.5 - CLOUD_MEMBERSHIP_SLACK].tolist()
+    assert cloud.points.tobytes() == reference_cloud(s, 21).tobytes()
+    # contains_many stops the same way once no row is left
+    seen.clear()
+    left = poly.box_grid_points(2, 21)[:21 * 10]
+    assert not s.contains_many(left).any()
+    assert seen == []
+    right = poly.box_grid_points(2, 21)[21 * 10:]
+    assert s.contains_many(right).any() and seen == right[:, 0].tolist()
 
 
 def test_grid_sweeps_at_201_cubed_keep_memory_to_a_block():
