@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .poly import DEFAULT_GRID_BUDGET, sup_norm_grid
+from .poly import sup_norm_grid
 
 LOG10_2 = math.log10(2.0)
 
@@ -147,9 +147,7 @@ def separation_degree_bound(
     return LogScaleValue(value)
 
 
-def generator_norm_warnings(
-    generators, resolution: int = 101, budget: int = DEFAULT_GRID_BUDGET
-) -> list:
+def generator_norm_warnings(generators, resolution: int = 101) -> list:
     """Normalization warnings: the level bounds assume every ||f_i|| <= 1/2.
 
     Returns one message per generator whose grid sup-norm exceeds 1/2;
@@ -158,7 +156,7 @@ def generator_norm_warnings(
     """
     messages = []
     for i, g in enumerate(generators):
-        norm = sup_norm_grid(g, resolution, budget)
+        norm = sup_norm_grid(g, resolution)
         if norm > 0.5:
             messages.append(
                 f"generator {i + 1} has box sup-norm about {norm:.4g} > 1/2; "

@@ -209,18 +209,30 @@ def _bound_report(a, b, n, resolution, loj_coeff, loj_exponent, jackson_constant
 
 
 def _setting(args, file_options: dict, name: str, default, cast):
-    """The flag if given, else the problem file's option, else the default."""
+    """The flag if given, else the problem file's option, else the default.
+
+    JSON true/false is refused for every option: it is no number and no "on"/"off".
+    """
     value = getattr(args, name)
     if value is None:
         value = file_options.get(name, default)
     try:
+        if isinstance(value, bool):
+            raise TypeError(value)
         return cast(value)
     except (TypeError, ValueError, OverflowError) as err:
         raise InputError(f"option {name} must be {cast.__name__}, got {value!r}") from err
 
 
+def integer(value) -> int:
+    """int(value), refusing a fractional number such as 2.9 instead of truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
 def on_or_off(value) -> bool:
-    """True for "on", False for "off"; any other value, JSON true included, raises."""
+    """True for "on", False for "off"; any other value raises."""
     if value not in ("on", "off"):
         raise ValueError(value)
     return value == "on"
@@ -228,8 +240,8 @@ def on_or_off(value) -> bool:
 
 def cmd_separate(args) -> int:
     a, b, file_options = load_problem(args.problem)
-    degree_max = _setting(args, file_options, "degree_max", 3, int)
-    level_max = _setting(args, file_options, "level_max", 8, int)
+    degree_max = _setting(args, file_options, "degree_max", 3, integer)
+    level_max = _setting(args, file_options, "level_max", 8, integer)
     tol = _setting(args, file_options, "tol", SeparatorOptions.solver_tol, float)
     margin = _setting(args, file_options, "margin", SeparatorOptions.margin_tol, float)
     ball = _setting(args, file_options, "ball", "on", on_or_off)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# resolution**n above this raises SampleBudgetError before any point is made;
-# it bounds the work of a grid sweep, since grid_slabs holds only one block
-DEFAULT_GRID_BUDGET = 10_000_000
+# resolution**n above this raises SampleBudgetError before any point is made (read
+# at call time); it bounds the work of a grid sweep, as grid_slabs holds one block
+GRID_BUDGET = 10_000_000
 
 # points per grid_slabs block, rounded down to whole x1-slabs (at least one):
 # large enough that a 2-D grid up to 256^2 is one block, small enough that a
@@ -359,38 +359,38 @@ def parse(text: str, n: int) -> Polynomial:
     return _Parser(text, n).parse()
 
 
-def _check_grid(n: int, resolution: int, budget: int) -> None:
+def _check_grid(n: int, resolution: int) -> None:
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     count = resolution**n
-    if count > budget:
+    if count > GRID_BUDGET:
         raise SampleBudgetError(
-            f"grid of {resolution}^{n} = {count} points exceeds the budget of {budget}"
+            f"grid of {resolution}^{n} = {count} points exceeds the budget of {GRID_BUDGET}"
         )
 
 
-def box_grid_points(n: int, resolution: int, budget: int = DEFAULT_GRID_BUDGET) -> np.ndarray:
+def box_grid_points(n: int, resolution: int) -> np.ndarray:
     """Uniform resolution**n grid on [-1, 1]^n as an (m, n) array, x1-major.
 
     Row i1*resolution**(n-1) + ... + in holds (axis[i1], ..., axis[in]).
     Grids of odd resolutions 3, 5, 9, 17, ... are nested, which the sampling
     monotonicity guarantees rely on.
     """
-    _check_grid(n, resolution, budget)
+    _check_grid(n, resolution)
     axis = np.linspace(-1.0, 1.0, resolution)
     # broadcast views, so the stacked (m, n) array is the only full-size one
     mesh = np.meshgrid(*([axis] * n), indexing="ij", copy=False)
     return np.stack(mesh, axis=-1).reshape(-1, n)
 
 
-def grid_slabs(n: int, resolution: int, budget: int = DEFAULT_GRID_BUDGET):
+def grid_slabs(n: int, resolution: int):
     """The grid of ``box_grid_points`` as x1-major blocks of broadcastable axes.
 
     A block is about ``GRID_BLOCK_ROWS`` points of whole x1-slabs: its x1
     values shaped (b, 1, ..., 1), then the whole axis along each later
     dimension.  The resolution and budget checks run here, before any block.
     """
-    _check_grid(n, resolution, budget)
+    _check_grid(n, resolution)
     return _slabs(n, resolution)
 
 
@@ -414,11 +414,11 @@ def _into(op, acc, x):
     return op(acc, x)
 
 
-def sup_norm_grid(p: Polynomial, resolution: int, budget: int = DEFAULT_GRID_BUDGET) -> float:
+def sup_norm_grid(p: Polynomial, resolution: int) -> float:
     """Max of |p| over the uniform grid; a lower bound on the true box sup-norm.
 
     Swept block by block through ``grid_slabs``, so memory stays at one
     block whatever the resolution.
     """
-    slabs = grid_slabs(p.n, resolution, budget)
+    slabs = grid_slabs(p.n, resolution)
     return float(np.max([np.max(np.abs(p.evaluate_axes(axes))) for axes in slabs]))

@@ -13,9 +13,11 @@ with the Lagrange dual
 
 The solver is an infeasible-start primal-dual path-following method with a
 Mehrotra predictor-corrector, using the XZ (HKM) search direction and dense
-linear algebra throughout.  ``SdpProblem`` packs the constraints once into
-one matrix whose columns hold the blocks grouped by size, so each group of
-k equal-size blocks has one (m, k, s, s) constraint stack.  The iterates
+linear algebra throughout.  Constraints come as one (m, s, s) stack per
+block, the form the quadratic-module assembler writes, and an m-vector of
+right-hand sides.  ``SdpProblem`` copies the stacks once into one matrix
+whose columns hold the blocks grouped by size, so each group of k
+equal-size blocks has one (m, k, s, s) constraint stack.  The iterates
 are kept per group as (k, s, s) arrays: A(X), A*(y), the Schur product,
 the Cholesky and inverse factors and the step-length eigensolves each make
 one batched call per group, not one per block.  ``SdpSolution.X`` and
@@ -48,82 +50,74 @@ class DependentConstraintWarning(UserWarning):
     """Linearly dependent constraint rows were dropped before solving."""
 
 
-def _pack(rows, sizes, what: str):
-    """Pack rows of per-block matrices (None for an all-zero block) into one matrix.
+def _pack(stacks, sizes, num: int, what: str):
+    """Pack per-block (num, s_b, s_b) stacks (None for an all-zero block) into one matrix.
 
-    Returns the (r, sum s_b^2) matrix whose row k holds ``rows[k]``'s blocks
-    flattened row-major, the (r, s_b, s_b) view of each block's columns in
-    block order, and one (indices, (r, k, s, s) view) pair per group of the
+    Returns the (num, sum s_b^2) matrix whose row k holds each ``stacks[b][k]``
+    flattened row-major, the (num, s_b, s_b) view of each block's columns in
+    block order, and one (indices, (num, k, s, s) view) pair per group of the
     k blocks of size s, in ascending size: the columns are laid out group by
     group, so a group's blocks sit side by side.  Each block is checked for
     symmetry relative to its largest entry, then symmetrized.
     """
-    num = len(rows)
+    if len(stacks) != len(sizes):
+        raise ValueError(f"{what} must have one stack (or None) per block")
     matrix = np.zeros((num, sum(s * s for s in sizes)))
-    stacks, groups, start = [None] * len(sizes), [], 0
+    views, groups, start = [None] * len(sizes), [], 0
     for s in sorted(set(sizes)):
         idx = [i for i, t in enumerate(sizes) if t == s]
         end = start + len(idx) * s * s
         group = matrix[:, start:end].reshape(num, len(idx), s, s)
         groups.append((idx, group))
         for j, i in enumerate(idx):
-            stacks[i] = group[:, j]
+            views[i] = group[:, j]
         start = end
-    for k, mats in enumerate(rows):
-        if len(mats) != len(sizes):
-            raise ValueError(f"{what} must have one matrix (or None) per block")
-        for s, mat, stack in zip(sizes, mats, stacks):
-            if mat is None:
-                continue
-            m = np.asarray(mat, dtype=float)
-            if m.shape != (s, s):
-                raise ValueError(f"{what} block has shape {m.shape}, expected {(s, s)}")
-            stack[k] = m
-    for stack in stacks:
-        trans = np.swapaxes(stack, 1, 2)
-        asym = np.max(np.abs(stack - trans))
-        if asym > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(stack)))):
+    for s, stack, view in zip(sizes, stacks, views):
+        if stack is None:
+            continue
+        if np.shape(stack) != (num, s, s):
+            raise ValueError(f"{what} block has shape {np.shape(stack)}, expected {(num, s, s)}")
+        view[...] = stack
+        trans = np.swapaxes(view, 1, 2)
+        asym = np.max(np.abs(view - trans))
+        if asym > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(view)))):
             raise ValueError(f"{what} block is not symmetric: max asymmetry {asym:g}")
         if asym:  # an exactly symmetric stack stays as it is, without temporaries
-            stack[...] = 0.5 * (stack + trans)
-    return matrix, stacks, groups
+            view[...] = 0.5 * (view + trans)
+    return matrix, views, groups
 
 
-@dataclass
 class SdpProblem:
     """Block-diagonal SDP data, sense: maximize.
 
-    ``objective`` holds one symmetric matrix per block (C); each constraint is
-    a (per-block matrix list, scalar) pair, where an entry may be None for an
-    all-zero block.
+    ``objective`` holds one symmetric matrix per block (C); ``stacks[b]`` is
+    block b's (m, s_b, s_b) constraint stack, whose entry k is A_k's block b,
+    or None for a block no constraint touches; ``rhs`` holds the m values b_k.
 
-    The constructor packs the rows once (``_pack``) into the m x sum(s_b^2)
-    ``matrix``, its (m, s_b, s_b) block views ``stacks``, its per-size
-    (block indices, (m, k, s, s) view) ``groups`` and the m-vector ``rhs``.
-    The rank filter reads ``matrix``, the interior-point kernels read
-    ``groups``; ``constraints`` becomes (per-block views, rhs) pairs.
+    The constructor packs the stacks once (``_pack``) into the m x sum(s_b^2)
+    ``matrix``, its (m, s_b, s_b) block views ``stacks`` and its per-size
+    (block indices, (m, k, s, s) view) ``groups``.  The rank filter reads
+    ``matrix``, the interior-point kernels read ``groups``.
     """
 
-    block_sizes: tuple
-    objective: list
-    constraints: list
-
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.block_sizes)
+    def __init__(self, block_sizes, objective, stacks, rhs):
+        sizes = tuple(int(s) for s in block_sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError("block sizes must be positive")
         if any(s > MAX_BLOCK_SIZE for s in sizes):
             raise ValueError(f"block size exceeds the configured limit of {MAX_BLOCK_SIZE}")
-        object.__setattr__(self, "block_sizes", sizes)
-        self.objective = [st[0] for st in _pack([self.objective], sizes, "objective")[1]]
-        if not self.constraints:
-            raise ValueError("problem needs at least one constraint")
-        rows = [mats for mats, _ in self.constraints]
-        self.matrix, self.stacks, self.groups = _pack(rows, sizes, "constraint")
-        self.rhs = np.array([rhs for _, rhs in self.constraints], dtype=float)
-        self.constraints = [
-            ([stack[k] for stack in self.stacks], float(rhs)) for k, rhs in enumerate(self.rhs)
-        ]
+        self.block_sizes = sizes
+        objective = [None if c is None else np.asarray(c, dtype=float)[None] for c in objective]
+        self.objective = [st[0] for st in _pack(objective, sizes, 1, "objective")[1]]
+        self.rhs = np.array(rhs, dtype=float)
+        if self.rhs.ndim != 1 or not self.rhs.size:
+            raise ValueError("problem needs at least one constraint; rhs is a vector of b_k")
+        self.matrix, self.stacks, self.groups = _pack(stacks, sizes, len(self.rhs), "constraint")
+
+    @property
+    def constraints(self) -> list:
+        """Per-row (per-block views, b_k) pairs, derived from ``stacks`` and ``rhs``."""
+        return [([st[k] for st in self.stacks], float(b)) for k, b in enumerate(self.rhs)]
 
     @property
     def num_constraints(self) -> int:

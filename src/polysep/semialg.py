@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .poly import DEFAULT_GRID_BUDGET, Polynomial, grid_slabs, on_grid, sup_norm_grid
+from .poly import Polynomial, grid_slabs, on_grid, sup_norm_grid
 
 # tiny negative slack keeps boundary grid points in sample clouds;
 # SemialgebraicSet.contains stays an exact sign test
@@ -83,9 +83,7 @@ class SampleCloud:
         return len(self.points)
 
 
-def sample_grid(
-    s: SemialgebraicSet, resolution: int, budget: int = DEFAULT_GRID_BUDGET
-) -> SampleCloud:
+def sample_grid(s: SemialgebraicSet, resolution: int) -> SampleCloud:
     """Grid points passing ``contains_many`` with ``CLOUD_MEMBERSHIP_SLACK``; may be empty.
 
     The points keep the x1-major order of ``box_grid_points``.  The grid is
@@ -93,7 +91,7 @@ def sample_grid(
     block plus the kept rows whatever the resolution.
     """
     kept = [np.empty((0, s.n))]
-    for axes in grid_slabs(s.n, resolution, budget):
+    for axes in grid_slabs(s.n, resolution):
         mask = s.contains_axes(axes, CLOUD_MEMBERSHIP_SLACK)
         if mask.any():
             mask = on_grid(mask, axes)
@@ -102,21 +100,16 @@ def sample_grid(
     return SampleCloud(points=np.concatenate(kept), resolution=resolution)
 
 
-def dist_estimate(
-    a: SemialgebraicSet,
-    b: SemialgebraicSet,
-    resolution: int,
-    budget: int = DEFAULT_GRID_BUDGET,
-) -> float:
+def dist_estimate(a: SemialgebraicSet, b: SemialgebraicSet, resolution: int) -> float:
     """Min pairwise distance between the two sample clouds.
 
     An upper bound on dist(A, B) that tightens as the resolution grows;
     non-increasing under nested grid refinement.
     """
-    cloud_a = sample_grid(a, resolution, budget)
+    cloud_a = sample_grid(a, resolution)
     if len(cloud_a) == 0:
         raise EmptySampleError(f"first set has no sample points at resolution {resolution}")
-    cloud_b = sample_grid(b, resolution, budget)
+    cloud_b = sample_grid(b, resolution)
     if len(cloud_b) == 0:
         raise EmptySampleError(f"second set has no sample points at resolution {resolution}")
     tree = cKDTree(cloud_b.points)
@@ -148,17 +141,12 @@ def u_eval(x, a_cloud: SampleCloud, dist_ab: float):
     return float(values[0]) if single else values
 
 
-def eps_estimate(
-    p: Polynomial,
-    a: SemialgebraicSet,
-    resolution: int,
-    budget: int = DEFAULT_GRID_BUDGET,
-) -> float:
+def eps_estimate(p: Polynomial, a: SemialgebraicSet, resolution: int) -> float:
     """(min of p over A samples) / (grid sup-norm of |p| on the box)."""
     if p.is_zero():
         raise ValueError("eps is undefined for the zero polynomial")
-    cloud = sample_grid(a, resolution, budget)
+    cloud = sample_grid(a, resolution)
     if len(cloud) == 0:
         raise EmptySampleError(f"set has no sample points at resolution {resolution}")
     min_on_a = float(np.min(p.evaluate_many(cloud.points)))
-    return min_on_a / sup_norm_grid(p, resolution, budget)
+    return min_on_a / sup_norm_grid(p, resolution)

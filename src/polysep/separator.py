@@ -22,11 +22,12 @@ wins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import DEFAULT_GRID_BUDGET, Polynomial
+from .poly import Polynomial
 from .sdp import SdpProblem, SdpStatus, solve as sdp_solve
 from .semialg import EmptySampleError, SemialgebraicSet, sample_grid
 from .sos import (
@@ -40,6 +41,9 @@ from .sos import (
     reconstruct_residual,
     sign_flips,
 )
+
+# interior-point iteration cap of every separation SDP solve
+SDP_MAX_ITER = 200
 
 
 class InfeasibleAtLevelError(RuntimeError):
@@ -77,8 +81,12 @@ class SeparatorSolverError(RuntimeError):
 class SeparatorOptions:
     margin_tol: float = 1e-6
     solver_tol: float = 1e-8
-    max_iter: int = 200
     ball_constraint: bool = True
+
+    def __post_init__(self):
+        # a negative or NaN floor accepts margins that certify nothing, an infinite one none
+        if not (math.isfinite(self.margin_tol) and self.margin_tol >= 0.0):
+            raise ValueError(f"margin_tol must be finite and at least 0, got {self.margin_tol}")
 
 
 @dataclass(frozen=True)
@@ -208,7 +216,9 @@ def _assemble_separation(n, gens_a, gens_b, degree, level):
     ]
     constant = rows == 0  # the row of the constant monomial
     margin, rhs = np.where(constant, 2.0, 0.0), np.where(constant, -1.0, 0.0)
-    problem = SdpProblem(*margin_sdp_data(stacks_a + stacks_b, margin, rhs))
+    data = margin_sdp_data(stacks_a + stacks_b, margin, rhs)
+    del stacks_a, stacks_b  # its row-extended copies replace the parity blocks before packing
+    problem = SdpProblem(*data)
     return problem, bases_a, bases_b, parts, flips
 
 
@@ -232,7 +242,7 @@ def solve_fixed_level(prob: SeparatorProblem) -> SeparatorResult:
     sdp_problem, bases_a, bases_b, parts, flips = _assemble_separation(
         n, gens_a, gens_b, prob.p_degree, prob.level
     )
-    sol = sdp_solve(sdp_problem, tol=opts.solver_tol, max_iter=opts.max_iter)
+    sol = sdp_solve(sdp_problem, tol=opts.solver_tol, max_iter=SDP_MAX_ITER)
     if sol.status is not SdpStatus.OPTIMAL:
         raise SeparatorSolverError(sol.status, sol.diagnostics.get("message", ""))
     t, blocks = margin_sdp_solution(sol)
@@ -316,18 +326,13 @@ def run_hierarchy(
 
 
 def verify_separation(
-    p: Polynomial,
-    a: SemialgebraicSet,
-    b: SemialgebraicSet,
-    resolution: int,
-    tol: float,
-    budget: int = DEFAULT_GRID_BUDGET,
+    p: Polynomial, a: SemialgebraicSet, b: SemialgebraicSet, resolution: int, tol: float
 ) -> SeparationReport:
     """Grid check: p >= 1 - tol on samples of A and p <= tol on samples of B."""
-    cloud_a = sample_grid(a, resolution, budget)
+    cloud_a = sample_grid(a, resolution)
     if len(cloud_a) == 0:
         raise EmptySampleError(f"first set has no sample points at resolution {resolution}")
-    cloud_b = sample_grid(b, resolution, budget)
+    cloud_b = sample_grid(b, resolution)
     if len(cloud_b) == 0:
         raise EmptySampleError(f"second set has no sample points at resolution {resolution}")
     vals_a = p.evaluate_many(cloud_a.points)

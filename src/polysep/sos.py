@@ -217,7 +217,7 @@ def gram_incidence(n: int, generators, level: int):
 
 
 def margin_sdp_data(stacks, margin, rhs):
-    """Block sizes, objective and rows of a max-margin SDP over Gram stacks.
+    """Block sizes, objective, stacks and rhs of a max-margin SDP over Gram stacks.
 
     Blocks 0 and 1 are the 1x1 blocks w and u, block 2 + i takes ``stacks[i]``.
     Row k reads <stacks[i][k], X_i> summed over i, plus ``margin[k]`` times the
@@ -225,13 +225,11 @@ def margin_sdp_data(stacks, margin, rhs):
     objective t is capped at 1.  Returns the arguments of ``SdpProblem``.
     """
     block_sizes = (1, 1) + tuple(st.shape[1] for st in stacks)
-    constraints = [
-        ([np.array([[c]]), np.array([[-c]])] + [st[k] for st in stacks], r)
-        for k, (c, r) in enumerate(zip(margin, rhs))
-    ]
-    constraints.append(([np.ones((1, 1))] + [None] * (len(block_sizes) - 1), 1.0))
+    w = np.append(margin, 1.0).reshape(-1, 1, 1)
+    u = np.append(np.negative(margin), 0.0).reshape(-1, 1, 1)
+    grams = [np.pad(st, ((0, 1), (0, 0), (0, 0))) for st in stacks]
     objective = [np.ones((1, 1)), -np.ones((1, 1))] + [None] * len(stacks)
-    return block_sizes, objective, constraints
+    return block_sizes, objective, [w, u] + grams, np.append(rhs, 1.0)
 
 
 def margin_sdp_solution(sol: SdpSolution):
@@ -261,7 +259,9 @@ def assemble_membership(target: Polynomial, generators, level: int):
     row_monomials = monomials_up_to_degree(n, level)
     traces = sum(np.trace(st, axis1=1, axis2=2) for st in stacks)
     rhs = [target.terms.get(alpha, 0.0) for alpha in row_monomials]
-    problem = SdpProblem(*margin_sdp_data(stacks, traces, rhs))
+    data = margin_sdp_data(stacks, traces, rhs)
+    del stacks  # its row-extended copies replace the incidence stacks before packing
+    problem = SdpProblem(*data)
     maps = MembershipAssembly(
         target=target,
         generators=gens,

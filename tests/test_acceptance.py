@@ -134,12 +134,12 @@ def test_criterion_4_sdp_analytic_checks():
     E11 = np.array([[1.0, 0.0], [0.0, 0.0]])
     E22 = np.array([[0.0, 0.0], [0.0, 1.0]])
     E12 = np.array([[0.0, 0.5], [0.5, 0.0]])
-    completion = sdp.SdpProblem((2,), [-E11], [([E22], 1.0), ([E12], 0.3)])
+    completion = sdp.SdpProblem((2,), [-E11], [np.array([E22, E12])], [1.0, 0.3])
     sol = sdp.solve(completion, tol=1e-8)
     assert sol.status is sdp.SdpStatus.OPTIMAL
     assert sol.X[0][0, 0] == pytest.approx(0.09, abs=1e-6)
 
-    impossible = sdp.SdpProblem((2,), [np.zeros((2, 2))], [([E11], -1.0)])
+    impossible = sdp.SdpProblem((2,), [np.zeros((2, 2))], [E11[None]], [-1.0])
     assert sdp.solve(impossible, tol=1e-8).status is sdp.SdpStatus.INFEASIBLE
     ok("SDP completion optimum 0.09 and infeasible diagonal")
 

@@ -134,6 +134,28 @@ def test_separate_ball_option_other_than_on_or_off_exits_one(tmp_path, capsys, v
     assert stderr.startswith("error: option ball")
 
 
+def test_separate_negative_margin_flag_exits_one(capsys):
+    # a margin floor of -1 would accept the (1, 4) attempt's margin of -0.5
+    code, stdout, stderr = run(
+        capsys, "separate", str(DATA_DIR / "golden_problem.json"), "--degree-max", "2",
+        "--margin", "-1",
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: margin_tol must be finite and at least 0, got -1.0")
+
+
+@pytest.mark.parametrize("value", [True, 2.9])
+def test_separate_integer_option_refuses_booleans_and_fractions(tmp_path, capsys, value):
+    problem = write_problem(
+        tmp_path / "p.json", 2, [DISK_LEFT], [DISK_RIGHT], options={"degree_max": value}
+    )
+    code, stdout, stderr = run(capsys, "separate", problem)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith(f"error: option degree_max must be integer, got {value!r}")
+
+
 def test_separate_is_deterministic(tmp_path, capsys, disk_problem_file):
     outputs = []
     for name in ("first.json", "second.json"):
@@ -213,6 +235,11 @@ MALFORMED_PROBLEMS = {
     "generator is a number": lambda d: d.update(A_generators=[1]),
     "degree_max is null": lambda d: d.update(options={"degree_max": None}),
     "degree_max is a list": lambda d: d.update(options={"degree_max": [1]}),
+    "degree_max is true": lambda d: d.update(options={"degree_max": True}),
+    "degree_max is 2.9": lambda d: d.update(options={"degree_max": 2.9}),
+    "margin is -1": lambda d: d.update(options={"margin": -1}),
+    "margin is nan": lambda d: d.update(options={"margin": float("nan")}),
+    "margin is inf": lambda d: d.update(options={"margin": float("inf")}),
     "n is too large for a tuple": lambda d: d.update(n=1e300),
 }
 

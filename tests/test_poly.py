@@ -216,9 +216,10 @@ def test_sup_norm_monotone_under_nested_refinement():
         assert hi >= lo
 
 
-def test_sup_norm_budget_error():
+def test_sup_norm_budget_error(monkeypatch):
+    monkeypatch.setattr(poly, "GRID_BUDGET", 100)
     with pytest.raises(SampleBudgetError):
-        sup_norm_grid(parse("x1*x2", 2), 101, budget=100)
+        sup_norm_grid(parse("x1*x2", 2), 101)
 
 
 def test_grid_requires_resolution_at_least_two():
@@ -258,12 +259,13 @@ def test_box_grid_chunks_are_box_grid_points_in_whole_slabs(n, resolution, block
     assert joined.shape == full.shape and joined.tobytes() == full.tobytes()
 
 
-def test_box_grid_chunks_one_slab_per_block_when_a_slab_exceeds_the_block_height():
+def test_box_grid_chunks_one_slab_per_block_when_a_slab_exceeds_the_block_height(monkeypatch):
     resolution = 257  # one x1-slab holds 257^2 > GRID_BLOCK_ROWS points
+    monkeypatch.setattr(poly, "GRID_BUDGET", resolution**3)
     axis = np.linspace(-1.0, 1.0, resolution)
     tail = poly.box_grid_points(2, resolution).tobytes()
     count = 0
-    for j, axes in enumerate(poly.grid_slabs(3, resolution, budget=resolution**3)):
+    for j, axes in enumerate(poly.grid_slabs(3, resolution)):
         block = slab_points(axes)
         assert np.all(block[:, 0] == axis[j])
         assert block[:, 1:].tobytes() == tail
@@ -304,16 +306,17 @@ def test_sup_norm_grid_matches_the_full_grid(n, resolution, block_rows, monkeypa
     assert sup_norm_grid(p, resolution) == float(np.max(np.abs(p.evaluate_many(full))))
 
 
-def test_grid_checks_fire_before_any_block():
+def test_grid_checks_fire_before_any_block(monkeypatch):
     # grid_slabs checks on the call, not when the first block is drawn
     with pytest.raises(ValueError, match="resolution must be at least 2, got 1"):
         poly.grid_slabs(2, 1)
-    with pytest.raises(SampleBudgetError, match=r"grid of 101\^2 = 10201 points exceeds the budget of 100"):
-        poly.grid_slabs(2, 101, budget=100)
     # the zero polynomial's grid is checked too
     zero = Polynomial.zero(2)
     with pytest.raises(ValueError, match="resolution must be at least 2, got 1"):
         sup_norm_grid(zero, 1)
-    with pytest.raises(SampleBudgetError):
-        sup_norm_grid(zero, 101, budget=100)
     assert sup_norm_grid(zero, 101) == 0.0
+    monkeypatch.setattr(poly, "GRID_BUDGET", 100)  # read when a grid is asked for
+    with pytest.raises(SampleBudgetError, match=r"grid of 101\^2 = 10201 points exceeds the budget of 100"):
+        poly.grid_slabs(2, 101)
+    with pytest.raises(SampleBudgetError):
+        sup_norm_grid(zero, 101)

@@ -19,17 +19,17 @@ E12 = np.array([[0.0, 0.5], [0.5, 0.0]])
 
 
 def trace_problem():
-    return SdpProblem((2,), [np.zeros((2, 2))], [([np.eye(2)], 1.0)])
+    return SdpProblem((2,), [np.zeros((2, 2))], [np.eye(2)[None]], [1.0])
 
 
 def completion_problem():
     # maximize -x11 over [[x11, 0.3], [0.3, 1]] >= 0; optimum x11 = 0.09
-    return SdpProblem((2,), [-E11], [([E22], 1.0), ([E12], 0.3)])
+    return SdpProblem((2,), [-E11], [np.array([E22, E12])], [1.0, 0.3])
 
 
 def infeasible_problem():
     # x11 = -1 contradicts the non-negative diagonal of a PSD matrix
-    return SdpProblem((2,), [np.zeros((2, 2))], [([E11], -1.0)])
+    return SdpProblem((2,), [np.zeros((2, 2))], [E11[None]], [-1.0])
 
 
 # ---- solve -----------------------------------------------------------------
@@ -92,11 +92,7 @@ def test_iteration_limit_status():
 
 
 def test_dependent_rows_dropped_with_warning():
-    prob = SdpProblem(
-        (2,),
-        [-E11],
-        [([E22], 1.0), ([E12], 0.3), ([2 * E12], 0.6)],
-    )
+    prob = SdpProblem((2,), [-E11], [np.array([E22, E12, 2 * E12])], [1.0, 0.3, 0.6])
     with pytest.warns(DependentConstraintWarning):
         sol = solve(prob, tol=1e-8)
     assert sol.status is SdpStatus.OPTIMAL
@@ -104,11 +100,7 @@ def test_dependent_rows_dropped_with_warning():
 
 
 def test_inconsistent_dependent_rows_are_infeasible():
-    prob = SdpProblem(
-        (2,),
-        [np.zeros((2, 2))],
-        [([E12], 0.3), ([2 * E12], 0.9)],
-    )
+    prob = SdpProblem((2,), [np.zeros((2, 2))], [np.array([E12, 2 * E12])], [0.3, 0.9])
     with pytest.warns(DependentConstraintWarning):
         sol = solve(prob, tol=1e-8)
     assert sol.status is SdpStatus.INFEASIBLE
@@ -118,11 +110,8 @@ def test_multiblock_problem():
     # independent trace constraints on two blocks, maximize a corner entry
     c = [np.zeros((2, 2)), np.zeros((1, 1))]
     c[0][0, 1] = c[0][1, 0] = 0.5
-    prob = SdpProblem(
-        (2, 1),
-        c,
-        [([np.eye(2), None], 1.0), ([None, np.eye(1)], 2.0)],
-    )
+    stacks = [np.array([np.eye(2), np.zeros((2, 2))]), np.array([np.zeros((1, 1)), np.eye(1)])]
+    prob = SdpProblem((2, 1), c, stacks, [1.0, 2.0])
     sol = solve(prob, tol=1e-8)
     assert sol.status is SdpStatus.OPTIMAL
     # max x12 with trace 1 and x11*x22 >= x12^2 gives x12 = 1/2
@@ -137,13 +126,15 @@ def interleaved_problem():
     slack is S_i = I - e_j e_j^T (the trace row's multiplier is 1).
     """
     sizes = (2, 3, 2, 3)
-    objective, constraints = [], []
+    objective, stacks = [], []
     for i, s in enumerate(sizes):
         c = np.zeros((s, s))
         c[i // 2, i // 2] = 1.0
         objective.append(c)
-        constraints.append(([np.eye(s) if b == i else None for b in range(4)], float(i + 1)))
-    return SdpProblem(sizes, objective, constraints)
+        stack = np.zeros((4, s, s))
+        stack[i] = np.eye(s)
+        stacks.append(stack)
+    return SdpProblem(sizes, objective, stacks, [1.0, 2.0, 3.0, 4.0])
 
 
 def test_interleaved_block_sizes_come_back_in_block_order():
@@ -165,7 +156,7 @@ def test_infeasibility_ray_reports_every_block_in_block_order():
     # sum_i (i + 1) tr(X_i) = -1 has no PSD solution; y = 1 is an improving ray
     sizes = (2, 3, 2, 3)
     row = [(i + 1.0) * np.eye(s) for i, s in enumerate(sizes)]
-    prob = SdpProblem(sizes, [None] * 4, [(row, -1.0)])
+    prob = SdpProblem(sizes, [None] * 4, [mat[None] for mat in row], [-1.0])
     sol = solve(prob, tol=1e-8)
     assert sol.status is SdpStatus.INFEASIBLE
     ray = sol.diagnostics["infeasibility_ray"]
@@ -182,21 +173,38 @@ def test_infeasibility_ray_reports_every_block_in_block_order():
 def test_rejects_nonsymmetric_matrices():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
-        SdpProblem((2,), [bad], [([np.eye(2)], 1.0)])
+        SdpProblem((2,), [bad], [np.eye(2)[None]], [1.0])
 
 
 def test_rejects_bad_tolerance_and_empty_problems():
     with pytest.raises(ValueError):
         solve(trace_problem(), tol=0.5)
     with pytest.raises(ValueError):
-        SdpProblem((2,), [np.zeros((2, 2))], [])
+        SdpProblem((2,), [np.zeros((2, 2))], [np.zeros((0, 2, 2))], [])
     with pytest.raises(ValueError):
-        SdpProblem((), [], [([], 0.0)])
+        SdpProblem((), [], [], [0.0])
 
 
 def test_rejects_oversized_blocks():
     with pytest.raises(ValueError):
-        SdpProblem((401,), [None], [([None], 0.0)])
+        SdpProblem((401,), [None], [None], [0.0])
+
+
+def test_stacks_must_match_block_sizes_and_rhs():
+    with pytest.raises(ValueError, match=r"shape \(1, 3, 3\), expected \(1, 2, 2\)"):
+        SdpProblem((2,), [None], [np.eye(3)[None]], [1.0])
+    with pytest.raises(ValueError, match=r"shape \(2, 2, 2\), expected \(1, 2, 2\)"):
+        SdpProblem((2,), [None], [np.array([E11, E22])], [1.0])  # two rows, one rhs
+    with pytest.raises(ValueError, match="rhs is a vector"):
+        SdpProblem((2,), [None], [np.eye(2)[None]], 1.0)
+    with pytest.raises(ValueError, match="constraint must have one stack"):
+        SdpProblem((2, 1), [None, None], [np.eye(2)[None]], [1.0])
+    with pytest.raises(ValueError, match="objective must have one"):
+        SdpProblem((2, 1), [None], [np.eye(2)[None], None], [1.0])
+    # a None stack packs as an all-zero block
+    prob = SdpProblem((2, 1), [None, None], [np.eye(2)[None], None], [1.0])
+    ((mats, rhs),) = prob.constraints
+    assert rhs == 1.0 and np.array_equal(mats[0], np.eye(2)) and np.array_equal(mats[1], [[0.0]])
 
 
 def test_dump_round_trips_basic_structure():
@@ -223,13 +231,14 @@ def random_pd(rng, s):
 
 
 def three_block_problem(rng):
-    """Random constraints on blocks of sizes 3, 1 and 4; some blocks absent."""
+    """Random constraints on blocks of sizes 3, 1 and 4; some blocks zero in some rows."""
     sizes = (3, 1, 4)
-    constraints = []
+    stacks = [np.zeros((6, s, s)) for s in sizes]
     for k in range(6):
-        mats = [random_symmetric(rng, s) if (k + bi) % 3 else None for bi, s in enumerate(sizes)]
-        constraints.append((mats, float(k)))
-    return SdpProblem(sizes, [None] * 3, constraints)
+        for bi, s in enumerate(sizes):
+            if (k + bi) % 3:
+                stacks[bi][k] = random_symmetric(rng, s)
+    return SdpProblem(sizes, [None] * 3, stacks, np.arange(6.0))
 
 
 def reference_max_step(blocks, directions):
@@ -288,8 +297,8 @@ def test_max_step_matches_generalized_eigensolver():
 def test_grouped_kernels_match_per_block_kernels():
     rng = np.random.default_rng(15)
     sizes = (3, 1, 3, 4, 1)
-    constraints = [([random_symmetric(rng, s) for s in sizes], float(k)) for k in range(7)]
-    prob = SdpProblem(sizes, [None] * 5, constraints)
+    rows = [[random_symmetric(rng, s) for s in sizes] for _ in range(7)]
+    prob = SdpProblem(sizes, [None] * 5, [np.array(blk) for blk in zip(*rows)], np.arange(7.0))
     members = [idx for idx, _ in prob.groups]
     assert members == [[1, 4], [0, 2], [3]]
 

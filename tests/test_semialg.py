@@ -143,8 +143,9 @@ def test_sample_grid_checks_fire_before_any_block(unit_disk, monkeypatch):
     monkeypatch.setattr(poly, "_slabs", no_blocks)
     with pytest.raises(ValueError, match="resolution must be at least 2, got 1"):
         sample_grid(unit_disk, 1)
+    monkeypatch.setattr(poly, "GRID_BUDGET", 100)
     with pytest.raises(poly.SampleBudgetError, match="exceeds the budget of 100"):
-        sample_grid(unit_disk, 101, budget=100)
+        sample_grid(unit_disk, 101)
 
 
 def test_generators_after_an_empty_mask_are_not_evaluated(monkeypatch):
@@ -219,9 +220,9 @@ def test_distance_empty_first_cloud_skips_the_second_sweep(disk_sets, monkeypatc
     empty = SemialgebraicSet(2, (parse("-1 - x1^2", 2),))
     sampled = []
 
-    def counting(s, resolution, budget):
+    def counting(s, resolution):
         sampled.append(s)
-        return sample_grid(s, resolution, budget)
+        return sample_grid(s, resolution)
 
     monkeypatch.setattr(semialg, "sample_grid", counting)
     with pytest.raises(EmptySampleError, match="first set has no sample points at resolution 51"):

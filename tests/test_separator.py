@@ -123,7 +123,7 @@ def test_sign_symmetry_reduction_matches_the_full_sdp(n, generators, degree, lev
     opts = SeparatorOptions()
     gens_a, gens_b = separator._augmented_generators(a, b, opts)
     full_problem = full_margin_sdp(n, gens_a, gens_b, degree, level)
-    full = sdp.solve(full_problem, tol=opts.solver_tol, max_iter=opts.max_iter)
+    full = sdp.solve(full_problem, tol=opts.solver_tol, max_iter=separator.SDP_MAX_ITER)
     assert full.status is sdp.SdpStatus.OPTIMAL
     full_t = margin_sdp_solution(full)[0]
     problem = SeparatorProblem(A=a, B=b, p_degree=degree, level=level, options=opts)
@@ -373,14 +373,21 @@ def test_verify_separation_empty_first_set_skips_the_second_sweep(lemniscate_set
     empty = SemialgebraicSet(2, (parse("-1 - x1^2", 2),))
     sampled = []
 
-    def counting(s, resolution, budget):
+    def counting(s, resolution):
         sampled.append(s)
-        return sample_grid(s, resolution, budget)
+        return sample_grid(s, resolution)
 
     monkeypatch.setattr(separator, "sample_grid", counting)
     with pytest.raises(EmptySampleError, match="first set has no sample points at resolution 51"):
         verify_separation(Polynomial.constant(2, 1.0), empty, lemniscate_set, 51, 1e-3)
     assert sampled == [empty]
+
+
+@pytest.mark.parametrize("margin", [-1.0, float("nan"), float("inf")])
+def test_options_refuse_a_margin_floor_that_certifies_nothing(margin):
+    with pytest.raises(ValueError, match="margin_tol must be finite and at least 0"):
+        SeparatorOptions(margin_tol=margin)
+    assert SeparatorOptions(margin_tol=0.0).margin_tol == 0.0
 
 
 def test_ball_constraint_switch_off_still_separates(disk_sets):
