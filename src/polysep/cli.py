@@ -66,11 +66,11 @@ def load_problem(path: str):
     except json.JSONDecodeError as err:
         raise InputError(f"problem file is not valid JSON: {err}") from err
     try:
-        n = int(data["n"])
+        n = integer(data["n"])
         a_strings = list(data["A_generators"])
         b_strings = list(data["B_generators"])
     except (KeyError, TypeError, ValueError) as err:
-        raise InputError(f"problem file is missing required fields: {err}") from err
+        raise InputError(f"problem file needs integer n and both generator lists: {err}") from err
     try:
         a_gens = tuple(parse(s, n) for s in a_strings)
         b_gens = tuple(parse(s, n) for s in b_strings)
@@ -225,9 +225,9 @@ def _setting(args, file_options: dict, name: str, default, cast):
 
 
 def integer(value) -> int:
-    """int(value), refusing a fractional number such as 2.9 instead of truncating it."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(value)
+    """int(value), refusing true/false and a fraction such as 2.9 instead of converting it."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
 
@@ -260,8 +260,8 @@ def cmd_separate(args) -> int:
         return EXIT_NO_SEPARATOR
     elapsed = time.perf_counter() - start
 
-    # a grid over the point budget (n >= 4) or a set with no grid point skips
-    # the check; the separator and its certificates are still written
+    # a grid over the point budget (n >= 4) or a set with no grid point skips the
+    # check, and n = 1 the bound report; the separator and certificates are still written
     try:
         report = verify_separation(result.p, a, b, resolution=201, tol=1e-3)
     except (SampleBudgetError, EmptySampleError) as err:
@@ -271,10 +271,13 @@ def cmd_separate(args) -> int:
         kept = asdict(report)
         separation = {k: kept[k] for k in ("min_on_A", "max_on_B", "resolution", "tol", "passed")}
     res_a, res_b = certificate_residuals(result)
-    try:
-        bound = _bound_report(a, b, a.n, 101, 1.0, 1.0, 1.0)
-    except (EmptySampleError, SampleBudgetError) as err:
-        bound = {"warnings": [f"bound report unavailable: {err}"]}
+    if a.n < 2:
+        bound = {"warnings": ["bound report unavailable: bounds require dimension n >= 2"]}
+    else:
+        try:
+            bound = _bound_report(a, b, a.n, 101, 1.0, 1.0, 1.0)
+        except (EmptySampleError, SampleBudgetError) as err:
+            bound = {"warnings": [f"bound report unavailable: {err}"]}
 
     payload = {
         "version": __version__,

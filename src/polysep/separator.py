@@ -34,6 +34,7 @@ from .sos import (
     QmCertificate,
     expand_gram,  # read by perfbench/tracing.py
     gram_incidence,
+    incidence_stack,
     margin_sdp_data,
     margin_sdp_solution,
     monomials_up_to_degree,
@@ -184,8 +185,8 @@ def _assemble_separation(n, gens_a, gens_b, degree, level):
     Returns (problem, bases_a, bases_b, parts, flips): ``parts[i]`` lists,
     per block of multiplier i (A side first), the basis indices it covers.
     """
-    bases_a, stacks_a = gram_incidence(n, gens_a, level)
-    bases_b, stacks_b = gram_incidence(n, gens_b, level)
+    bases_a, incidence_a = gram_incidence(n, gens_a, level)
+    bases_b, incidence_b = gram_incidence(n, gens_b, level)
     flips = sign_flips(n, [alpha for g in gens_a + gens_b for alpha in g.terms])
     parts = []
     for bas in bases_a + bases_b:
@@ -194,31 +195,27 @@ def _assemble_separation(n, gens_a, gens_b, degree, level):
     monomials = monomials_up_to_degree(n, level)
     row_degrees = np.array([sum(alpha) for alpha in monomials])
     invariant = parity_classes(flips, monomials) == 0
-    touched_a = np.any([st.any(axis=(1, 2)) for st in stacks_a], axis=0)
-    touched_b = np.any([st.any(axis=(1, 2)) for st in stacks_b], axis=0)
+    reached = [np.concatenate([r.ravel() for r, _ in inc]) for inc in (incidence_a, incidence_b)]
+    touched_a, touched_b = (np.isin(np.arange(len(monomials)), r) for r in reached)
     # rows no Gram entry reaches (odd top degrees) are dropped, never row 0 (the
-    # constant, reached by s_0); rebinding frees the full stacks before packing
+    # constant, reached by s_0)
     joint = np.flatnonzero((touched_a | touched_b) & invariant)
     eliminate = np.flatnonzero(touched_a & invariant & (row_degrees > degree))
     rows = np.concatenate([joint, eliminate])
-
-    def parity_blocks(stacks, parts, rows):
-        return [
-            st[rows[:, None, None], idx[:, None], idx]
-            for st, part in zip(stacks, parts)
-            for idx in part
-        ]
-
-    stacks_a = parity_blocks(stacks_a, parts[: len(bases_a)], rows)
-    stacks_b = [
-        np.pad(st, ((0, len(eliminate)), (0, 0), (0, 0)))
-        for st in parity_blocks(stacks_b, parts[len(bases_a) :], joint)
+    row_pos = np.full(len(monomials), -1)
+    row_pos[joint] = np.arange(len(joint))
+    # an invariant row reads Gram entries within one parity class only
+    stacks = [
+        incidence_stack(inc, row_pos, len(rows), idx)
+        for inc, part in zip(incidence_a + incidence_b, parts)
+        for idx in part
     ]
+    # the A side's elimination rows repeat their joint rows, the B side's stay zero
+    for st in stacks[: sum(map(len, parts[: len(bases_a)]))]:
+        st[len(joint) : -1] = st[row_pos[eliminate]]
     constant = rows == 0  # the row of the constant monomial
     margin, rhs = np.where(constant, 2.0, 0.0), np.where(constant, -1.0, 0.0)
-    data = margin_sdp_data(stacks_a + stacks_b, margin, rhs)
-    del stacks_a, stacks_b  # its row-extended copies replace the parity blocks before packing
-    problem = SdpProblem(*data)
+    problem = SdpProblem(*margin_sdp_data(stacks, margin, rhs))
     return problem, bases_a, bases_b, parts, flips
 
 

@@ -5,9 +5,9 @@ generators f_1..f_t when q = s_0 + sum_i s_i f_i with every multiplier s_i a
 sum of squares, deg(s_0) <= l and deg(s_i f_i) <= l.  Each s_i is
 parameterized by a Gram matrix over the monomial basis of half degree
 floor((l - deg f_i)/2), turning membership into a block SDP with one linear
-constraint per monomial of degree <= l.  ``gram_incidence`` builds those
-constraints' Gram blocks as one (m, s, s) stack per multiplier; membership
-here and the separator's joint SDP both lay out their rows from it.
+constraint per monomial of degree <= l.  ``gram_incidence`` finds the row
+each Gram entry feeds per multiplier term; ``incidence_stack`` writes the
+stacks of just the rows and Gram blocks an SDP keeps from it.
 ``sign_flips`` and ``parity_classes`` find the coordinate sign flips that
 fix a set of monomials and split monomials by how those flips act on them;
 the separator uses them to reduce its SDP.  Membership SDPs are not
@@ -172,7 +172,6 @@ class MembershipAssembly:
     matches the coefficient of ``row_monomials[k]``.
     """
 
-    target: Polynomial
     generators: tuple
     bases: tuple
     level: int
@@ -180,14 +179,14 @@ class MembershipAssembly:
 
 
 def gram_incidence(n: int, generators, level: int):
-    """Gram bases and incidence stacks of the level-``level`` quadratic module.
+    """Gram bases and sparse incidence of the level-``level`` quadratic module.
 
     The module element is sum_i z_i^T G_i z_i f_i over the multipliers
-    f_0 = 1, f_i = ``generators[i-1]``.  Returns (bases, stacks):
-    ``bases[i]`` is the monomial basis z_i and ``stacks[i]`` an (m, s_i, s_i)
-    array over the m rows ``monomials_up_to_degree(n, level)``, whose entry
-    [k, a, b] is the coefficient with which G_i[a, b] feeds the coefficient
-    of row monomial k.  Both assemblers build their constraint rows from it.
+    f_0 = 1, f_i = ``generators[i-1]``.  Returns (bases, incidence): z_i is
+    ``bases[i]``; ``incidence[i]`` is (rows, coeffs) over the t_i terms of f_i,
+    and term j feeds G_i[a, b] times ``coeffs[j]`` into row monomial
+    ``rows[j, a, b]`` of ``monomials_up_to_degree(n, level)``.  A (row, a, b)
+    triple fixes its term, so each reached entry carries one coefficient.
     """
     multipliers = [Polynomial.constant(n, 1.0)] + list(generators)
     bases = []
@@ -203,17 +202,27 @@ def gram_incidence(n: int, generators, level: int):
     dtype = np.int64 if base ** (n + 1) < 2**63 else object
     weights = np.array([base**n - base ** (n - 1 - j) for j in range(n)], dtype=dtype)
     row_keys = np.array(monomials_up_to_degree(n, level)) @ weights
-    stacks = []
+    incidence = []
     for f, bas in zip(multipliers, bases):
         keys = np.array(bas.elements) @ weights
-        pair_keys = keys[:, None] + keys[None, :]
-        k = len(keys)
-        stack = np.zeros((len(row_keys), k, k))
-        for beta, coeff in f.terms.items():
-            rows = np.searchsorted(row_keys, pair_keys + np.array(beta) @ weights)
-            stack[rows, np.arange(k)[:, None], np.arange(k)] += coeff
-        stacks.append(stack)
-    return bases, stacks
+        term_keys = np.array(list(f.terms), dtype=np.int64).reshape(-1, n) @ weights
+        rows = np.searchsorted(row_keys, term_keys[:, None, None] + keys[:, None] + keys)
+        incidence.append((rows, np.array(list(f.terms.values()))))
+    return bases, incidence
+
+
+def incidence_stack(incidence, row_pos, m: int, idx) -> np.ndarray:
+    """The (m + 1, k, k) stack of the Gram block on basis indices ``idx`` of one incidence.
+
+    Row monomial r goes to stack row ``row_pos[r]``, -1 drops it.  The last
+    row stays zero: it is ``margin_sdp_data``'s normalization row.
+    """
+    rows, coeffs = incidence
+    pos = row_pos[rows[:, idx[:, None], idx]]
+    term, a, b = np.nonzero(pos >= 0)
+    stack = np.zeros((m + 1, len(idx), len(idx)))
+    stack[pos[term, a, b], a, b] = coeffs[term]
+    return stack
 
 
 def margin_sdp_data(stacks, margin, rhs):
@@ -221,15 +230,14 @@ def margin_sdp_data(stacks, margin, rhs):
 
     Blocks 0 and 1 are the 1x1 blocks w and u, block 2 + i takes ``stacks[i]``.
     Row k reads <stacks[i][k], X_i> summed over i, plus ``margin[k]`` times the
-    margin t = w - u, equal to ``rhs[k]``.  A last row pins w = 1, so the
-    objective t is capped at 1.  Returns the arguments of ``SdpProblem``.
+    margin t = w - u, equal to ``rhs[k]``.  The stacks' zero last row pins w = 1,
+    so the objective t is capped at 1.  Returns the arguments of ``SdpProblem``.
     """
     block_sizes = (1, 1) + tuple(st.shape[1] for st in stacks)
     w = np.append(margin, 1.0).reshape(-1, 1, 1)
     u = np.append(np.negative(margin), 0.0).reshape(-1, 1, 1)
-    grams = [np.pad(st, ((0, 1), (0, 0), (0, 0))) for st in stacks]
     objective = [np.ones((1, 1)), -np.ones((1, 1))] + [None] * len(stacks)
-    return block_sizes, objective, [w, u] + grams, np.append(rhs, 1.0)
+    return block_sizes, objective, [w, u] + list(stacks), np.append(rhs, 1.0)
 
 
 def margin_sdp_solution(sol: SdpSolution):
@@ -255,15 +263,17 @@ def assemble_membership(target: Polynomial, generators, level: int):
         raise LevelTooSmallError(
             f"level {level} is below the target degree {target.total_degree()}"
         )
-    bases, stacks = gram_incidence(n, gens, level)
+    bases, incidence = gram_incidence(n, gens, level)
     row_monomials = monomials_up_to_degree(n, level)
-    traces = sum(np.trace(st, axis1=1, axis2=2) for st in stacks)
+    m = len(row_monomials)
+    stacks = [
+        incidence_stack(inc, np.arange(m), m, np.arange(len(bas)))
+        for inc, bas in zip(incidence, bases)
+    ]
+    traces = sum(np.trace(st[:m], axis1=1, axis2=2) for st in stacks)
     rhs = [target.terms.get(alpha, 0.0) for alpha in row_monomials]
-    data = margin_sdp_data(stacks, traces, rhs)
-    del stacks  # its row-extended copies replace the incidence stacks before packing
-    problem = SdpProblem(*data)
+    problem = SdpProblem(*margin_sdp_data(stacks, traces, rhs))
     maps = MembershipAssembly(
-        target=target,
         generators=gens,
         bases=tuple(bases),
         level=level,

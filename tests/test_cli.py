@@ -204,6 +204,42 @@ def test_separate_keeps_result_when_a_set_has_no_grid_point(tmp_path, capsys):
     assert "no sample points" in separation["skipped"]
 
 
+ONE_D_SETS = (["1/16 - (x1 + 1/2)^2"], ["1/16 - (x1 - 1/2)^2"])
+
+
+def test_separate_then_verify_1d_writes_result_without_a_bound_report(tmp_path, capsys):
+    problem = write_problem(tmp_path / "segments.json", 1, *ONE_D_SETS)
+    out = tmp_path / "r.json"
+    code, *_ = run(capsys, "separate", problem, "--out", str(out))
+    assert code == 0
+    result = json.loads(out.read_text())
+    assert result["degree"] == 1
+    assert result["p"]["coefficients"]
+    assert set(result["certificates"]) == {"A", "B"}
+    assert result["verification"]["separation"]["passed"] is True
+    # the degree bounds are stated for n >= 2; the separator is kept regardless
+    assert result["bounds"] == {
+        "warnings": ["bound report unavailable: bounds require dimension n >= 2"]
+    }
+    code, stdout, _ = run(capsys, "verify", problem, str(out))
+    assert code == 0
+    assert json.loads(stdout)["certificates"]["passed"] is True
+    # the bounds command itself still refuses n = 1
+    code, stdout, stderr = run(capsys, "bounds", problem)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: bounds require dimension n >= 2")
+
+
+def test_separate_refuses_a_boolean_dimension(tmp_path, capsys):
+    # JSON true would otherwise read as n = 1, a problem these generators parse in
+    problem = write_problem(tmp_path / "bool.json", True, *ONE_D_SETS)
+    code, stdout, stderr = run(capsys, "separate", problem)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: problem file needs integer n")
+
+
 def test_separate_then_verify_4d_decides_on_the_certificates(tmp_path, capsys):
     problem = write_problem(
         tmp_path / "balls4.json", 4,
@@ -241,6 +277,7 @@ MALFORMED_PROBLEMS = {
     "margin is nan": lambda d: d.update(options={"margin": float("nan")}),
     "margin is inf": lambda d: d.update(options={"margin": float("inf")}),
     "n is too large for a tuple": lambda d: d.update(n=1e300),
+    "n is 2.9": lambda d: d.update(n=2.9),
 }
 
 MALFORMED_RESULTS = {

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -19,7 +20,13 @@ from polysep.separator import (
     verify_certificate,
     verify_separation,
 )
-from polysep.sos import gram_incidence, margin_sdp_data, margin_sdp_solution, monomials_up_to_degree
+from polysep.sos import (
+    gram_incidence,
+    incidence_stack,
+    margin_sdp_data,
+    margin_sdp_solution,
+    monomials_up_to_degree,
+)
 
 
 def fixed(a, b, degree, level, **opts):
@@ -90,16 +97,28 @@ def test_problem_validation(disk_sets):
 
 def full_margin_sdp(n, gens_a, gens_b, degree, level):
     """The joint margin SDP without the reduction: whole Grams, every reached row."""
-    _, stacks_a = gram_incidence(n, gens_a, level)
-    _, stacks_b = gram_incidence(n, gens_b, level)
     row_degrees = np.array([sum(alpha) for alpha in monomials_up_to_degree(n, level)])
-    touched_a = np.any([st.any(axis=(1, 2)) for st in stacks_a], axis=0)
-    touched_b = np.any([st.any(axis=(1, 2)) for st in stacks_b], axis=0)
+    m = len(row_degrees)
+
+    def dense_stacks(gens):  # every row and the whole basis, then the normalization row
+        bases, incidence = gram_incidence(n, gens, level)
+        stacks = [
+            incidence_stack(inc, np.arange(m), m, np.arange(len(bas)))
+            for inc, bas in zip(incidence, bases)
+        ]
+        assert not any(st[-1].any() for st in stacks)
+        return stacks
+
+    stacks_a, stacks_b = dense_stacks(gens_a), dense_stacks(gens_b)
+    touched_a = np.any([st[:m].any(axis=(1, 2)) for st in stacks_a], axis=0)
+    touched_b = np.any([st[:m].any(axis=(1, 2)) for st in stacks_b], axis=0)
     joint = np.flatnonzero(touched_a | touched_b)
     eliminate = np.flatnonzero(touched_a & (row_degrees > degree))
     rows = np.concatenate([joint, eliminate])
-    stacks = [st[rows] for st in stacks_a] + [
-        np.concatenate([st[joint], np.zeros((len(eliminate),) + st.shape[1:])]) for st in stacks_b
+    # row m is the zero normalization row, which margin_sdp_data expects last
+    stacks = [st[np.append(rows, m)] for st in stacks_a] + [
+        np.concatenate([st[joint], np.zeros((len(eliminate) + 1,) + st.shape[1:])])
+        for st in stacks_b
     ]
     margin, rhs = np.where(rows == 0, 2.0, 0.0), np.where(rows == 0, -1.0, 0.0)
     return sdp.SdpProblem(*margin_sdp_data(stacks, margin, rhs))
@@ -107,6 +126,21 @@ def full_margin_sdp(n, gens_a, gens_b, degree, level):
 
 BALLS3 = ("1/16 - (x1 + 0.55)^2 - x2^2 - x3^2", "0.0484 - (x1 - 0.57)^2 - x2^2 - x3^2")
 BALLS4 = ("0.04 - (x1 + 0.5)^2 - x2^2 - x3^2 - x4^2", "0.04 - (x1 - 0.5)^2 - x2^2 - x3^2 - x4^2")
+
+
+def test_separation_assembly_allocates_only_the_reduced_sdp():
+    n = 4
+    a, b = (SemialgebraicSet(n, (parse(g, n),)) for g in BALLS4)
+    gens_a, gens_b = separator._augmented_generators(a, b, SeparatorOptions())
+    tracemalloc.start()
+    try:
+        problem = separator._assemble_separation(n, gens_a, gens_b, 2, 8)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the reduced stacks and the matrix packed from them; stacks over every row
+    # monomial and whole bases would take about 15 times the packed matrix here
+    assert peak <= 3 * problem.matrix.nbytes
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from polysep.sos import (
     expand_gram,
     extract_certificate,
     gram_incidence,
+    incidence_stack,
     membership_slack,
     monomials_up_to_degree,
     parity_classes,
@@ -184,14 +185,18 @@ INCIDENCE_CASES = [
 @pytest.mark.parametrize("n, generators, level", INCIDENCE_CASES)
 def test_gram_incidence_matches_reference_loop(n, generators, level):
     gens = [parse(g, n) for g in generators]
-    bases, stacks = gram_incidence(n, gens, level)
+    bases, incidence = gram_incidence(n, gens, level)
     mults = [Polynomial.constant(n, 1.0)] + gens
     contrib = reference_contribution_rows(mults, bases)
     rows = monomials_up_to_degree(n, level)
     assert set(contrib) <= set(rows)
-    for i, (f, bas, stack) in enumerate(zip(mults, bases, stacks)):
+    every = np.arange(len(rows))
+    for i, (f, bas, inc) in enumerate(zip(mults, bases, incidence)):
         assert bas == basis(n, (level - f.total_degree()) // 2)
-        assert stack.shape == (len(rows), len(bas), len(bas))
+        # every row and the whole basis, then the zero normalization row
+        stack = incidence_stack(inc, every, len(rows), np.arange(len(bas)))
+        assert stack.shape == (len(rows) + 1, len(bas), len(bas))
+        assert not stack[-1].any()
         for k, alpha in enumerate(rows):
             np.testing.assert_array_equal(stack[k], reference_block(contrib, alpha, i, len(bas)))
 
