@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .poly import sup_norm_grid
 
 LOG10_2 = math.log10(2.0)
+SUP_NORM_RESOLUTION = 101  # grid points per axis of the normalization sup-norm check
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,8 @@ class LogScaleValue:
         if not math.isfinite(self.log10_value):
             raise ValueError(f"log10 value must be finite, got {self.log10_value}")
 
-    def pow10_string(self, digits: int = 4) -> str:
-        return f"10^{self.log10_value:.{digits}f}"
+    def pow10_string(self) -> str:
+        return f"10^{self.log10_value:.4f}"
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def separation_degree_bound(
     return LogScaleValue(value)
 
 
-def generator_norm_warnings(generators, resolution: int = 101) -> list:
+def generator_norm_warnings(generators) -> list:
     """Normalization warnings: the level bounds assume every ||f_i|| <= 1/2.
 
     Returns one message per generator whose grid sup-norm exceeds 1/2;
@@ -156,7 +157,7 @@ def generator_norm_warnings(generators, resolution: int = 101) -> list:
     """
     messages = []
     for i, g in enumerate(generators):
-        norm = sup_norm_grid(g, resolution)
+        norm = sup_norm_grid(g, SUP_NORM_RESOLUTION)
         if norm > 0.5:
             messages.append(
                 f"generator {i + 1} has box sup-norm about {norm:.4g} > 1/2; "

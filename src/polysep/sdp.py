@@ -13,17 +13,17 @@ with the Lagrange dual
 
 The solver is an infeasible-start primal-dual path-following method with a
 Mehrotra predictor-corrector, using the XZ (HKM) search direction and dense
-linear algebra throughout.  Constraints come as one (m, s, s) stack per
-block, the form the quadratic-module assembler writes, and an m-vector of
-right-hand sides.  ``SdpProblem`` copies the stacks once into one matrix
-whose columns hold the blocks grouped by size, so each group of k
-equal-size blocks has one (m, k, s, s) constraint stack.  The iterates
-are kept per group as (k, s, s) arrays: A(X), A*(y), the Schur product,
-the Cholesky and inverse factors and the step-length eigensolves each make
-one batched call per group, not one per block.  ``SdpSolution.X`` and
-``SdpSolution.S`` are per-block lists in block order.  It targets
-desk-scale problems: robustness over speed, no sparsity exploitation,
-blocks capped at a configured size.
+linear algebra throughout.  A pivoted Cholesky of the row Gram first drops
+dependent rows.  Constraints come as one (m, s, s) stack per block, the
+form the quadratic-module assembler writes, and an m-vector of right-hand
+sides.  ``SdpProblem`` copies the stacks once into one matrix whose columns
+hold the blocks grouped by size, so each group of k equal-size blocks has
+one (m, k, s, s) constraint stack.  The iterates are kept per group as
+(k, s, s) arrays: A(X), A*(y), the Schur product, the Cholesky and inverse
+factors and the step-length eigensolves each make one batched call per
+group, not one per block.  ``SdpSolution.X`` and ``SdpSolution.S`` are
+per-block lists in block order.  It targets desk-scale problems: robustness
+over speed, no sparsity exploitation, blocks capped at a configured size.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ class SdpProblem:
 
     The constructor packs the stacks once (``_pack``) into the m x sum(s_b^2)
     ``matrix``, its (m, s_b, s_b) block views ``stacks`` and its per-size
-    (block indices, (m, k, s, s) view) ``groups``.  The rank filter reads
-    ``matrix``, the interior-point kernels read ``groups``.
+    (block indices, (m, k, s, s) view) ``groups``.  The rank filter factors
+    the row Gram of ``matrix``, the interior-point kernels read ``groups``.
     """
 
     def __init__(self, block_sizes, objective, stacks, rhs):
@@ -208,27 +208,24 @@ class _BlockOps:
 def _rank_filter(problem: SdpProblem):
     """Drop linearly dependent constraint rows; detect inconsistent duplicates.
 
+    A pivoted Cholesky of the row Gram A A^T, the Newton matrix at X = Z = I,
+    keeps the rows of its first ``rank`` pivots.  Each dropped row is
+    c^T (kept rows) with c = L11^-T L21^T: one triangular solve tests them all.
+
     Returns (kept indices, dropped indices, inconsistent flag).
     """
-    m = problem.num_constraints
-    b = problem.rhs
-
-    _, r, piv = la.qr(problem.matrix.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
+    m, b = problem.num_constraints, problem.rhs
+    gram = problem.matrix @ problem.matrix.T
+    scale = float(np.max(np.diag(gram)))
+    if scale == 0.0:
         return [], list(range(m)), bool(np.any(np.abs(b) > 1e-12))
-    rank = int(np.sum(diag > diag[0] * max(problem.matrix.shape) * np.finfo(float).eps))
-    kept = sorted(piv[:rank].tolist())
-    dropped = sorted(set(range(m)) - set(kept))
-    inconsistent = False
-    if dropped:
-        basis = problem.matrix[kept].T
-        for j in dropped:
-            coeff, *_ = la.lstsq(basis, problem.matrix[j], lapack_driver="gelsd")
-            if abs(b[j] - coeff @ b[kept]) > 1e-8 * (1.0 + abs(b[j])):
-                inconsistent = True
-                break
-    return kept, dropped, inconsistent
+    tol = max(problem.matrix.shape) * np.finfo(float).eps * scale
+    fac, piv, rank, _ = la.lapack.dpstrf(gram, tol=tol, lower=1)
+    kept, dropped = piv[:rank] - 1, piv[rank:] - 1
+    coeff = la.solve_triangular(fac[:rank, :rank], fac[rank:, :rank].T, trans="T", lower=True)
+    excess = np.abs(b[dropped] - b[kept] @ coeff)
+    inconsistent = bool(np.any(excess > 1e-8 * (1.0 + np.abs(b[dropped]))))
+    return sorted(kept.tolist()), sorted(dropped.tolist()), inconsistent
 
 
 def _transpose(blocks):

@@ -78,6 +78,12 @@ class SeparatorSolverError(RuntimeError):
         self.status = status
 
 
+def _check_tolerance(name: str, value: float) -> None:
+    # a NaN, negative or infinite tolerance decides nothing: it fails every result or passes any
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and at least 0, got {value}")
+
+
 @dataclass(frozen=True)
 class SeparatorOptions:
     margin_tol: float = 1e-6
@@ -85,9 +91,7 @@ class SeparatorOptions:
     ball_constraint: bool = True
 
     def __post_init__(self):
-        # a negative or NaN floor accepts margins that certify nothing, an infinite one none
-        if not (math.isfinite(self.margin_tol) and self.margin_tol >= 0.0):
-            raise ValueError(f"margin_tol must be finite and at least 0, got {self.margin_tol}")
+        _check_tolerance("margin_tol", self.margin_tol)
 
 
 @dataclass(frozen=True)
@@ -104,11 +108,7 @@ class SeparatorProblem:
         if self.p_degree < 0:
             raise ValueError("p_degree must be non-negative")
         gens_a, gens_b = _augmented_generators(self.A, self.B, self.options)
-        min_level = max(
-            [self.p_degree]
-            + [g.total_degree() for g in gens_a]
-            + [h.total_degree() for h in gens_b]
-        )
+        min_level = max([self.p_degree] + [g.total_degree() for g in gens_a + gens_b])
         if self.level < min_level:
             raise ValueError(f"level {self.level} is below the minimum {min_level}")
 
@@ -285,13 +285,13 @@ def run_hierarchy(
     """Sweep even levels up to l_max, and degrees 1..min(d_max, level) at each.
 
     The sweep is level-major, cheapest attempt first: levels start at the
-    largest generator degree rounded up to even and step by 2 (odd levels do
-    not change the Gram half-degrees), and at each level the degrees run
-    upwards.  The first attempt that certifies a margin wins.  So when degree
-    d fails at level l but a higher degree d' separates there, the answer is
-    (d', l) even if d would have separated at a higher level.
-    Raises HierarchyExhaustedError with the full attempt trace if nothing
-    separates, which signals intersecting sets or caps that are too small.
+    largest generator degree rounded up to even and step by 2, as each basis
+    at level 2k+1 lies inside the one at 2k+2 (so Q_{2k+1} is in Q_{2k+2});
+    at each level the degrees run upwards.  The first attempt that certifies
+    a margin wins, so when degree d fails at level l but a higher degree d'
+    separates there, the answer is (d', l) even if d would have separated at
+    a higher level.  Raises HierarchyExhaustedError with the full attempt
+    trace if nothing separates: the sets intersect or the caps are too small.
     """
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
@@ -326,6 +326,7 @@ def verify_separation(
     p: Polynomial, a: SemialgebraicSet, b: SemialgebraicSet, resolution: int, tol: float
 ) -> SeparationReport:
     """Grid check: p >= 1 - tol on samples of A and p <= tol on samples of B."""
+    _check_tolerance("tol", tol)
     cloud_a = sample_grid(a, resolution)
     if len(cloud_a) == 0:
         raise EmptySampleError(f"first set has no sample points at resolution {resolution}")
@@ -368,6 +369,7 @@ def verify_certificate(result: SeparatorResult, tol: float) -> CertificateReport
     residuals <= tol and every Gram eigenvalue >= -tol; a NaN fails.  The
     verdict is ``passed``: the report itself is always truthy.
     """
+    _check_tolerance("tol", tol)
     res_a, res_b = certificate_residuals(result)
     min_eig = min(result.cert_A.min_gram_eigenvalue(), result.cert_B.min_gram_eigenvalue())
     passed = result.slack > 0.0 and res_a <= tol and res_b <= tol and min_eig >= -tol

@@ -412,6 +412,35 @@ def test_verify_golden_result_file(capsys):
     ]
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_verify_refuses_a_tolerance_that_decides_nothing(tmp_path, capsys, tol):
+    # at --tol inf even a golden result whose s_0 Gram is scaled by -100 passed;
+    # at nan or -1 the valid golden result failed with exit code 3
+    data = json.loads((DATA_DIR / "golden_result.json").read_text())
+    s0 = data["certificates"]["A"]["multipliers"][0]
+    s0["gram_row_major"] = [-100.0 * v for v in s0["gram_row_major"]]
+    corrupted = tmp_path / "corrupted.json"
+    corrupted.write_text(json.dumps(data))
+    for result in (DATA_DIR / "golden_result.json", corrupted):
+        code, stdout, stderr = run(
+            capsys, "verify", str(DATA_DIR / "golden_problem.json"), str(result), "--tol", tol
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: tol must be finite and at least 0")
+
+
+def test_verify_accepts_a_zero_tolerance(capsys):
+    code, stdout, _ = run(
+        capsys, "verify", str(DATA_DIR / "golden_problem.json"),
+        str(DATA_DIR / "golden_result.json"), "--tol", "0",
+    )
+    # a zero tol is strict, not malformed: the grid passes, the residuals of about 1e-12 do not
+    report = json.loads(stdout)
+    assert code == 3
+    assert (report["separation"]["passed"], report["certificates"]["passed"]) == (True, False)
+
+
 # ---- bounds ----------------------------------------------------------------------
 
 

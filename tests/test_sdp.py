@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -104,6 +106,23 @@ def test_inconsistent_dependent_rows_are_infeasible():
     with pytest.warns(DependentConstraintWarning):
         sol = solve(prob, tol=1e-8)
     assert sol.status is SdpStatus.INFEASIBLE
+
+
+@pytest.mark.parametrize("delta, dropped, objective", [(1e-2, [], -4.0), (1e-10, [1], -2.0)])
+def test_nearly_dependent_row_is_judged_at_the_newton_resolution(delta, dropped, objective):
+    # rows E11, E11 + delta E22, E33 with b = (1, 1 + 2 delta, 1): kept, the middle
+    # row sets X22 = 2; at delta = 1e-10 the Newton system cannot resolve it, and
+    # keeping it ends in NumericalTrouble, so it is dropped as a consistent repeat
+    e = np.eye(3)
+    rows = np.array([np.diag(e[0]), np.diag(e[0] + delta * e[1]), np.diag(e[2])])
+    prob = SdpProblem((3,), [-e], [rows], [1.0, 1.0 + 2 * delta, 1.0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve(prob, tol=1e-8)
+    assert [w.category for w in caught] == [DependentConstraintWarning] * len(dropped)
+    assert sol.diagnostics["dropped_rows"] == dropped
+    assert sol.status is SdpStatus.OPTIMAL
+    assert sol.objective == pytest.approx(objective, abs=1e-6)
 
 
 def test_multiblock_problem():

@@ -185,6 +185,39 @@ def test_sign_symmetry_reduction_matches_the_full_sdp(n, generators, degree, lev
     assert verify_certificate(result, 1e-6).passed
 
 
+CUBIC_A = "0.05 - (x1 + 0.4)^2 - (x2 - 0.1)^3 - x2^2"
+CUBIC_B = "0.04 - (x1 - 0.5)^2 - (x2 + 0.2)^2 + 1/10*x1^3"
+
+
+@pytest.mark.parametrize(
+    "n, generators, levels, dependent_levels",
+    [
+        (2, (LEMNISCATE, CIRCLE), (4, 6), ()),
+        (2, (LEMNISCATE, "1/16 - (x1 - 0.55)^2 - x2^2"), range(4, 11), ()),
+        (3, BALLS3, range(2, 9), ()),
+        (4, BALLS4, range(2, 9), ()),
+        (2, (CUBIC_A, CUBIC_B), range(4, 9), (5, 7)),
+    ],
+    ids=["golden", "lemniscate-disk", "balls3", "balls4", "cubic"],
+)
+def test_rank_filter_drops_rows_only_at_odd_levels_of_odd_degree_generators(
+    n, generators, levels, dependent_levels
+):
+    # each joint row owns B-side s_0 entries and each elimination row A-side
+    # ones, so even levels are independent by construction; the cubic pair
+    # repeats three rows, consistently, at its odd levels
+    a, b = (SemialgebraicSet(n, (parse(g, n),)) for g in generators)
+    for ball in (True, False):
+        opts = SeparatorOptions(ball_constraint=ball)
+        gens_a, gens_b = separator._augmented_generators(a, b, opts)
+        for level in levels:
+            for degree in range(1, min(3, level) + 1):
+                problem = separator._assemble_separation(n, gens_a, gens_b, degree, level)[0]
+                _, dropped, inconsistent = sdp._rank_filter(problem)
+                expected = 3 if level in dependent_levels else 0
+                assert (len(dropped), inconsistent) == (expected, False), (ball, level, degree)
+
+
 # ---- certificates --------------------------------------------------------------
 
 
@@ -422,6 +455,17 @@ def test_options_refuse_a_margin_floor_that_certifies_nothing(margin):
     with pytest.raises(ValueError, match="margin_tol must be finite and at least 0"):
         SeparatorOptions(margin_tol=margin)
     assert SeparatorOptions(margin_tol=0.0).margin_tol == 0.0
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_verification_refuses_a_tolerance_that_decides_nothing(disk_sets, tol):
+    a, b = disk_sets
+    result = fixed(a, b, 1, 4)
+    with pytest.raises(ValueError, match="tol must be finite and at least 0"):
+        verify_separation(result.p, a, b, 51, tol)
+    with pytest.raises(ValueError, match="tol must be finite and at least 0"):
+        verify_certificate(result, tol)
+    assert verify_separation(result.p, a, b, 51, 0.0).tol == 0.0  # zero stays a strict tol
 
 
 def test_ball_constraint_switch_off_still_separates(disk_sets):
