@@ -135,9 +135,9 @@ def _certificate_from_json(data: dict, n: int, level: int) -> QmCertificate:
             bases.append(MonomialBasis(n, half, elements))
             grams.append(gram)
         level = int(data.get("level", level))
+        return QmCertificate(gens, tuple(grams), tuple(bases), level)
     except (KeyError, TypeError, ValueError, OverflowError, ParseError) as err:
         raise InputError(f"malformed certificate entry: {err}") from err
-    return QmCertificate(gens, tuple(grams), tuple(bases), level)
 
 
 def _bound_report(a, b, n, resolution, loj_coeff, loj_exponent, jackson_constant):

@@ -13,17 +13,24 @@ with the Lagrange dual
 
 The solver is an infeasible-start primal-dual path-following method with a
 Mehrotra predictor-corrector, using the XZ (HKM) search direction and dense
-linear algebra throughout.  A pivoted Cholesky of the row Gram first drops
-dependent rows.  Constraints come as one (m, s, s) stack per block, the
-form the quadratic-module assembler writes, and an m-vector of right-hand
-sides.  ``SdpProblem`` copies the stacks once into one matrix whose columns
-hold the blocks grouped by size, so each group of k equal-size blocks has
-one (m, k, s, s) constraint stack.  The iterates are kept per group as
-(k, s, s) arrays: A(X), A*(y), the Schur product, the Cholesky and inverse
-factors and the step-length eigensolves each make one batched call per
-group, not one per block.  ``SdpSolution.X`` and ``SdpSolution.S`` are
-per-block lists in block order.  It targets desk-scale problems: robustness
-over speed, no sparsity exploitation, blocks capped at a configured size.
+linear algebra throughout: the HKM predictor-corrector of SDPT3 (Toh, Todd
+and Tutuncu 1999) on SDPA-style block storage (Fujisawa, Kojima and Nakata
+1997).  A pivoted Cholesky of the row Gram first drops dependent rows.
+Constraints come as one (m, s, s) stack per block, the form the
+quadratic-module assembler writes, and an m-vector of right-hand sides.
+``SdpProblem`` copies the stacks once into one matrix whose columns hold the
+blocks flattened and grouped by size, and the interior-point loop runs on
+that column layout.  X, Z, Z^-1 and the search directions are flat vectors
+of length sum(s_b^2), so A(X) is one matrix-vector product, A*(y) one
+vector-matrix product, and the residuals, inner products and updates are
+one call each.  Per group of k equal-size blocks, X and Z are viewed
+together as one (2, k, s, s) array: one Cholesky and inverse per iteration
+factors both, and one eigensolve per step-length phase gives the primal and
+the dual step.  The Schur complement is one batched product per group, and
+LAPACK's dpotrf and dpotrs factor and solve the Newton system.
+``SdpSolution.X`` and ``SdpSolution.S`` are per-block lists in block order.
+It targets desk-scale problems: robustness over speed, no sparsity
+exploitation, blocks capped at a configured size.
 """
 
 from __future__ import annotations
@@ -57,8 +64,9 @@ def _pack(stacks, sizes, num: int, what: str):
     flattened row-major, the (num, s_b, s_b) view of each block's columns in
     block order, and one (indices, (num, k, s, s) view) pair per group of the
     k blocks of size s, in ascending size: the columns are laid out group by
-    group, so a group's blocks sit side by side.  Each block is checked for
-    symmetry relative to its largest entry, then symmetrized.
+    group, so a group's blocks sit side by side.  Each group is checked for
+    symmetry in one batched reduction, every block relative to its own
+    largest entry, then symmetrized.
     """
     if len(stacks) != len(sizes):
         raise ValueError(f"{what} must have one stack (or None) per block")
@@ -78,12 +86,17 @@ def _pack(stacks, sizes, num: int, what: str):
         if np.shape(stack) != (num, s, s):
             raise ValueError(f"{what} block has shape {np.shape(stack)}, expected {(num, s, s)}")
         view[...] = stack
-        trans = np.swapaxes(view, 1, 2)
-        asym = np.max(np.abs(view - trans))
-        if asym > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(view)))):
-            raise ValueError(f"{what} block is not symmetric: max asymmetry {asym:g}")
-        if asym:  # an exactly symmetric stack stays as it is, without temporaries
-            view[...] = 0.5 * (view + trans)
+    for _, group in groups:
+        trans = np.swapaxes(group, 2, 3)
+        if np.array_equal(group, trans):  # exactly symmetric: no float temporaries
+            continue
+        asym = np.subtract(group, trans)
+        asym = np.abs(asym, out=asym).max(axis=(0, 2, 3))
+        largest = np.maximum(group.max(axis=(0, 2, 3)), -group.min(axis=(0, 2, 3)))
+        bad = asym > SYMMETRY_TOL * np.maximum(1.0, largest)
+        if bad.any():
+            raise ValueError(f"{what} block is not symmetric: max asymmetry {asym[bad].max():g}")
+        group[...] = 0.5 * (group + trans)
     return matrix, views, groups
 
 
@@ -97,7 +110,9 @@ class SdpProblem:
     The constructor packs the stacks once (``_pack``) into the m x sum(s_b^2)
     ``matrix``, its (m, s_b, s_b) block views ``stacks`` and its per-size
     (block indices, (m, k, s, s) view) ``groups``.  The rank filter factors
-    the row Gram of ``matrix``, the interior-point kernels read ``groups``.
+    the row Gram of ``matrix``; the interior-point loop keeps its iterates in
+    the column layout of ``matrix`` and reads ``groups`` for the per-group
+    blocks of the Schur complement, the factorizations and the eigensolves.
     """
 
     def __init__(self, block_sizes, objective, stacks, rhs):
@@ -171,40 +186,6 @@ def min_eigenvalue(mat) -> float:
     return float(la.eigvalsh(0.5 * (m + m.T))[0])
 
 
-class _BlockOps:
-    """Vectorized constraint algebra over constraint stacks and matching blocks.
-
-    A stack is (m, s, s) for one block or (m, k, s, s) for a group of k
-    blocks of size s; its block argument is then (s, s) or (k, s, s).  Every
-    kernel makes one call per stack.
-    """
-
-    def __init__(self, stacks):
-        self.stacks = stacks
-        self.m = len(stacks[0])
-
-    def apply(self, blocks) -> np.ndarray:
-        """A(X): the m-vector of <A_k, X>."""
-        out = np.zeros(self.m)
-        for st, xb in zip(self.stacks, blocks):
-            out += st.reshape(self.m, -1) @ xb.reshape(-1)
-        return out
-
-    def adjoint(self, y) -> list:
-        """A*(y): per stack sum_k y_k A_k, one vector-matrix product each."""
-        return [(y @ st.reshape(self.m, -1)).reshape(st.shape[1:]) for st in self.stacks]
-
-    def schur(self, xblocks, zinv_blocks) -> np.ndarray:
-        """M[j, k] = sum_b <A_j, X A_k Zinv> (symmetric positive definite).
-
-        Per stack, X A_k Zinv for every k is one batched matmul.
-        """
-        m_mat = np.zeros((self.m, self.m))
-        for st, xb, zib in zip(self.stacks, xblocks, zinv_blocks):
-            m_mat += st.reshape(self.m, -1) @ (xb @ st @ zib).reshape(self.m, -1).T
-        return 0.5 * (m_mat + m_mat.T)
-
-
 def _rank_filter(problem: SdpProblem):
     """Drop linearly dependent constraint rows; detect inconsistent duplicates.
 
@@ -232,8 +213,20 @@ def _transpose(blocks):
     return np.swapaxes(blocks, -1, -2)
 
 
-def _symmetrize(blocks):
-    return 0.5 * (blocks + _transpose(blocks))
+def _views(flat, groups) -> list:
+    """Per-group (..., k, s, s) views of ``flat``, laid out as ``SdpProblem.matrix``'s columns.
+
+    ``flat`` is (..., sum s_b^2): one iterate, a stack of them or the
+    constraint matrix; ``groups`` is ``SdpProblem.groups``.  Writing into a
+    view writes into ``flat``.
+    """
+    out, start = [], 0
+    for _, group in groups:
+        k, s = group.shape[1], group.shape[2]
+        end = start + k * s * s
+        out.append(flat[..., start:end].reshape(flat.shape[:-1] + (k, s, s)))
+        start = end
+    return out
 
 
 def _unbatch(members, groups) -> list:
@@ -254,19 +247,37 @@ def _inverse_factors(blocks) -> list:
     return [np.linalg.inv(np.linalg.cholesky(mb)) for mb in blocks]
 
 
-def _max_step(inv_factors, directions) -> float:
-    """Largest alpha with M + alpha*D >= 0 on every block, capped at 1e6.
+def _schur(stacks, x, zinv) -> np.ndarray:
+    """M[j, k] = sum_b <A_j, X A_k Zinv> (symmetric positive definite).
 
-    M = L L^T comes as its inverse Cholesky factor L^-1, factored once per
-    iteration: the pencil (D, M) has the eigenvalues of L^-1 D L^-T.  Each
-    entry may be one block or a stack of equal-size blocks.
+    ``stacks`` are the per-group (m, k, s, s) constraint views, ``x`` and
+    ``zinv`` the matching (k, s, s) blocks: per group, X A_k Zinv for every k
+    is one batched matmul and its traces against every A_j one GEMM.
     """
-    alpha = 1e6
-    for li, d in zip(inv_factors, directions):
-        lam = np.linalg.eigvalsh(li @ d @ _transpose(li))[..., 0].min()
-        if lam < 0.0:
-            alpha = min(alpha, -1.0 / lam)
-    return alpha
+    m = len(stacks[0])
+    m_mat = sum(
+        st.reshape(m, -1) @ (xb @ st @ zib).reshape(m, -1).T
+        for st, xb, zib in zip(stacks, x, zinv)
+    )
+    return 0.5 * (m_mat + m_mat.T)
+
+
+def _max_step(inv_factors, directions) -> np.ndarray:
+    """Largest (alpha_p, alpha_d) with X + alpha_p dX >= 0 and Z + alpha_d dZ >= 0, each capped at 1e6.
+
+    Per group, X and Z (M = L L^T) come stacked as the (2, k, s, s) inverse
+    Cholesky factors L^-1, factored once per iteration, and the directions as
+    the matching (2, k, s, s) stack: the pencil (D, M) has the eigenvalues of
+    L^-1 D L^-T, so one eigensolve per group serves both sides.
+    """
+    lam = np.min(
+        [
+            np.linalg.eigvalsh(li @ d @ _transpose(li))[..., 0].min(axis=-1)
+            for li, d in zip(inv_factors, directions)
+        ],
+        axis=0,
+    )
+    return np.array([min(1e6, -1.0 / side) if side < 0.0 else 1e6 for side in lam])
 
 
 def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSolution:
@@ -290,8 +301,8 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
             DependentConstraintWarning,
             stacklevel=2,
         )
-    zeros = [np.zeros((s, s)) for s in sizes]
     if inconsistent:
+        zeros = [np.zeros((s, s)) for s in sizes]
         diagnostics["message"] = "inconsistent dependent constraint rows"
         return SdpSolution(
             status=SdpStatus.INFEASIBLE,
@@ -309,41 +320,58 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
     if not kept:
         raise ValueError("all constraint rows are zero; the problem is not a proper SDP")
 
-    # the iterates live per group of equal-size blocks, as (k, s, s) arrays
-    members = [idx for idx, _ in problem.groups]
-    stacks, b = [st for _, st in problem.groups], problem.rhs
+    # Every iterate is a flat vector in the column layout of ``matrix``, so
+    # A(X) = mat @ x and A*(y) = y @ mat; ``_views`` gives its per-group blocks.
+    # X and Z share one (2, sum s_b^2) buffer, and so do their directions: per group a
+    # (2, k, s, s) view factors, eigensolves and updates both sides at once.
+    groups, members = problem.groups, [idx for idx, _ in problem.groups]
+    mat, b = problem.matrix, problem.rhs
     if dropped:
-        stacks, b = [st[kept] for st in stacks], b[kept]
-    c_blocks = [np.stack([problem.objective[i] for i in idx]) for idx in members]
-    ops = _BlockOps(stacks)
+        mat, b = mat[kept], b[kept]
+    stacks = _views(mat, groups)
+    c = np.concatenate([problem.objective[i].ravel() for idx in members for i in idx])
+    # flat[transpose] transposes every block of a flat iterate
+    transpose = np.concatenate([_transpose(v).ravel() for v in _views(np.arange(c.size), groups)])
     m = len(b)
     n_total = sum(sizes)
 
+    xz, dxz = np.zeros((2, c.size)), np.zeros((2, c.size))
+    x, z, dx, dz = xz[0], xz[1], dxz[0], dxz[1]
+    xz_g, dxz_g = _views(xz, groups), _views(dxz, groups)
+    x_g, z_g, dx_g, dz_g = ([v[i] for v in vs] for vs in (xz_g, dxz_g) for i in (0, 1))
     eta = 1.0 + float(np.max(np.abs(b)))
-    x = [np.tile(eta * np.eye(st.shape[-1]), (st.shape[1], 1, 1)) for st in stacks]
-    z = [xb.copy() for xb in x]
+    for v in xz_g:
+        v[...] = eta * np.eye(v.shape[-1])
     y = np.zeros(m)
+    rd, zinv, work, corr = (np.zeros(c.size) for _ in range(4))
+    rd_g, zinv_g, work_g, corr_g = (_views(v, groups) for v in (rd, zinv, work, corr))
 
-    b_scale = 1.0 + la.norm(b)
-    c_scale = 1.0 + np.sqrt(sum(la.norm(cb) ** 2 for cb in c_blocks))
+    def symmetrized(flat, out):
+        np.add(flat, flat[transpose], out=out)
+        out *= 0.5
+
+    def times_zinv(left_g, mid_g, out_g):
+        for lb, mb, zib, ob in zip(left_g, mid_g, zinv_g, out_g):
+            np.matmul(lb @ mb, zib, out=ob)
+
+    b_scale = 1.0 + np.linalg.norm(b)
+    c_scale = 1.0 + np.linalg.norm(c)
 
     status = SdpStatus.ITERATION_LIMIT
     iterations = 0
     pobj = dobj = 0.0
     pinf = dinf = relgap = float("inf")
 
-    def frob(blocks):
-        return np.sqrt(sum(la.norm(bk) ** 2 for bk in blocks))
-
     for it in range(max_iter):
         iterations = it
-        fp = b - ops.apply(x)
-        rd = [cb - ab + zb for cb, ab, zb in zip(c_blocks, ops.adjoint(y), z)]
-        mu = sum(np.vdot(xb, zb) for xb, zb in zip(x, z)) / n_total
-        pobj = sum(np.vdot(cb, xb) for cb, xb in zip(c_blocks, x))
+        fp = b - mat @ x
+        np.subtract(c, y @ mat, out=rd)
+        rd += z
+        mu = float(x @ z) / n_total
+        pobj = float(c @ x)
         dobj = float(b @ y)
-        pinf = la.norm(fp) / b_scale
-        dinf = frob(rd) / c_scale
+        pinf = float(np.linalg.norm(fp)) / b_scale
+        dinf = float(np.linalg.norm(rd)) / c_scale
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         diagnostics["trace"].append(
             {"iter": it, "mu": mu, "pinf": pinf, "dinf": dinf, "relgap": relgap}
@@ -355,12 +383,14 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
 
         # Farkas-style certificate of primal infeasibility: a normalized dual
         # ray with A*(y) almost PSD and b^T y decidedly negative.
-        ynorm = la.norm(y)
+        ynorm = np.linalg.norm(y)
         if pinf > 10.0 * tol and ynorm > 1e2 * b_scale:
             yhat = y / ynorm
-            ray = ops.adjoint(yhat)
-            ray_scale = max(1.0, max(float(np.max(np.abs(rb))) for rb in ray))
-            block_min = _unbatch(members, [np.linalg.eigvalsh(rb)[:, 0] for rb in ray])
+            ray = yhat @ mat
+            ray_scale = max(1.0, float(np.max(np.abs(ray))))
+            block_min = _unbatch(
+                members, [np.linalg.eigvalsh(rb)[:, 0] for rb in _views(ray, groups)]
+            )
             lam_min = min(block_min)
             if b @ yhat < -1e-4 * b_scale and lam_min >= -1e-9 * ray_scale:
                 status = SdpStatus.INFEASIBLE
@@ -377,66 +407,61 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
             diagnostics["message"] = "complementarity diverged"
             break
 
+        # one Cholesky and inverse per group factors X and Z together
         try:
-            lz_inv = _inverse_factors(z)
-            zinv = [_transpose(li) @ li for li in lz_inv]
-            m_mat = ops.schur(x, zinv)
-            jitter = 0.0
-            while True:
-                try:
-                    m_fac = la.cho_factor(
-                        m_mat + jitter * np.eye(m), lower=True, check_finite=False
-                    )
-                    break
-                except la.LinAlgError:
-                    jitter = max(10.0 * jitter, 1e-14 * (1.0 + np.trace(m_mat) / m))
-                    if jitter > 1e-2:
-                        raise
-        except la.LinAlgError:
+            inv_factors = _inverse_factors(xz_g)
+        except np.linalg.LinAlgError:
+            status = SdpStatus.NUMERICAL_TROUBLE
+            diagnostics["message"] = "iterate factorization failed: X or Z is not positive definite"
+            break
+        for li, zib in zip(inv_factors, zinv_g):
+            np.matmul(_transpose(li[1]), li[1], out=zib)
+        m_mat = _schur(stacks, x_g, zinv_g)
+        jitter = 0.0
+        m_fac, info = la.lapack.dpotrf(m_mat, lower=1)
+        while info:
+            jitter = max(10.0 * jitter, 1e-14 * (1.0 + np.trace(m_mat) / m))
+            if jitter > 1e-2:
+                break
+            m_fac, info = la.lapack.dpotrf(m_mat + jitter * np.eye(m), lower=1)
+        if info:
             status = SdpStatus.NUMERICAL_TROUBLE
             diagnostics["message"] = "Newton system factorization failed"
             break
 
-        tr_a_zinv = ops.apply(zinv)
-        base_rhs = ops.apply([xb @ rb @ zib for xb, rb, zib in zip(x, rd, zinv)]) - b
+        times_zinv(x_g, rd_g, work_g)
+        base_rhs = mat @ work - b
 
         # predictor: pure Newton step toward the boundary (sigma = 0)
-        dy_p = la.cho_solve(m_fac, base_rhs, check_finite=False)
-        dz_p = [ab - rb for ab, rb in zip(ops.adjoint(dy_p), rd)]
-        dx_p = [_symmetrize(-xb - xb @ dzb @ zib) for xb, dzb, zib in zip(x, dz_p, zinv)]
+        dy = la.lapack.dpotrs(m_fac, base_rhs, lower=1)[0]
+        np.subtract(dy @ mat, rd, out=dz)
+        times_zinv(x_g, dz_g, work_g)
+        symmetrized(-x - work, dx)
 
         try:
-            lx_inv = _inverse_factors(x)
-            ap = min(1.0, _max_step(lx_inv, dx_p))
-            ad = min(1.0, _max_step(lz_inv, dz_p))
-        except la.LinAlgError:
+            ap, ad = np.minimum(1.0, _max_step(inv_factors, dxz_g))
+        except np.linalg.LinAlgError:
             status = SdpStatus.NUMERICAL_TROUBLE
             diagnostics["message"] = "step-length eigensolve failed"
             break
-        mu_aff = sum(
-            np.vdot(xb + ap * dxb, zb + ad * dzb)
-            for xb, dxb, zb, dzb in zip(x, dx_p, z, dz_p)
-        ) / n_total
+        mu_aff = float((x + ap * dx) @ (z + ad * dz)) / n_total
         sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
 
         # corrector: recentred step with Mehrotra's second-order term
-        corr = [dxb @ dzb @ zib for dxb, dzb, zib in zip(dx_p, dz_p, zinv)]
-        corr_rhs = base_rhs + sigma * mu * tr_a_zinv - ops.apply(corr)
-        dy = la.cho_solve(m_fac, corr_rhs, check_finite=False)
-        dz = [ab - rb for ab, rb in zip(ops.adjoint(dy), rd)]
-        dx = [
-            _symmetrize(sigma * mu * zib - xb - xb @ dzb @ zib - cb2)
-            for xb, dzb, zib, cb2 in zip(x, dz, zinv, corr)
-        ]
+        times_zinv(dx_g, dz_g, corr_g)
+        shift = sigma * mu * zinv - corr
+        dy = la.lapack.dpotrs(m_fac, base_rhs + mat @ shift, lower=1)[0]
+        np.subtract(dy @ mat, rd, out=dz)
+        times_zinv(x_g, dz_g, work_g)
+        symmetrized(shift - x - work, dx)
 
         try:
-            step_tau = 0.98
-            ap = min(1.0, step_tau * _max_step(lx_inv, dx))
-            ad = min(1.0, step_tau * _max_step(lz_inv, dz))
-        except la.LinAlgError:
+            steps = np.minimum(1.0, 0.98 * _max_step(inv_factors, dxz_g))
+        except np.linalg.LinAlgError:
             status = SdpStatus.NUMERICAL_TROUBLE
             diagnostics["message"] = "step-length eigensolve failed"
             break
+        ap, ad = steps
 
         # cond (a full SVD) feeds only the stall test, so only a stall pays for it
         if max(ap, ad) < 1e-5 and (cond := np.linalg.cond(m_mat)) > 1e14:
@@ -444,10 +469,9 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
             diagnostics["message"] = f"Newton system condition {cond:.2e} exceeds 1e14 and progress stalled"
             break
 
-        x = [xb + ap * dxb for xb, dxb in zip(x, dx)]
+        xz += steps[:, None] * dxz
         y = y + ad * dy
-        z = [zb + ad * dzb for zb, dzb in zip(z, dz)]
-        diagnostics["trace"][-1].update({"sigma": sigma, "alpha_p": ap, "alpha_d": ad})
+        diagnostics["trace"][-1].update({"sigma": sigma, "alpha_p": float(ap), "alpha_d": float(ad)})
         iterations = it + 1
     else:
         iterations = max_iter
@@ -457,14 +481,14 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
 
     return SdpSolution(
         status=status,
-        X=_unbatch(members, x),
+        X=_unbatch(members, x_g),
         y=y_full,
-        S=_unbatch(members, z),
-        objective=float(pobj),
-        dual_objective=float(dobj),
-        gap=float(abs(pobj - dobj)),
-        primal_residual=float(pinf),
-        dual_residual=float(dinf),
+        S=_unbatch(members, z_g),
+        objective=pobj,
+        dual_objective=dobj,
+        gap=abs(pobj - dobj),
+        primal_residual=pinf,
+        dual_residual=dinf,
         iterations=iterations,
         diagnostics=diagnostics,
     )

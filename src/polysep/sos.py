@@ -90,6 +90,15 @@ class QmCertificate:
     bases: tuple
     level: int
 
+    def __post_init__(self):
+        # polynomial() pairs the Grams with [1] + generators: an extra or missing one would be
+        # dropped or leave a generator without a multiplier
+        if len(self.grams) != len(self.bases) or len(self.grams) != len(self.generators) + 1:
+            raise ValueError(
+                f"certificate needs one Gram and basis per multiplier (1 + {len(self.generators)}"
+                f" generators), got {len(self.grams)} Grams and {len(self.bases)} bases"
+            )
+
     def multipliers(self) -> list:
         """The SOS multipliers s_0..s_t expanded to polynomials."""
         return [expand_gram(g, b) for g, b in zip(self.grams, self.bases)]

@@ -312,6 +312,24 @@ def test_verify_malformed_result_json_exits_one(tmp_path, capsys, case):
     assert stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("change", ["extra", "missing"])
+def test_verify_certificate_with_wrong_multiplier_count_exits_one(tmp_path, capsys, change):
+    # one Gram per multiplier of [1] + generators: an extra s_0 copy used to be dropped
+    # silently (exit 0, passed), a missing one failed the residual check (exit 3)
+    data = json.loads((DATA_DIR / "golden_result.json").read_text())
+    multipliers = data["certificates"]["A"]["multipliers"]
+    if change == "extra":
+        multipliers.append(multipliers[0])
+    else:
+        multipliers.pop()
+    result = tmp_path / "bad.json"
+    result.write_text(json.dumps(data))
+    code, stdout, stderr = run(capsys, "verify", str(DATA_DIR / "golden_problem.json"), str(result))
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: malformed certificate entry: certificate needs one Gram")
+
+
 # ---- verify ----------------------------------------------------------------------
 
 

@@ -3,14 +3,18 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysep.sdp import (
     DependentConstraintWarning,
     SdpProblem,
     SdpStatus,
-    _BlockOps,
     _inverse_factors,
     _max_step,
+    _schur,
+    _unbatch,
+    _views,
     min_eigenvalue,
     solve,
 )
@@ -125,6 +129,63 @@ def test_nearly_dependent_row_is_judged_at_the_newton_resolution(delta, dropped,
     assert sol.objective == pytest.approx(objective, abs=1e-6)
 
 
+def failing_after(calls, function, error):
+    """``function`` for its first ``calls`` calls, then a raiser of ``error``."""
+    count = [0]
+
+    def wrapped(*args, **kwargs):
+        count[0] += 1
+        if count[0] > calls:
+            raise error
+        return function(*args, **kwargs)
+
+    return wrapped
+
+
+def test_failed_iterate_factorization_is_numerical_trouble(monkeypatch):
+    # X and Z are factored together, one Cholesky per size group and iteration; with
+    # two groups the fourth Cholesky is the second iteration's second group
+    error = np.linalg.LinAlgError("Matrix is not positive definite")
+    monkeypatch.setattr(np.linalg, "cholesky", failing_after(3, np.linalg.cholesky, error))
+    sol = solve(interleaved_problem(), tol=1e-8)
+    assert sol.status is SdpStatus.NUMERICAL_TROUBLE
+    assert sol.iterations == 1
+    assert "iterate factorization failed" in sol.diagnostics["message"]
+
+
+def test_newton_factorization_jitters_then_gives_up(monkeypatch):
+    shifts = []
+
+    def never_positive_definite(a, lower):
+        shifts.append(float(np.mean(np.diag(a))))
+        return a, 1
+
+    monkeypatch.setattr(la.lapack, "dpotrf", never_positive_definite)
+    sol = solve(completion_problem(), tol=1e-8)
+    assert sol.status is SdpStatus.NUMERICAL_TROUBLE
+    assert sol.diagnostics["message"] == "Newton system factorization failed"
+    assert sol.iterations == 0
+    # jitter 1e-14 (1 + tr M / m) first, times 10 per retry while it stays at most 1e-2
+    expected = [1e-14 * (1.0 + shifts[0])]
+    while 10.0 * expected[-1] <= 1e-2:
+        expected.append(10.0 * expected[-1])
+    np.testing.assert_allclose(np.array(shifts[1:]) - shifts[0], expected, rtol=1e-6, atol=1e-14)
+
+
+def test_newton_factorization_recovers_with_jitter(monkeypatch):
+    calls, real = [], la.lapack.dpotrf
+
+    def fails_first(a, lower):
+        calls.append(a)
+        return (a, 1) if len(calls) == 1 else real(a, lower=lower)
+
+    monkeypatch.setattr(la.lapack, "dpotrf", fails_first)
+    sol = solve(completion_problem(), tol=1e-8)
+    assert sol.status is SdpStatus.OPTIMAL
+    assert sol.X[0][0, 0] == pytest.approx(0.09, abs=1e-6)
+    assert np.all(np.diag(calls[1] - calls[0]) > 0.0)  # the retry carried a diagonal shift
+
+
 def test_multiblock_problem():
     # independent trace constraints on two blocks, maximize a corner entry
     c = [np.zeros((2, 2)), np.zeros((1, 1))]
@@ -193,6 +254,18 @@ def test_rejects_nonsymmetric_matrices():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         SdpProblem((2,), [bad], [np.eye(2)[None]], [1.0])
+
+
+def test_symmetry_is_judged_per_block_within_a_size_group():
+    # both blocks are 2x2, so they share one group; each is judged against its own largest entry
+    big, small = np.array([[1e4, 1.0], [1.0, 1e4]]), np.eye(2)
+    skew = np.array([[0.0, 1e-11], [0.0, 0.0]])
+    prob = SdpProblem((2, 2), [None, None], [(big + skew)[None], small[None]], [1.0])
+    (blocks, _), = prob.constraints
+    assert np.array_equal(blocks[0], blocks[0].T) and np.array_equal(blocks[1], small)
+    assert blocks[0][0, 1] == pytest.approx(1.0 + 0.5e-11, abs=1e-15)
+    with pytest.raises(ValueError, match="constraint block is not symmetric: max asymmetry 1e-11"):
+        SdpProblem((2, 2), [None, None], [big[None], (small + skew)[None]], [1.0])
 
 
 def test_rejects_bad_tolerance_and_empty_problems():
@@ -270,20 +343,35 @@ def reference_max_step(blocks, directions):
     return alpha
 
 
+def packed(prob, blocks):
+    """Per-block matrices as one flat vector in the column layout of ``prob.matrix``."""
+    return np.concatenate([blocks[i].ravel() for idx, _ in prob.groups for i in idx])
+
+
+def fused(prob, x_blocks, z_blocks):
+    """Per-group (2, k, s, s) stacks of the X and Z blocks, as the solver factors them."""
+    return [np.stack([[x_blocks[i] for i in idx], [z_blocks[i] for i in idx]]) for idx, _ in prob.groups]
+
+
+def packed_schur(prob, x, zinv):
+    """The Schur kernel on the packed layout, from per-block X and Z^-1."""
+    views = [_views(packed(prob, blocks), prob.groups) for blocks in (x, zinv)]
+    return _schur(_views(prob.matrix, prob.groups), *views)
+
+
 def test_schur_matches_explicit_traces():
     rng = np.random.default_rng(11)
     prob = three_block_problem(rng)
     x = [random_pd(rng, s) for s in prob.block_sizes]
     z = [random_pd(rng, s) for s in prob.block_sizes]
     zinv = [np.linalg.inv(zb) for zb in z]
-    ops = _BlockOps(prob.stacks)
     expected = np.zeros((6, 6))
     for j, (mats_j, _) in enumerate(prob.constraints):
         for k, (mats_k, _) in enumerate(prob.constraints):
             for aj, ak, xb, zib in zip(mats_j, mats_k, x, zinv):
                 if aj is not None and ak is not None:
                     expected[j, k] += np.trace(aj @ xb @ ak @ zib)
-    np.testing.assert_allclose(ops.schur(x, zinv), expected, rtol=KERNEL_RTOL, atol=1e-12)
+    np.testing.assert_allclose(packed_schur(prob, x, zinv), expected, rtol=KERNEL_RTOL, atol=1e-12)
 
 
 def test_adjoint_matches_explicit_sum():
@@ -295,22 +383,30 @@ def test_adjoint_matches_explicit_sum():
         for out, ak in zip(expected, mats):
             if ak is not None:
                 out += yk * ak
-    got = _BlockOps(prob.stacks).adjoint(y)
+    members = [idx for idx, _ in prob.groups]
+    got = _unbatch(members, _views(y @ prob.matrix, prob.groups))
     for g, e in zip(got, expected):
         np.testing.assert_allclose(g, e, rtol=KERNEL_RTOL, atol=1e-12)
+
+
+def assert_fused_step_matches_reference(prob, x, z, dx, dz):
+    """The fused (primal, dual) step equals the per-block reference on each side."""
+    want = (reference_max_step(x, dx), reference_max_step(z, dz))
+    got = _max_step(_inverse_factors(fused(prob, x, z)), fused(prob, dx, dz))
+    assert got.shape == (2,)
+    assert got == pytest.approx(want, rel=KERNEL_RTOL)
+    return want
 
 
 def test_max_step_matches_generalized_eigensolver():
     rng = np.random.default_rng(12)
     sizes = (3, 1, 4)
+    prob = SdpProblem(sizes, [None] * 3, [None] * 3, [0.0])
     for _ in range(20):
-        blocks = [random_pd(rng, s) for s in sizes]
-        directions = [random_symmetric(rng, s) for s in sizes]
-        expected = reference_max_step(blocks, directions)
-        assert expected < 1e6  # some block direction is indefinite or negative
-        assert _max_step(_inverse_factors(blocks), directions) == pytest.approx(
-            expected, rel=KERNEL_RTOL
-        )
+        x, z = ([random_pd(rng, s) for s in sizes] for _ in "xz")
+        dx, dz = ([random_symmetric(rng, s) for s in sizes] for _ in "xz")
+        want = assert_fused_step_matches_reference(prob, x, z, dx, dz)
+        assert max(want) < 1e6  # some block direction is indefinite or negative on each side
 
 
 def test_grouped_kernels_match_per_block_kernels():
@@ -321,34 +417,77 @@ def test_grouped_kernels_match_per_block_kernels():
     members = [idx for idx, _ in prob.groups]
     assert members == [[1, 4], [0, 2], [3]]
 
-    def grouped(blocks):
-        return [np.stack([blocks[i] for i in idx]) for idx in members]
-
     x = [random_pd(rng, s) for s in sizes]
     z = [random_pd(rng, s) for s in sizes]
+    zinv = [np.linalg.inv(zb) for zb in z]
     y = rng.standard_normal(prob.num_constraints)
-    per_block, per_group = _BlockOps(prob.stacks), _BlockOps([st for _, st in prob.groups])
-    np.testing.assert_allclose(per_group.apply(grouped(x)), per_block.apply(x), rtol=KERNEL_RTOL)
-    np.testing.assert_allclose(
-        per_group.schur(grouped(x), grouped(z)), per_block.schur(x, z), rtol=KERNEL_RTOL
+    # A(X) is one product with the packed matrix
+    want = [sum(np.vdot(a, xb) for a, xb in zip(row, x)) for row in rows]
+    np.testing.assert_allclose(prob.matrix @ packed(prob, x), want, rtol=KERNEL_RTOL)
+    # A*(y) is one product the other way, read back per block
+    got = _unbatch(members, _views(y @ prob.matrix, prob.groups))
+    for g, row_sum in zip(got, [sum(yk * row[b] for yk, row in zip(y, rows)) for b in range(5)]):
+        np.testing.assert_allclose(g, row_sum, rtol=KERNEL_RTOL, atol=1e-12)
+    expected = np.array(
+        [[sum(np.trace(aj @ xb @ ak @ zib) for aj, ak, xb, zib in zip(rj, rk, x, zinv))
+          for rk in rows] for rj in rows]
     )
-    for got, want in zip(per_group.adjoint(y), grouped(per_block.adjoint(y))):
-        np.testing.assert_allclose(got, want, rtol=KERNEL_RTOL, atol=1e-12)
+    np.testing.assert_allclose(packed_schur(prob, x, zinv), expected, rtol=KERNEL_RTOL, atol=1e-12)
     for _ in range(20):
-        blocks = [random_pd(rng, s) for s in sizes]
-        directions = [random_symmetric(rng, s) for s in sizes]
-        assert _max_step(_inverse_factors(grouped(blocks)), grouped(directions)) == pytest.approx(
-            _max_step(_inverse_factors(blocks), directions), rel=KERNEL_RTOL
-        )
+        dx, dz = ([random_symmetric(rng, s) for s in sizes] for _ in "xz")
+        assert_fused_step_matches_reference(prob, x, z, dx, dz)
 
 
 def test_max_step_caps_psd_directions():
     rng = np.random.default_rng(13)
     sizes = (3, 1, 4)
-    blocks = [random_pd(rng, s) for s in sizes]
-    directions = [random_pd(rng, s) - np.eye(s) for s in sizes]
-    assert reference_max_step(blocks, directions) == 1e6
-    assert _max_step(_inverse_factors(blocks), directions) == 1e6
+    prob = SdpProblem(sizes, [None] * 3, [None] * 3, [0.0])
+    x, z = ([random_pd(rng, s) for s in sizes] for _ in "xz")
+    psd = [random_pd(rng, s) - np.eye(s) for s in sizes]
+    indefinite = [random_symmetric(rng, s) for s in sizes]
+    assert reference_max_step(x, psd) == 1e6
+    assert_fused_step_matches_reference(prob, x, z, psd, psd)
+    assert tuple(_max_step(_inverse_factors(fused(prob, x, z)), fused(prob, psd, psd))) == (1e6, 1e6)
+    # each side is capped on its own
+    primal, dual = assert_fused_step_matches_reference(prob, x, z, psd, indefinite)
+    assert primal == 1e6 and dual < 1e6
+    primal, dual = assert_fused_step_matches_reference(prob, x, z, indefinite, psd)
+    assert primal < 1e6 and dual == 1e6
+    # a barely negative direction would allow a step of 1e8; the cap holds it at 1e6
+    barely = [-1e-8 * zb for zb in z]
+    primal, dual = assert_fused_step_matches_reference(prob, x, z, indefinite, barely)
+    assert primal < 1e6 and dual == 1e6
+
+
+@st.composite
+def packed_kernel_cases(draw):
+    """Block-size mixes with repeated sizes and 1x1 blocks, and a seed for the data."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=7))
+    sizes += draw(st.sampled_from([[1], [sizes[0]], [1, sizes[-1]]]))
+    return tuple(sizes), draw(st.integers(1, 5)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(packed_kernel_cases())
+def test_packed_kernels_are_adjoint_and_fused_steps_match_each_side(case):
+    sizes, m, seed = case
+    rng = np.random.default_rng(seed)
+    stacks = [np.array([random_symmetric(rng, s) for _ in range(m)]) for s in sizes]
+    prob = SdpProblem(sizes, [None] * len(sizes), stacks, np.zeros(m))
+    members = [idx for idx, _ in prob.groups]
+    assert sorted(i for idx in members for i in idx) == list(range(len(sizes)))
+    x = [random_symmetric(rng, s) for s in sizes]
+    y = rng.standard_normal(m)
+    # <A(X), y> on the packed layout equals <X, A*(y)> summed block by block
+    adjoint = _unbatch(members, _views(y @ prob.matrix, prob.groups))
+    lhs = (prob.matrix @ packed(prob, x)) @ y
+    rhs = sum(np.vdot(xb, ab) for xb, ab in zip(x, adjoint))
+    assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+    for b, st_b in enumerate(stacks):
+        np.testing.assert_allclose(adjoint[b], np.tensordot(y, st_b, 1), rtol=1e-12, atol=1e-12)
+    xs, zs = ([random_pd(rng, s) for s in sizes] for _ in "xz")
+    dx, dz = ([random_symmetric(rng, s) for s in sizes] for _ in "xz")
+    assert_fused_step_matches_reference(prob, xs, zs, dx, dz)
 
 
 def test_inverse_factors_reject_indefinite_blocks():
