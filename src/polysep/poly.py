@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 # resolution**n above this raises SampleBudgetError before any point is made (read
-# at call time); it bounds the work of a grid sweep, as grid_slabs holds one block
+# at call time); it bounds the work of a grid sweep, as a sweep holds one block
 GRID_BUDGET = 10_000_000
 
-# points per grid_slabs block, rounded down to whole x1-slabs (at least one):
-# large enough that a 2-D grid up to 256^2 is one block, small enough that a
-# block's per-term evaluation arrays stay near a megabyte
+# points per grid sweep block, rounded down to whole x1-slabs (grid_slabs) or
+# whole x_n lines (semialg.sample_grid), at least one: large enough that a 2-D
+# grid up to 256^2 is one block, small enough that a block's per-term
+# evaluation arrays stay near a megabyte
 GRID_BLOCK_ROWS = 1 << 16
 
 
@@ -190,6 +192,69 @@ class Polynomial:
                     term = _into(np.multiply, x**e, term)
             out = _into(np.add, out, term)
         return out
+
+    def box_upper_bound(self, heads) -> np.ndarray:
+        """Per prefix, a float no ``evaluate_axes`` value in the box under that prefix exceeds.
+
+        ``heads`` holds values of x1..xk in [-1, 1], one array per variable,
+        broadcasting together like ``evaluate_axes`` axes (the columns of a
+        (P, k) array of prefix rows, say); x_{k+1}..x_n range over [-1, 1].
+        Term c x^a adds the max over that tail of its head h = c * prod_{j<=k}
+        x_j^a_j times prod_{j>k} x_j^a_j.  The tail product ranges over [-1, 1]
+        if some tail exponent is odd, over [0, 1] if the tail exponents are even
+        and not all zero, and is 1 otherwise, so the term adds |h|, max(h, 0) or
+        h.  Those are the exact ranges over the box, and over any grid holding
+        -1, 0 and 1, because the tail variables vary independently; the head is
+        taken at the exact prefix values, so on such a grid the only looseness
+        is between terms that share a tail variable.  The result may come back
+        broadcast-smaller, as ``evaluate_axes`` values do; a call holds
+        (broadcast size) x #terms floats.
+
+        Rounding, with u = 2^-53 and gamma_K = K u / (1 - K u): every |x^a| <= 1
+        on the box.  ``evaluate_axes`` takes per term at most n powers (numpy's,
+        within one ulp: two roundings each) and n products, then sums the terms,
+        so its value lies within gamma_{#terms + 3n} sum|c| of the exact one.
+        Here powers are repeated products and the tail factors are exact, so a
+        term takes at most degree + n roundings and the bound lies within
+        gamma_{#terms + degree + n} sum|c| of the exact bound.  So the bound is
+        raised by 2 gamma_K sum|c| with K = #terms + degree + 3n + 1, the extra 1
+        covering the rounding of that allowance itself.  The analysis needs no
+        overflow, which holds while 2 sum|c| is finite; beyond that the bound is
+        inf and excludes nothing.
+        """
+        coeffs, exponents, tops, tails, allowance = self._bound_terms
+        if allowance == np.inf:
+            return np.full(np.broadcast_shapes(*(np.shape(x) for x in heads)), np.inf)
+        head = coeffs
+        for x, e, top in zip(heads, exponents, tops):
+            if top:
+                head = head * _powers(np.asarray(x)[..., None], top)[..., e]
+        # exact: the tail's low end is -1, 0 or 1 and its high end 1
+        return np.maximum(head, head * tails[len(heads)]).sum(axis=-1) + allowance
+
+    @cached_property
+    def _bound_terms(self):
+        # box_upper_bound's view of the terms: coefficients, exponents one row per
+        # variable, each row's max, the low end of each term's tail product
+        # after k = 0..n fixed variables (row k), and the rounding allowance
+        monos = list(self.terms)
+        lows = []
+        for mono in monos:
+            # x^e ranges over [-1, 1] for odd e, [0, 1] for even e > 0, {1} for e = 0,
+            # and a product of such ranges has the least of their low ends
+            low = [1.0]
+            for e in reversed(mono):
+                low.append(min(low[-1], -1.0 if e % 2 else 0.0 if e else 1.0))
+            lows.append(low[::-1])
+        scale = sum(abs(c) for c in self.terms.values())
+        unit = (len(monos) + self.total_degree() + 3 * self.n + 1) * 2.0**-53
+        return (
+            np.fromiter(self.terms.values(), float, len(monos)),
+            np.array(monos, dtype=np.intp).reshape(-1, self.n).T,
+            tuple(max(e) for e in zip(*monos)) if monos else (0,) * self.n,
+            np.array(lows).reshape(-1, self.n + 1).T,
+            2.0 * unit / (1.0 - unit) * scale if 2.0 * scale < np.inf else np.inf,
+        )
 
     def truncate(self, max_degree: int) -> "Polynomial":
         """Drop all terms of total degree above ``max_degree``."""
@@ -369,6 +434,12 @@ def _check_grid(n: int, resolution: int) -> None:
         )
 
 
+def grid_axis(n: int, resolution: int) -> np.ndarray:
+    """The axis of the resolution**n grid, once the resolution and budget checks pass."""
+    _check_grid(n, resolution)
+    return np.linspace(-1.0, 1.0, resolution)
+
+
 def box_grid_points(n: int, resolution: int) -> np.ndarray:
     """Uniform resolution**n grid on [-1, 1]^n as an (m, n) array, x1-major.
 
@@ -376,8 +447,7 @@ def box_grid_points(n: int, resolution: int) -> np.ndarray:
     Grids of odd resolutions 3, 5, 9, 17, ... are nested, which the sampling
     monotonicity guarantees rely on.
     """
-    _check_grid(n, resolution)
-    axis = np.linspace(-1.0, 1.0, resolution)
+    axis = grid_axis(n, resolution)
     # broadcast views, so the stacked (m, n) array is the only full-size one
     mesh = np.meshgrid(*([axis] * n), indexing="ij", copy=False)
     return np.stack(mesh, axis=-1).reshape(-1, n)
@@ -390,12 +460,11 @@ def grid_slabs(n: int, resolution: int):
     values shaped (b, 1, ..., 1), then the whole axis along each later
     dimension.  The resolution and budget checks run here, before any block.
     """
-    _check_grid(n, resolution)
-    return _slabs(n, resolution)
+    return _slabs(grid_axis(n, resolution), n)
 
 
-def _slabs(n: int, resolution: int):
-    axis = np.linspace(-1.0, 1.0, resolution)
+def _slabs(axis: np.ndarray, n: int):
+    resolution = len(axis)
     tail = [axis.reshape((1,) * i + (-1,) + (1,) * (n - 1 - i)) for i in range(1, n)]
     per_block = max(1, GRID_BLOCK_ROWS // resolution ** (n - 1))
     for start in range(0, resolution, per_block):
@@ -403,8 +472,20 @@ def _slabs(n: int, resolution: int):
 
 
 def on_grid(values, axes) -> np.ndarray:
-    """``evaluate_axes`` or ``contains_axes`` values as a read-only view of the axes' full grid."""
-    return np.broadcast_to(values, np.broadcast_shapes(*(np.shape(x) for x in axes)))
+    """``evaluate_axes`` or ``contains_axes`` values on the axes' full grid.
+
+    Values that come back broadcast-smaller become a read-only broadcast view.
+    """
+    shape = np.broadcast_shapes(*(np.shape(x) for x in axes))
+    return values if np.shape(values) == shape else np.broadcast_to(values, shape)
+
+
+def _powers(x, top: int) -> np.ndarray:
+    # x^0 .. x^top down a new last axis, each power one product of the one before
+    table = [np.ones_like(x), x]
+    for _ in range(top - 1):
+        table.append(table[-1] * x)
+    return np.concatenate(table, axis=-1)
 
 
 def _into(op, acc, x):

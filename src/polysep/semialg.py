@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .poly import Polynomial, grid_slabs, on_grid, sup_norm_grid
+from . import poly
+from .poly import Polynomial, grid_axis, on_grid, sup_norm_grid
 
 # tiny negative slack keeps boundary grid points in sample clouds;
 # SemialgebraicSet.contains stays an exact sign test
@@ -86,18 +87,72 @@ class SampleCloud:
 def sample_grid(s: SemialgebraicSet, resolution: int) -> SampleCloud:
     """Grid points passing ``contains_many`` with ``CLOUD_MEMBERSHIP_SLACK``; may be empty.
 
-    The points keep the x1-major order of ``box_grid_points``.  The grid is
-    swept block by block through ``grid_slabs``, so memory stays at one
-    block plus the kept rows whatever the resolution.
+    The points keep the x1-major order of ``box_grid_points``.  Before any point
+    is evaluated, grid prefixes the set cannot reach are excluded: descending
+    over x1, (x1, x2), ..., (x1, ..., x_{n-1}), a prefix is dropped, with every
+    grid point under it, when some generator's ``box_upper_bound`` over the
+    remaining coordinates is below -``CLOUD_MEMBERSHIP_SLACK``.  That bound
+    carries a rigorous allowance for the rounding of both itself and the
+    evaluation, so every excluded point fails the membership test as well and
+    the cloud is the full grid's, bit for bit.  The x_n lines of the surviving
+    prefixes are evaluated through ``contains_axes`` in blocks of about
+    ``GRID_BLOCK_ROWS`` points, so memory stays at one block, one chunk of
+    prefixes per level and the kept rows whatever the resolution.
     """
+    axis = grid_axis(s.n, resolution)
     kept = [np.empty((0, s.n))]
-    for axes in grid_slabs(s.n, resolution):
-        mask = s.contains_axes(axes, CLOUD_MEMBERSHIP_SLACK)
-        if mask.any():
-            mask = on_grid(mask, axes)
-            index = np.unravel_index(np.flatnonzero(mask), mask.shape)
-            kept.append(np.stack([x.ravel()[i] for x, i in zip(axes, index)], axis=-1))
+    for cols, line in _reachable_lines(s, axis):
+        axes = [c[:, None] for c in cols] + [line[None, :]]
+        mask = on_grid(s.contains_axes(axes, CLOUD_MEMBERSHIP_SLACK), axes)
+        flat = np.flatnonzero(mask)
+        if len(flat):
+            i, j = np.unravel_index(flat, mask.shape)
+            kept.append(np.stack([c[i] for c in cols] + [line[j]], axis=-1))
     return SampleCloud(points=np.concatenate(kept), resolution=resolution)
+
+
+def _reachable_lines(s: SemialgebraicSet, axis: np.ndarray):
+    """Blocks (prefix columns, x_n values) of the grid lines no generator bound excludes.
+
+    x1-major; a block is at most ``GRID_BLOCK_ROWS`` points of whole lines, at
+    least one line.  With n = 1 there is no prefix and the one line is cut
+    into blocks.
+    """
+    rows = poly.GRID_BLOCK_ROWS
+    if s.n == 1:
+        for start in range(0, len(axis), rows):
+            yield [], axis[start : start + rows]
+        return
+    per_block = max(1, rows // len(axis))
+    for cols in _reachable_prefixes(s, axis, []):
+        for start in range(0, len(cols[0]), per_block):
+            yield [c[start : start + per_block] for c in cols], axis
+
+
+def _reachable_prefixes(s: SemialgebraicSet, axis: np.ndarray, cols: list):
+    """Batches of the (x1, ..., x_{n-1}) grid prefixes under ``cols`` no generator bound excludes.
+
+    Depth first over chunks of parents, one level per variable, so the
+    prefixes come out in lexicographic order; a chunk's children and their
+    per-term bound arrays stay near ``GRID_BLOCK_ROWS`` floats.
+    """
+    size = len(axis)
+    step = max(1, poly.GRID_BLOCK_ROWS // (size * max(len(g.terms) for g in s.generators)))
+    for start in range(0, len(cols[0]) if cols else 1, step):
+        parent = [c[start : start + step] for c in cols]
+        heads = [c[:, None] for c in parent] + [axis]
+        excluded = False
+        for g in s.generators:
+            # a NaN or +inf bound compares false and excludes nothing
+            excluded = excluded | (g.box_upper_bound(heads) < -CLOUD_MEMBERSHIP_SLACK)
+        i, j = divmod(np.flatnonzero(~on_grid(excluded, heads)), size)
+        if not len(i):
+            continue
+        children = [c[i] for c in parent] + [axis[j]]
+        if len(children) == s.n - 1:
+            yield children
+        else:
+            yield from _reachable_prefixes(s, axis, children)
 
 
 def dist_estimate(a: SemialgebraicSet, b: SemialgebraicSet, resolution: int) -> float:

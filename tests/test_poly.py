@@ -297,6 +297,33 @@ def test_evaluate_axes_on_grid_slabs_is_evaluate_many_bit_for_bit(case):
     assert np.concatenate(values).tobytes() == expected.tobytes()
 
 
+def grid_prefix_values(p, resolution, k):
+    """Prefixes (x1..xk) of the grid in x1-major order, and p's values under each, one row per prefix."""
+    pts = poly.box_grid_points(p.n, resolution)
+    return pts[:: resolution ** (p.n - k), :k], p.evaluate_many(pts).reshape(resolution**k, -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_polynomials(), st.data())
+def test_box_upper_bound_covers_every_grid_value_under_its_prefix(case, data):
+    p, resolution, _ = case
+    k = data.draw(st.integers(0, p.n))
+    prefixes, values = grid_prefix_values(p, resolution, k)
+    bound = np.broadcast_to(p.box_upper_bound(list(prefixes.T)), (len(prefixes),))
+    assert np.all(bound >= values.max(axis=1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_box_upper_bound_is_tight_for_a_ball_once_x1_is_fixed(k):
+    # with x1 in the head, no two tail terms share a variable, so the bound is
+    # the max up to the rounding allowance; the odd grid holds the tail maximizer 0
+    p = parse("1/4 - (x1 - 1/2)^2 - x2^2 - x3^2", 3)
+    prefixes, values = grid_prefix_values(p, 21, k)
+    bound = np.broadcast_to(p.box_upper_bound(list(prefixes.T)), (len(prefixes),))
+    assert np.all(bound >= values.max(axis=1))
+    assert np.all(bound - values.max(axis=1) <= 1e-13)
+
+
 @pytest.mark.parametrize("n, resolution, block_rows", CHUNK_SHAPES)
 def test_sup_norm_grid_matches_the_full_grid(n, resolution, block_rows, monkeypatch):
     if block_rows is not None:

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysep import poly, semialg
 from polysep.poly import Polynomial, parse
@@ -137,10 +139,14 @@ def test_sample_grid_matches_the_full_grid(case, monkeypatch):
 
 
 def test_sample_grid_checks_fire_before_any_block(unit_disk, monkeypatch):
-    def no_blocks(n, resolution):
-        raise AssertionError("a block was made")
+    def no_work(p, *args):
+        raise AssertionError("a generator was bounded or evaluated")
 
-    monkeypatch.setattr(poly, "_slabs", no_blocks)
+    # the sweep bounds prefixes and evaluates lines through these two alone
+    monkeypatch.setattr(Polynomial, "box_upper_bound", no_work)
+    monkeypatch.setattr(Polynomial, "evaluate_axes", no_work)
+    with pytest.raises(AssertionError, match="a generator was bounded or evaluated"):
+        sample_grid(unit_disk, 3)
     with pytest.raises(ValueError, match="resolution must be at least 2, got 1"):
         sample_grid(unit_disk, 1)
     monkeypatch.setattr(poly, "GRID_BUDGET", 100)
@@ -149,31 +155,137 @@ def test_sample_grid_checks_fire_before_any_block(unit_disk, monkeypatch):
 
 
 def test_generators_after_an_empty_mask_are_not_evaluated(monkeypatch):
-    # x1 >= 0.5 empties every x1-slab left of 0.5, where 1 - x2^2 is skipped
-    first, second = parse("x1 - 0.5", 2), parse("1 - x2^2", 2)
+    # the bound of x1 + x2 - x2^2 - 3/4 over x2 is x1 + 1/4, its max on a line
+    # x1 - 1/2: lines with x1 < -1/4 are excluded before any evaluation, lines
+    # with -1/4 <= x1 < 1/2 are evaluated and empty the mask, so 1 - x2^2 is
+    # evaluated on the lines with x1 >= 1/2 alone
+    first, second = parse("x1 + x2 - x2^2 - 0.75", 2), parse("1 - x2^2", 2)
     s = SemialgebraicSet(2, (first, second))
-    seen = []  # the x1 values the second generator is evaluated at
+    seen = ([], [])  # the x1 values each generator is evaluated at
     evaluate_axes = Polynomial.evaluate_axes
 
     def counting(p, axes):
-        if p is second:
-            seen.extend(np.ravel(axes[0]).tolist())
+        for g, values in zip((first, second), seen):
+            if p is g:
+                values.extend(np.ravel(axes[0]).tolist())
         return evaluate_axes(p, axes)
 
     # evaluate_many evaluates on its columns through evaluate_axes
     monkeypatch.setattr(Polynomial, "evaluate_axes", counting)
-    monkeypatch.setattr(poly, "GRID_BLOCK_ROWS", 21)  # one x1-slab per block
+    monkeypatch.setattr(poly, "GRID_BLOCK_ROWS", 21)  # one x1 line per block
     cloud = sample_grid(s, 21)
     axis = np.linspace(-1.0, 1.0, 21)
-    assert seen == axis[axis >= 0.5 - CLOUD_MEMBERSHIP_SLACK].tolist()
+    assert seen[0] == axis[axis >= -0.25 - 1e-9].tolist()
+    assert seen[1] == axis[axis >= 0.5 - 1e-9].tolist()
     assert cloud.points.tobytes() == reference_cloud(s, 21).tobytes()
     # contains_many stops the same way once no row is left
-    seen.clear()
+    seen[1].clear()
     left = poly.box_grid_points(2, 21)[:21 * 10]
     assert not s.contains_many(left).any()
-    assert seen == []
+    assert seen[1] == []
     right = poly.box_grid_points(2, 21)[21 * 10:]
-    assert s.contains_many(right).any() and seen == right[:, 0].tolist()
+    assert s.contains_many(right).any() and seen[1] == right[:, 0].tolist()
+
+
+# generators that vanish exactly at grid values, which sit on the membership
+# boundary, with the number of variables each needs
+EXACT_ZERO_GENERATORS = {"x1 - 0.5": 1, "0.25 - x1^2": 1, "(x2 - 0.25)^2 - 1/16": 2, "x1*x2": 2}
+
+
+@st.composite
+def sparse_sets(draw):
+    """A set of one to three sparse generators, n <= 4 and degree <= 4; a resolution; a block height."""
+    n = draw(st.integers(1, 4))
+    resolution = draw(st.integers(2, {1: 40, 2: 40, 3: 40, 4: 20}[n]))
+    monomials = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(lambda m: sum(m) <= 4)
+    coeffs = st.floats(-2.0, 2.0, allow_subnormal=False).filter(bool)
+    exact = [g for g, needs in EXACT_ZERO_GENERATORS.items() if needs <= n]
+    generators = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            generators.append(parse(draw(st.sampled_from(exact)), n))
+        else:
+            terms = draw(st.dictionaries(monomials.map(tuple), coeffs, min_size=1, max_size=6))
+            generators.append(Polynomial(n, terms))
+    block_rows = draw(st.integers(1, resolution**n))
+    return SemialgebraicSet(n, tuple(generators)), resolution, block_rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_sets())
+def test_pruned_sample_grid_is_the_full_grid_cloud_bit_for_bit(case):
+    s, resolution, block_rows = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "GRID_BLOCK_ROWS", block_rows)
+        cloud = sample_grid(s, resolution)
+    ref = reference_cloud(s, resolution)
+    assert cloud.points.shape == ref.shape and cloud.points.tobytes() == ref.tobytes()
+
+
+def evaluated_points(monkeypatch):
+    """A list whose sum is the number of points generators are evaluated at from now on."""
+    sizes = []
+    evaluate_axes = Polynomial.evaluate_axes
+
+    def counting(p, axes):
+        sizes.append(int(np.prod(np.broadcast_shapes(*(np.shape(x) for x in axes)))))
+        return evaluate_axes(p, axes)
+
+    monkeypatch.setattr(Polynomial, "evaluate_axes", counting)
+    return sizes
+
+
+def test_a_generator_at_exactly_minus_the_slack_keeps_its_point():
+    # -slack - |x|^2 is exactly -slack at the grid point 0 and below it elsewhere
+    n = 3
+    terms = {(0,) * n: -CLOUD_MEMBERSHIP_SLACK}
+    terms.update({tuple(2 * (j == i) for j in range(n)): -1.0 for i in range(n)})
+    s = SemialgebraicSet(n, (Polynomial(n, terms),))
+    cloud = sample_grid(s, 21)
+    assert cloud.points.tolist() == [[0.0, 0.0, 0.0]]
+    assert cloud.points.tobytes() == reference_cloud(s, 21).tobytes()
+    # the bound at the prefix (0, 0) is at least the value there, -slack
+    g = s.generators[0]
+    assert g.box_upper_bound([np.zeros(1), np.zeros(1)])[0] >= -CLOUD_MEMBERSHIP_SLACK
+
+
+def test_a_non_finite_bound_excludes_nothing(monkeypatch):
+    # sum |c| = 1.5e308 leaves no room for the rounding analysis: the bound is
+    # inf, although -1e308 x1^2 + 0.5e308 x2^2 < 0 wherever x1^2 > x2^2 / 2
+    g = Polynomial(2, {(2, 0): -1e308, (0, 2): 0.5e308})
+    s = SemialgebraicSet(2, (g,))
+    axis = np.linspace(-1.0, 1.0, 41)
+    assert np.all(g.box_upper_bound([axis]) == np.inf)
+    sizes = evaluated_points(monkeypatch)
+    cloud = sample_grid(s, 41)
+    assert sum(sizes) == 41**2
+    ref = reference_cloud(s, 41)
+    assert 0 < len(ref) < 41**2 and cloud.points.tobytes() == ref.tobytes()
+
+
+ONE_VARIABLE_SETS = [("0.09 - (x1 - 0.2)^2",), ("x1^3 - 0.25*x1", "x1 + 0.5"), ("-1 - x1^2",), ("1 - x1^4",)]
+
+
+@pytest.mark.parametrize("generators", ONE_VARIABLE_SETS)
+@pytest.mark.parametrize("resolution, block_rows", [(2, None), (33, None), (1000, 64)])
+def test_one_variable_sweeps_match_the_full_grid(generators, resolution, block_rows, monkeypatch):
+    if block_rows is not None:
+        monkeypatch.setattr(poly, "GRID_BLOCK_ROWS", block_rows)
+    s = SemialgebraicSet(1, tuple(parse(g, 1) for g in generators))
+    assert sample_grid(s, resolution).points.tobytes() == reference_cloud(s, resolution).tobytes()
+
+
+def test_ci_balls_evaluate_a_tenth_of_the_grid_at_most(monkeypatch):
+    # the 3-D balls of the CI console-script step; verify reports these counts
+    balls = {
+        "1/16 - (x1 + 0.55)^2 - x2^2 - x3^2": 65267,
+        "0.0484 - (x1 - 0.57)^2 - x2^2 - x3^2": 44473,
+    }
+    sizes = evaluated_points(monkeypatch)
+    for text, count in balls.items():
+        sizes.clear()
+        assert len(sample_grid(SemialgebraicSet(3, (parse(text, 3),)), 201)) == count
+        assert sum(sizes) <= 0.1 * 201**3
 
 
 def test_grid_sweeps_at_201_cubed_keep_memory_to_a_block():
