@@ -31,6 +31,7 @@ from .bounds import (
     quadratic_module_complexity,
     separation_degree_bound,
 )
+from .floattext import float_reprs
 from .poly import ParseError, Polynomial, SampleBudgetError, grid_slabs, on_grid, parse
 from .semialg import EmptySampleError, SemialgebraicSet, dist_estimate
 from .separator import (
@@ -418,7 +419,7 @@ def cmd_bounds(args) -> int:
 
 
 # the inA,inB columns and line end, indexed by 2 * inA + inB
-_GRID_FLAGS = (",0,0\n", ",0,1\n", ",1,0\n", ",1,1\n")
+_GRID_FLAGS = np.array([b",0,0\n", b",0,1\n", b",1,0\n", b",1,1\n"])
 
 
 def cmd_grid(args) -> int:
@@ -430,25 +431,22 @@ def cmd_grid(args) -> int:
     # x1-major blocks of whole x1-slabs; a resolution below 2 or over the point
     # budget raises here, before the output is opened
     slabs = grid_slabs(2, resolution)
-    # each axis value is formatted once; a row is the four strings x1, x2, p
-    # and the flags, and a slab's rows share x1 and run over the x2 axis
-    axis = [repr(v) + "," for v in np.linspace(-1.0, 1.0, resolution).tolist()]
-    parts = [""] * (4 * resolution)
-    parts[1::4] = axis
-    heads = iter(axis)
+    # each axis value is formatted once; a slab's rows share x1 and run over
+    # the x2 axis, so a line is x1 before each row's x2, p and flags text
+    axis = np.char.add(float_reprs(np.linspace(-1.0, 1.0, resolution)), b",")
+    heads = iter(axis.tolist())
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         out.write("x1,x2,p,inA,inB\n")
         for axes in slabs:
-            values = on_grid(p.evaluate_axes(axes), axes).ravel().tolist()
-            flags = on_grid(2 * a.contains_axes(axes) + b.contains_axes(axes), axes).ravel().tolist()
-            # one joined slab per write, so no more than a slab is ever text
-            for lo in range(0, len(values), resolution):
+            p_text = float_reprs(on_grid(p.evaluate_axes(axes), axes).ravel())
+            flags = on_grid(2 * a.contains_axes(axes) + b.contains_axes(axes), axes).ravel()
+            # one joined line per write, so no more than a line is ever a str
+            for lo in range(0, len(p_text), resolution):
                 hi = lo + resolution
-                parts[0::4] = [next(heads)] * resolution
-                parts[2::4] = map(repr, values[lo:hi])
-                parts[3::4] = map(_GRID_FLAGS.__getitem__, flags[lo:hi])
-                out.write("".join(parts))
+                head = next(heads)
+                tails = np.char.add(axis, np.char.add(p_text[lo:hi], _GRID_FLAGS[flags[lo:hi]]))
+                out.write((head + head.join(tails.tolist())).decode())
     finally:
         if out is not sys.stdout:
             out.close()

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import tracemalloc
@@ -625,3 +627,51 @@ def test_grid_memory_does_not_grow_with_the_resolution(capsys):
         assert code == 0
     # the whole 1000^2 CSV is about 62 MB; a slab-streamed grid holds a block
     assert peaks[1000] <= 2 * peaks[256]
+
+
+def polynomial_result_file(path, string):
+    """A result file carrying only the separator p given as text."""
+    p = parse(string, 2)
+    coefficients = [{"exponents": list(m), "coefficient": c} for m, c in p.terms.items()]
+    path.write_text(json.dumps({"p": {"string": string, "coefficients": coefficients}, "degree": 2}))
+    return str(path)
+
+
+def test_grid_writes_zeros_through_the_repr_fallback(tmp_path, capsys, lemniscate_problem_file):
+    # x1 * x2 on the 3-grid is 0 on every row through the axes' 0.0.  The
+    # products there are 0.0 or -0.0, but p sums its terms onto 0.0, so the
+    # column holds 0.0 only; -0.0 is in the formatter's own tests
+    result = polynomial_result_file(tmp_path / "r.json", "x1*x2")
+    out = tmp_path / "g.csv"
+    code, *_ = run(capsys, "grid", lemniscate_problem_file, result, "--resolution", "3", "--out", str(out))
+    assert code == 0
+    text = out.read_text()
+    assert "0.0" in {line.split(",")[2] for line in text.splitlines()[1:]}
+    assert text == reference_grid_csv(lemniscate_problem_file, result, 3)
+
+
+def test_grid_writes_infinities_through_the_repr_fallback(tmp_path, capsys, lemniscate_problem_file):
+    # the sum overflows to inf at (1, 1) and to -inf at (-1, -1).  A nan cannot
+    # come out: every term is at most its coefficient on the box and the terms
+    # are summed in order, so a sum that reached an infinity keeps it
+    result = polynomial_result_file(tmp_path / "r.json", "1.7e308*x1 + 1.7e308*x2^3")
+    out = tmp_path / "g.csv"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, *_ = run(capsys, "grid", lemniscate_problem_file, result, "--resolution", "5", "--out", str(out))
+        expected = reference_grid_csv(lemniscate_problem_file, result, 5)
+    assert code == 0
+    text = out.read_text()
+    assert {"inf", "-inf"} <= {line.split(",")[2] for line in text.splitlines()[1:]}
+    assert text == expected
+
+
+def test_grid_on_stdout_is_the_text_of_out(tmp_path):
+    # 257^2 rows span two blocks; stdout may be a StringIO, which takes str only
+    problem = str(DATA_DIR / "golden_problem.json")
+    result = str(DATA_DIR / "golden_result.json")
+    out = tmp_path / "g.csv"
+    assert main(["grid", problem, result, "--resolution", "257", "--out", str(out)]) == 0
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["grid", problem, result, "--resolution", "257"]) == 0
+    assert stdout.getvalue() == out.read_text()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import CIRCLE, LEMNISCATE
 from polysep import sdp
-from polysep.cli import _certificate_from_json
+from polysep.cli import _certificate_from_json, _certificate_to_json
 from polysep.poly import Polynomial, parse
 from polysep.separator import _assemble_separation
 from polysep.sos import (
@@ -393,3 +393,35 @@ def test_certificate_polynomial_matches_expand_and_sum_loop(side):
         total = total + expand_gram(gram, bas) * f
     assert len(cert.generators) == 2  # the set's generator and the ball
     assert cert.polynomial().max_coeff_diff(total) == 0.0
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def certificates(draw):
+    n = draw(st.integers(1, 3))
+    monomials = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    generators = draw(
+        st.lists(st.dictionaries(monomials, _FINITE, max_size=4).map(lambda t: Polynomial(n, t)), max_size=2)
+    )
+    bases = [basis(n, draw(st.integers(0, 2))) for _ in range(len(generators) + 1)]
+    grams = [
+        np.array(draw(st.lists(_FINITE, min_size=len(b) ** 2, max_size=len(b) ** 2))).reshape(len(b), len(b))
+        for b in bases
+    ]
+    return QmCertificate(tuple(generators), tuple(grams), tuple(bases), draw(st.integers(0, 8)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(certificates())
+def test_certificate_json_round_trip_is_bit_exact(cert):
+    # the result file's text gives back every Gram entry, basis and generator
+    # coefficient to the bit, -0.0 and subnormals included
+    text = json.dumps(_certificate_to_json(cert))
+    back = _certificate_from_json(json.loads(text), cert.bases[0].n, 0)
+    assert back.level == cert.level and back.bases == cert.bases
+    assert [g.shape for g in back.grams] == [g.shape for g in cert.grams]
+    assert all(got.tobytes() == want.tobytes() for got, want in zip(back.grams, cert.grams))
+    bits = [{m: np.float64(c).tobytes() for m, c in g.terms.items()} for g in cert.generators]
+    assert [{m: np.float64(c).tobytes() for m, c in g.terms.items()} for g in back.generators] == bits
