@@ -439,7 +439,10 @@ def cmd_grid(args) -> int:
     try:
         out.write("x1,x2,p,inA,inB\n")
         for axes in slabs:
-            p_text = float_reprs(on_grid(p.evaluate_axes(axes), axes).ravel())
+            # a value past the float range is written as inf, a valid CSV value
+            with np.errstate(over="ignore"):
+                values = p.evaluate_axes(axes)
+            p_text = float_reprs(on_grid(values, axes).ravel())
             flags = on_grid(2 * a.contains_axes(axes) + b.contains_axes(axes), axes).ravel()
             # one joined line per write, so no more than a line is ever a str
             for lo in range(0, len(p_text), resolution):

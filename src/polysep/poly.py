@@ -199,14 +199,16 @@ class Polynomial:
         ``heads`` holds values of x1..xk in [-1, 1], one array per variable,
         broadcasting together like ``evaluate_axes`` axes (the columns of a
         (P, k) array of prefix rows, say); x_{k+1}..x_n range over [-1, 1].
-        Term c x^a adds the max over that tail of its head h = c * prod_{j<=k}
-        x_j^a_j times prod_{j>k} x_j^a_j.  The tail product ranges over [-1, 1]
-        if some tail exponent is odd, over [0, 1] if the tail exponents are even
-        and not all zero, and is 1 otherwise, so the term adds |h|, max(h, 0) or
-        h.  Those are the exact ranges over the box, and over any grid holding
-        -1, 0 and 1, because the tail variables vary independently; the head is
-        taken at the exact prefix values, so on such a grid the only looseness
-        is between terms that share a tail variable.  The result may come back
+        Term c x^a splits into its head h = c * prod_{j<=k} x_j^a_j and its tail
+        monomial prod_{j>k} x_j^a_j.  The heads of terms with the same tail are
+        summed to H, and the group adds the max over the tail of H times its
+        tail.  The tail ranges over [-1, 1] if some tail exponent is odd, over
+        [0, 1] if the tail exponents are even and not all zero, and is 1
+        otherwise, so the group adds |H|, max(H, 0) or H.  Those are the exact
+        ranges over the box, and over any grid holding -1, 0 and 1, because the
+        tail variables vary independently; the heads are taken at the exact
+        prefix values, so on such a grid the only looseness is between distinct
+        tails that share a variable.  The result may come back
         broadcast-smaller, as ``evaluate_axes`` values do; a call holds
         (broadcast size) x #terms floats.
 
@@ -214,45 +216,83 @@ class Polynomial:
         on the box.  ``evaluate_axes`` takes per term at most n powers (numpy's,
         within one ulp: two roundings each) and n products, then sums the terms,
         so its value lies within gamma_{#terms + 3n} sum|c| of the exact one.
-        Here powers are repeated products and the tail factors are exact, so a
-        term takes at most degree + n roundings and the bound lies within
-        gamma_{#terms + degree + n} sum|c| of the exact bound.  So the bound is
-        raised by 2 gamma_K sum|c| with K = #terms + degree + 3n + 1, the extra 1
-        covering the rounding of that allowance itself.  The analysis needs no
-        overflow, which holds while 2 sum|c| is finite; beyond that the bound is
-        inf and excludes nothing.
+        Here powers are repeated products, so a head takes at most degree + n
+        roundings.  The heads of a group are summed, then the groups' extremes,
+        which are exact (a product by -1, 0 or 1, and a max) and move by no
+        more than H does; so a head passes through at most (group size - 1) +
+        (#groups - 1) <= #terms - 1 additions, as in one sum of the terms, and
+        the bound lies within gamma_{#terms + degree + n} sum|c| of the exact
+        bound.  So the bound is raised by 2 gamma_K sum|c| with K = #terms +
+        degree + 3n + 1, the extra 1 covering the rounding of that allowance
+        itself.  The analysis needs no overflow, which holds while 2 sum|c| is
+        finite; beyond that the bound is inf and excludes nothing.
         """
-        coeffs, exponents, tops, tails, allowance = self._bound_terms
+        sums, lows, allowance = self._tail_sums(heads)
+        # exact: the tail's low end is -1, 0 or 1 and its high end 1
+        return np.maximum(sums, sums * lows).sum(axis=-1) + allowance
+
+    def box_abs_bound(self, heads) -> np.ndarray:
+        """Per prefix, a float no ``abs(evaluate_axes)`` value in the box under that prefix exceeds.
+
+        The larger of ``box_upper_bound`` of p and of -p, from one pass over
+        the heads: negating p negates every head and group sum exactly, so each
+        of the two is that bound bit for bit.
+        """
+        sums, lows, allowance = self._tail_sums(heads)
+        upper = np.maximum(sums, sums * lows).sum(axis=-1)
+        lower = np.minimum(sums, sums * lows).sum(axis=-1)
+        return np.maximum(upper, -lower) + allowance
+
+    def _tail_sums(self, heads):
+        # per prefix and tail group, the summed heads (last axis); each group's
+        # tail low end; the rounding allowance.  With an infinite allowance no
+        # group is formed, so every bound is inf
+        coeffs, exponents, tops, groups, allowance = self._bound_terms
         if allowance == np.inf:
-            return np.full(np.broadcast_shapes(*(np.shape(x) for x in heads)), np.inf)
+            shape = np.broadcast_shapes(*(np.shape(x) for x in heads))
+            return np.zeros(shape + (0,)), np.zeros(0), allowance
         head = coeffs
         for x, e, top in zip(heads, exponents, tops):
             if top:
                 head = head * _powers(np.asarray(x)[..., None], top)[..., e]
-        # exact: the tail's low end is -1, 0 or 1 and its high end 1
-        return np.maximum(head, head * tails[len(heads)]).sum(axis=-1) + allowance
+        order, starts, lows = groups[len(heads)]
+        if order is not None:
+            head = np.add.reduceat(head[..., order], starts, axis=-1)
+        return head, lows, allowance
 
     @cached_property
     def _bound_terms(self):
         # box_upper_bound's view of the terms: coefficients, exponents one row per
-        # variable, each row's max, the low end of each term's tail product
-        # after k = 0..n fixed variables (row k), and the rounding allowance
+        # variable, each row's max, the tail groups after k = 0..n fixed
+        # variables (entry k: the term order that makes each group contiguous,
+        # the groups' starts in it and the low end of each group's tail; the
+        # order and starts are None where no two terms share a non-constant
+        # tail, and each term is its own group), and the rounding allowance
         monos = list(self.terms)
-        lows = []
-        for mono in monos:
+        groups = []
+        for k in range(self.n + 1):
+            tails = sorted({mono[k:] for mono in monos})
+            index = {tail: g for g, tail in enumerate(tails)}
+            labels = np.array([index[mono[k:]] for mono in monos], dtype=np.intp)
             # x^e ranges over [-1, 1] for odd e, [0, 1] for even e > 0, {1} for e = 0,
             # and a product of such ranges has the least of their low ends
-            low = [1.0]
-            for e in reversed(mono):
-                low.append(min(low[-1], -1.0 if e % 2 else 0.0 if e else 1.0))
-            lows.append(low[::-1])
+            lows = np.array([min([1.0] + [-1.0 if e % 2 else 0.0 for e in tail if e]) for tail in tails])
+            # terms whose tail is 1 add their heads either way, so only a shared
+            # non-constant tail tightens the bound
+            varying = [mono[k:] for mono in monos if any(mono[k:])]
+            if len(set(varying)) < len(varying):
+                order = np.argsort(labels, kind="stable")
+                groups.append((order, np.searchsorted(labels[order], np.arange(len(tails))), lows))
+            else:
+                # every term its own group, kept in term order
+                groups.append((None, None, lows[labels]))
         scale = sum(abs(c) for c in self.terms.values())
         unit = (len(monos) + self.total_degree() + 3 * self.n + 1) * 2.0**-53
         return (
             np.fromiter(self.terms.values(), float, len(monos)),
             np.array(monos, dtype=np.intp).reshape(-1, self.n).T,
             tuple(max(e) for e in zip(*monos)) if monos else (0,) * self.n,
-            np.array(lows).reshape(-1, self.n + 1).T,
+            groups,
             2.0 * unit / (1.0 - unit) * scale if 2.0 * scale < np.inf else np.inf,
         )
 
@@ -464,11 +504,19 @@ def grid_slabs(n: int, resolution: int):
 
 
 def _slabs(axis: np.ndarray, n: int):
-    resolution = len(axis)
+    per_block = _slabs_per_block(len(axis), n)
+    for start in range(0, len(axis), per_block):
+        yield _slab_axes(axis[start : start + per_block], axis, n)
+
+
+def _slabs_per_block(resolution: int, n: int) -> int:
+    return max(1, GRID_BLOCK_ROWS // resolution ** (n - 1))
+
+
+def _slab_axes(x1: np.ndarray, axis: np.ndarray, n: int) -> list:
+    # the x1 values shaped (b, 1, ..., 1), then the whole axis along each later dimension
     tail = [axis.reshape((1,) * i + (-1,) + (1,) * (n - 1 - i)) for i in range(1, n)]
-    per_block = max(1, GRID_BLOCK_ROWS // resolution ** (n - 1))
-    for start in range(0, resolution, per_block):
-        yield [axis[start : start + per_block].reshape((-1,) + (1,) * (n - 1)), *tail]
+    return [x1.reshape((-1,) + (1,) * (n - 1)), *tail]
 
 
 def on_grid(values, axes) -> np.ndarray:
@@ -498,8 +546,33 @@ def _into(op, acc, x):
 def sup_norm_grid(p: Polynomial, resolution: int) -> float:
     """Max of |p| over the uniform grid; a lower bound on the true box sup-norm.
 
-    Swept block by block through ``grid_slabs``, so memory stays at one
-    block whatever the resolution.
+    A grid of one ``grid_slabs`` block (every 2-D grid up to 256 per axis) is
+    evaluated whole.  A larger one is swept by branch and bound over its
+    x1-slabs: each slab's ``box_abs_bound`` bounds |p| on it, and the slabs are
+    evaluated in descending bound order, one slab first and then blocks that
+    double up to about ``GRID_BLOCK_ROWS`` points.  A slab whose bound is at
+    most the running max cannot raise it and is skipped; once the largest
+    bound left is at most the max, the sweep stops.  The bound carries a
+    rigorous rounding allowance and the max is a selection, so the result is
+    the full sweep's float bit for bit.  Memory stays at one block whatever
+    the resolution.
     """
-    slabs = grid_slabs(p.n, resolution)
-    return float(np.max([np.max(np.abs(p.evaluate_axes(axes))) for axes in slabs]))
+    axis = grid_axis(p.n, resolution)
+    per_block = _slabs_per_block(resolution, p.n)
+    if per_block >= resolution:
+        return float(np.max(np.abs(p.evaluate_axes(_slab_axes(axis, axis, p.n)))))
+    bound = np.broadcast_to(p.box_abs_bound([axis]), axis.shape)
+    order = np.argsort(-bound, kind="stable")
+    best = -np.inf
+    # the top slab alone often settles the sweep, so blocks start at one slab
+    start, size = 0, 1
+    while start < resolution:
+        block = order[start : start + size]
+        # descending: a slab that fails here fails in every later block too
+        block = block[bound[block] > best]
+        if not len(block):
+            break
+        values = p.evaluate_axes(_slab_axes(axis[block], axis, p.n))
+        best = max(best, float(np.max(np.abs(values))))
+        start, size = start + size, min(2 * size, per_block)
+    return best

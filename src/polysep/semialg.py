@@ -159,7 +159,15 @@ def dist_estimate(a: SemialgebraicSet, b: SemialgebraicSet, resolution: int) -> 
     """Min pairwise distance between the two sample clouds.
 
     An upper bound on dist(A, B) that tightens as the resolution grows;
-    non-increasing under nested grid refinement.
+    non-increasing under nested grid refinement.  The search is bounded by a
+    pair already found: the A point nearest B's centroid and its nearest B
+    point are d0 apart, so the minimum is at most d0.  A point farther than
+    d0 from the other cloud's bounding box is in no closer pair and is
+    dropped, on both sides; the A points left are queried against a kd-tree
+    of the B points left, with an upper bound just above d0, so the tree
+    prunes whatever lies farther.  The winning pair survives and its
+    distance is computed as an unbounded query over the whole clouds
+    computes it, so the float is the same.
     """
     cloud_a = sample_grid(a, resolution)
     if len(cloud_a) == 0:
@@ -167,9 +175,41 @@ def dist_estimate(a: SemialgebraicSet, b: SemialgebraicSet, resolution: int) -> 
     cloud_b = sample_grid(b, resolution)
     if len(cloud_b) == 0:
         raise EmptySampleError(f"second set has no sample points at resolution {resolution}")
-    tree = cKDTree(cloud_b.points)
-    dists, _ = tree.query(cloud_a.points, k=1)
+    pa, pb = cloud_a.points, cloud_b.points
+    centroid = [x.mean() for x in pb.T]
+    nearest = pa[np.argmin(_squared_gaps(pa, centroid, centroid))]
+    d0 = float(np.sqrt(np.min(_squared_gaps(pb, nearest, nearest))))
+    if d0 == 0.0:
+        return 0.0
+    # the tree compares squared distances: the relative margin covers the
+    # rounding of d0 and of the box gaps, and the floor keeps the bound's
+    # square from underflowing to 0
+    bound = d0 * (1.0 + 2.0**-20) + 1e-150
+    pa, pb = _near_box(pa, pb, bound), _near_box(pb, pa, bound)
+    dists, _ = cKDTree(pb).query(pa, k=1, distance_upper_bound=bound)
     return float(np.min(dists))
+
+
+def _near_box(points: np.ndarray, others: np.ndarray, radius: float) -> np.ndarray:
+    """The points within ``radius`` of the bounding box of ``others``.
+
+    The gap to the box is at most the distance to every point in it, so no
+    point within ``radius`` of some other point is dropped; the caller's
+    ``radius`` carries the margin for the rounding of both.
+    """
+    columns = others.T
+    gaps = _squared_gaps(points, [x.min() for x in columns], [x.max() for x in columns])
+    return points[gaps <= radius * radius]
+
+
+def _squared_gaps(points: np.ndarray, lows, highs) -> np.ndarray:
+    # per row, the squared distance to the box [lows, highs], a point where they
+    # are equal; column by column, which beats reductions across (m, n) rows
+    total = 0.0
+    for x, lo, hi in zip(points.T, lows, highs):
+        gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
+        total = total + gap * gap
+    return total
 
 
 def cloud_distance(points, cloud: SampleCloud) -> np.ndarray:

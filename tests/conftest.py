@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from polysep import poly, semialg
@@ -61,3 +62,16 @@ def two_lobe_problem_file(tmp_path):
 @pytest.fixture
 def disk_problem_file(tmp_path):
     return write_problem(tmp_path / "disks.json", 2, [DISK_LEFT], [DISK_RIGHT])
+
+
+def evaluated_points(monkeypatch):
+    """A list whose sum is the number of points ``evaluate_axes`` evaluates polynomials at from now on."""
+    sizes = []
+    evaluate_axes = poly.Polynomial.evaluate_axes
+
+    def counting(p, axes):
+        sizes.append(int(np.prod(np.broadcast_shapes(*(np.shape(x) for x in axes)))))
+        return evaluate_axes(p, axes)
+
+    monkeypatch.setattr(poly.Polynomial, "evaluate_axes", counting)
+    return sizes

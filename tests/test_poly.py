@@ -1,8 +1,11 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import evaluated_points
 from polysep import poly
 from polysep.poly import ParseError, Polynomial, SampleBudgetError, parse, sup_norm_grid
 
@@ -309,8 +312,13 @@ def test_box_upper_bound_covers_every_grid_value_under_its_prefix(case, data):
     p, resolution, _ = case
     k = data.draw(st.integers(0, p.n))
     prefixes, values = grid_prefix_values(p, resolution, k)
-    bound = np.broadcast_to(p.box_upper_bound(list(prefixes.T)), (len(prefixes),))
+    heads = list(prefixes.T)
+    bound = np.broadcast_to(p.box_upper_bound(heads), (len(prefixes),))
     assert np.all(bound >= values.max(axis=1))
+    # the |p| bound is the larger of the bounds of p and -p, bit for bit
+    magnitude = np.broadcast_to(p.box_abs_bound(heads), (len(prefixes),))
+    assert np.all(magnitude >= np.abs(values).max(axis=1))
+    assert magnitude.tobytes() == np.maximum(bound, (-p).box_upper_bound(heads)).tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -331,6 +339,43 @@ def test_sup_norm_grid_matches_the_full_grid(n, resolution, block_rows, monkeypa
     p = random_polynomial(np.random.default_rng(n * resolution), n, 3, 4)
     full = poly.box_grid_points(n, resolution)
     assert sup_norm_grid(p, resolution) == float(np.max(np.abs(p.evaluate_many(full))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_polynomials())
+def test_branch_and_bound_sup_norm_is_the_full_sweep_max_bit_for_bit(case):
+    p, resolution, block_rows = case
+    with pytest.MonkeyPatch.context() as mp:
+        # a block height under the grid's size sends every grid through the branch and bound
+        mp.setattr(poly, "GRID_BLOCK_ROWS", block_rows)
+        norm = sup_norm_grid(p, resolution)
+    assert norm == float(np.max(np.abs(p.evaluate_many(poly.box_grid_points(p.n, resolution)))))
+
+
+# nothing to prune: a constant and the zero polynomial have one bound on every
+# slab; 2 sum|c| of the last two overflows, so their bound is inf
+UNPRUNABLE = {
+    "constant": (Polynomial.constant(3, -2.5), False),
+    "zero": (Polynomial.zero(3), False),
+    "bound-overflow": (Polynomial(3, {(2, 0, 0): -1e308, (0, 2, 1): 0.5e308}), False),
+    "value-overflow": (Polynomial(3, {(1, 0, 0): 1.7e308, (0, 3, 0): 1.7e308, (0, 0, 2): 1.0}), True),
+}
+
+
+@pytest.mark.parametrize("case", UNPRUNABLE)
+def test_sup_norm_grid_without_a_usable_bound_is_the_full_sweep_max(case, monkeypatch):
+    p, overflows = UNPRUNABLE[case]
+    full = poly.box_grid_points(3, 21)
+    with pytest.warns(RuntimeWarning, match="overflow") if overflows else contextlib.nullcontext():
+        expected = float(np.max(np.abs(p.evaluate_many(full))))
+    monkeypatch.setattr(poly, "GRID_BLOCK_ROWS", 2 * 21**2)  # two slabs per block
+    sizes = evaluated_points(monkeypatch)
+    with pytest.warns(RuntimeWarning, match="overflow") if overflows else contextlib.nullcontext():
+        assert sup_norm_grid(p, 21) == expected
+    if case == "bound-overflow":
+        assert sum(sizes) == 21**3
+    if overflows:
+        assert expected == np.inf
 
 
 def test_grid_checks_fire_before_any_block(monkeypatch):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from conftest import CIRCLE, LEMNISCATE, evaluated_points
 from polysep import poly, semialg
 from polysep.poly import Polynomial, parse
 from polysep.semialg import (
@@ -222,19 +224,6 @@ def test_pruned_sample_grid_is_the_full_grid_cloud_bit_for_bit(case):
     assert cloud.points.shape == ref.shape and cloud.points.tobytes() == ref.tobytes()
 
 
-def evaluated_points(monkeypatch):
-    """A list whose sum is the number of points generators are evaluated at from now on."""
-    sizes = []
-    evaluate_axes = Polynomial.evaluate_axes
-
-    def counting(p, axes):
-        sizes.append(int(np.prod(np.broadcast_shapes(*(np.shape(x) for x in axes)))))
-        return evaluate_axes(p, axes)
-
-    monkeypatch.setattr(Polynomial, "evaluate_axes", counting)
-    return sizes
-
-
 def test_a_generator_at_exactly_minus_the_slack_keeps_its_point():
     # -slack - |x|^2 is exactly -slack at the grid point 0 and below it elsewhere
     n = 3
@@ -275,17 +264,41 @@ def test_one_variable_sweeps_match_the_full_grid(generators, resolution, block_r
     assert sample_grid(s, resolution).points.tobytes() == reference_cloud(s, resolution).tobytes()
 
 
+# the 3-D balls of the CI console-script step, with the cloud counts verify reports at 201
+CI_BALLS = {
+    "1/16 - (x1 + 0.55)^2 - x2^2 - x3^2": 65267,
+    "0.0484 - (x1 - 0.57)^2 - x2^2 - x3^2": 44473,
+}
+
+
 def test_ci_balls_evaluate_a_tenth_of_the_grid_at_most(monkeypatch):
-    # the 3-D balls of the CI console-script step; verify reports these counts
-    balls = {
-        "1/16 - (x1 + 0.55)^2 - x2^2 - x3^2": 65267,
-        "0.0484 - (x1 - 0.57)^2 - x2^2 - x3^2": 44473,
-    }
     sizes = evaluated_points(monkeypatch)
-    for text, count in balls.items():
+    for text, count in CI_BALLS.items():
         sizes.clear()
         assert len(sample_grid(SemialgebraicSet(3, (parse(text, 3),)), 201)) == count
         assert sum(sizes) <= 0.1 * 201**3
+
+
+def test_ci_ball_sup_norms_evaluate_a_tenth_of_the_grid_at_most(monkeypatch):
+    # the bound report's normalization check at 101: the slab bound is tight for
+    # a ball, so the top slab settles the max
+    generators = [parse(text, 3) for text in CI_BALLS]
+    full = [max(np.max(np.abs(g.evaluate_axes(axes))) for axes in poly.grid_slabs(3, 101)) for g in generators]
+    sizes = evaluated_points(monkeypatch)
+    for g, expected in zip(generators, full):
+        sizes.clear()
+        assert poly.sup_norm_grid(g, 101) == expected
+        assert sum(sizes) <= 0.1 * 101**3
+
+
+def test_lemniscate_evaluates_only_the_lines_its_grouped_bound_reaches(lemniscate_set, monkeypatch):
+    # once x1 is fixed, -32/9 x1^2 x2^2 and x2^2 share the tail x2^2, so their
+    # heads sum to 1 - 32/9 x1^2 before the tail's range [0, 1] applies; bounded
+    # term by term, 145 of the 201 x1 lines were evaluated
+    sizes = evaluated_points(monkeypatch)
+    cloud = sample_grid(lemniscate_set, 201)
+    assert sum(sizes) <= 91 * 201
+    assert cloud.points.tobytes() == reference_cloud(lemniscate_set, 201).tobytes()
 
 
 def test_grid_sweeps_at_201_cubed_keep_memory_to_a_block():
@@ -318,6 +331,41 @@ def test_disk_distance(disk_sets):
 def test_distance_of_set_to_itself(disk_sets):
     a, _ = disk_sets
     assert dist_estimate(a, a, 101) == 0.0
+
+
+def unbounded_distance(a, b, resolution):
+    """The search dist_estimate bounds: every A point's nearest B point over the whole clouds."""
+    cloud_a, cloud_b = sample_grid(a, resolution).points, sample_grid(b, resolution).points
+    return float(np.min(cKDTree(cloud_b).query(cloud_a, k=1)[0]))
+
+
+def random_ball(rng, n):
+    return ball(n, rng.uniform(-0.6, 0.6, n).round(3).tolist(), round(rng.uniform(0.1, 0.35), 3))
+
+
+DISTANCE_CASES = {
+    # disks touching at the grid point (0, 0), and half-boxes sharing the line x1 = 0
+    "touching-disks": lambda rng: (ball(2, [-0.25, 0.0], 0.25), ball(2, [0.25, 0.0], 0.25)),
+    "half-boxes": lambda rng: tuple(SemialgebraicSet(2, (parse(g, 2),)) for g in ("-x1", "x1")),
+    # the disk sits in the ring's hole: its box lies inside the ring's, so no point is dropped
+    "ring-around-disk": lambda rng: (
+        SemialgebraicSet(2, (parse("0.64 - x1^2 - x2^2", 2), parse("x1^2 + x2^2 - 0.36", 2))),
+        ball(2, [0.05, 0.0], 0.2),
+    ),
+    "self": lambda rng: (ball(3, [0.1, 0.0, -0.2], 0.3),) * 2,
+    "golden": lambda rng: tuple(SemialgebraicSet(2, (parse(g, 2),)) for g in (LEMNISCATE, CIRCLE)),
+    **{f"disks-{i}": lambda rng: (random_ball(rng, 2), random_ball(rng, 2)) for i in range(4)},
+    **{f"balls-{i}": lambda rng: (random_ball(rng, 3), random_ball(rng, 3)) for i in range(4)},
+}
+
+
+@pytest.mark.parametrize("case", DISTANCE_CASES)
+def test_bounded_distance_is_the_unbounded_search_bit_for_bit(case):
+    a, b = DISTANCE_CASES[case](np.random.default_rng(list(DISTANCE_CASES).index(case)))
+    for first, second in ((a, b), (b, a)):
+        assert dist_estimate(first, second, 101) == unbounded_distance(first, second, 101)
+    if case in ("touching-disks", "half-boxes", "self"):
+        assert dist_estimate(a, b, 101) == 0.0
 
 
 def test_distance_empty_cloud(disk_sets):
