@@ -32,7 +32,7 @@ from .bounds import (
     separation_degree_bound,
 )
 from .floattext import float_reprs
-from .poly import ParseError, Polynomial, SampleBudgetError, grid_slabs, on_grid, parse
+from .poly import ParseError, Polynomial, SampleBudgetError, grid_lines, on_grid, parse
 from .semialg import EmptySampleError, SemialgebraicSet, dist_estimate
 from .separator import (
     HierarchyExhaustedError,
@@ -132,8 +132,7 @@ def _certificate_from_json(data: dict, n: int, level: int) -> QmCertificate:
             elements = tuple(tuple(int(e) for e in m) for m in entry["basis"])
             k = len(elements)
             gram = np.asarray(entry["gram_row_major"], dtype=float).reshape(k, k)
-            half = max((sum(m) for m in elements), default=0)
-            bases.append(MonomialBasis(n, half, elements))
+            bases.append(MonomialBasis(n, elements))
             grams.append(gram)
         level = int(data.get("level", level))
         return QmCertificate(gens, tuple(grams), tuple(bases), level)
@@ -141,8 +140,9 @@ def _certificate_from_json(data: dict, n: int, level: int) -> QmCertificate:
         raise InputError(f"malformed certificate entry: {err}") from err
 
 
-def _bound_report(a, b, n, resolution, loj_coeff, loj_exponent, jackson_constant):
+def _bound_report(a, b, resolution, loj_coeff, loj_exponent, jackson_constant):
     """Distance, Lipschitz constant, approximation degree and level bounds."""
+    n = a.n
     dist = dist_estimate(a, b, resolution)
     lip = lipschitz_constant(dist)
     params = BoundParams(
@@ -276,7 +276,7 @@ def cmd_separate(args) -> int:
         bound = {"warnings": ["bound report unavailable: bounds require dimension n >= 2"]}
     else:
         try:
-            bound = _bound_report(a, b, a.n, 101, 1.0, 1.0, 1.0)
+            bound = _bound_report(a, b, 101, 1.0, 1.0, 1.0)
         except (EmptySampleError, SampleBudgetError) as err:
             bound = {"warnings": [f"bound report unavailable: {err}"]}
 
@@ -409,7 +409,7 @@ def cmd_bounds(args) -> int:
         raise InputError("--T must be at least 1")
     try:
         report = _bound_report(
-            a, b, a.n, int(args.dist_resolution), float(args.c), float(args.T), float(args.C)
+            a, b, int(args.dist_resolution), float(args.c), float(args.T), float(args.C)
         )
     except EmptySampleError as err:
         print(f"bounds unavailable: {err}", file=sys.stderr)
@@ -428,17 +428,17 @@ def cmd_grid(args) -> int:
         raise InputError(f"grid emission is 2-D only, problem has n = {a.n}")
     _, p = _load_result(args.result, a.n)
     resolution = int(args.resolution)
-    # x1-major blocks of whole x1-slabs; a resolution below 2 or over the point
-    # budget raises here, before the output is opened
-    slabs = grid_slabs(2, resolution)
-    # each axis value is formatted once; a slab's rows share x1 and run over
-    # the x2 axis, so a line is x1 before each row's x2, p and flags text
+    # x1-major blocks of whole x2 lines, every line kept; a resolution below 2
+    # or over the point budget raises here, before the output is opened
+    blocks = grid_lines(2, resolution, lambda heads: True, 1)
+    # each axis value is formatted once; a line's rows share x1 and run over
+    # the x2 axis, so a CSV line is x1 before each row's x2, p and flags text
     axis = np.char.add(float_reprs(np.linspace(-1.0, 1.0, resolution)), b",")
     heads = iter(axis.tolist())
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         out.write("x1,x2,p,inA,inB\n")
-        for axes in slabs:
+        for axes in blocks:
             # a value past the float range is written as inf, a valid CSV value
             with np.errstate(over="ignore"):
                 values = p.evaluate_axes(axes)

@@ -18,10 +18,9 @@ import numpy as np
 # at call time); it bounds the work of a grid sweep, as a sweep holds one block
 GRID_BUDGET = 10_000_000
 
-# points per grid sweep block, rounded down to whole x1-slabs (grid_slabs) or
-# whole x_n lines (semialg.sample_grid), at least one: large enough that a 2-D
-# grid up to 256^2 is one block, small enough that a block's per-term
-# evaluation arrays stay near a megabyte
+# points per grid_lines block, rounded down to whole x_n lines, at least one:
+# large enough that a 2-D grid up to 256^2 is one block, small enough that a
+# block's per-term evaluation arrays stay near a megabyte
 GRID_BLOCK_ROWS = 1 << 16
 
 
@@ -493,30 +492,52 @@ def box_grid_points(n: int, resolution: int) -> np.ndarray:
     return np.stack(mesh, axis=-1).reshape(-1, n)
 
 
-def grid_slabs(n: int, resolution: int):
-    """The grid of ``box_grid_points`` as x1-major blocks of broadcastable axes.
+def grid_lines(n: int, resolution: int, keep, width: int):
+    """The grid's whole x_n lines under the (x1, ..., x_{n-1}) prefixes ``keep`` accepts, in blocks.
 
-    A block is about ``GRID_BLOCK_ROWS`` points of whole x1-slabs: its x1
-    values shaped (b, 1, ..., 1), then the whole axis along each later
-    dimension.  The resolution and budget checks run here, before any block.
+    The resolution and budget checks run here, before any block.  The
+    prefixes are descended x1-major, one level per variable, over chunks of
+    parents: ``keep(heads)`` gets each chunk's children as broadcasting
+    arrays (the parents' values shaped (P, 1), the axis last) and returns a
+    mask, possibly broadcast-smaller, of the children to descend into; a
+    rejected prefix drops every grid point under it.  ``width`` is how many
+    floats per child ``keep`` allocates (its callers' term counts), so a
+    chunk stays near ``GRID_BLOCK_ROWS`` floats.  A block holds about
+    ``GRID_BLOCK_ROWS`` points of whole lines, at least one line: its prefix
+    values shaped (P, 1) each, then the x_n axis shaped (1, resolution), so
+    its points are ``box_grid_points`` rows in the same order.  With n = 1
+    there is no prefix and the one line is cut into blocks.
     """
-    return _slabs(grid_axis(n, resolution), n)
+    return _lines(grid_axis(n, resolution), n, keep, width)
 
 
-def _slabs(axis: np.ndarray, n: int):
-    per_block = _slabs_per_block(len(axis), n)
-    for start in range(0, len(axis), per_block):
-        yield _slab_axes(axis[start : start + per_block], axis, n)
+def _lines(axis: np.ndarray, n: int, keep, width: int):
+    if n == 1:
+        for start in range(0, len(axis), GRID_BLOCK_ROWS):
+            yield [axis[None, start : start + GRID_BLOCK_ROWS]]
+        return
+    per_block = max(1, GRID_BLOCK_ROWS // len(axis))
+    step = max(1, GRID_BLOCK_ROWS // (len(axis) * max(width, 1)))
+    for cols in _prefixes(axis, n - 1, keep, step, []):
+        for start in range(0, len(cols[0]), per_block):
+            yield [c[start : start + per_block, None] for c in cols] + [axis[None, :]]
 
 
-def _slabs_per_block(resolution: int, n: int) -> int:
-    return max(1, GRID_BLOCK_ROWS // resolution ** (n - 1))
-
-
-def _slab_axes(x1: np.ndarray, axis: np.ndarray, n: int) -> list:
-    # the x1 values shaped (b, 1, ..., 1), then the whole axis along each later dimension
-    tail = [axis.reshape((1,) * i + (-1,) + (1,) * (n - 1 - i)) for i in range(1, n)]
-    return [x1.reshape((-1,) + (1,) * (n - 1)), *tail]
+def _prefixes(axis: np.ndarray, depth: int, keep, step: int, cols: list):
+    # depth first over chunks of ``step`` parents, so the kept prefixes of
+    # length ``depth`` come out in batches, x1-major
+    size = len(axis)
+    for start in range(0, len(cols[0]) if cols else 1, step):
+        parent = [c[start : start + step] for c in cols]
+        heads = [c[:, None] for c in parent] + [axis]
+        i, j = divmod(np.flatnonzero(on_grid(keep(heads), heads)), size)
+        if not len(i):
+            continue
+        children = [c[i] for c in parent] + [axis[j]]
+        if len(children) == depth:
+            yield children
+        else:
+            yield from _prefixes(axis, depth, keep, step, children)
 
 
 def on_grid(values, axes) -> np.ndarray:
@@ -546,33 +567,16 @@ def _into(op, acc, x):
 def sup_norm_grid(p: Polynomial, resolution: int) -> float:
     """Max of |p| over the uniform grid; a lower bound on the true box sup-norm.
 
-    A grid of one ``grid_slabs`` block (every 2-D grid up to 256 per axis) is
-    evaluated whole.  A larger one is swept by branch and bound over its
-    x1-slabs: each slab's ``box_abs_bound`` bounds |p| on it, and the slabs are
-    evaluated in descending bound order, one slab first and then blocks that
-    double up to about ``GRID_BLOCK_ROWS`` points.  A slab whose bound is at
-    most the running max cannot raise it and is skipped; once the largest
-    bound left is at most the max, the sweep stops.  The bound carries a
-    rigorous rounding allowance and the max is a selection, so the result is
-    the full sweep's float bit for bit.  Memory stays at one block whatever
-    the resolution.
+    The max starts at the 2^n grid corners; then ``grid_lines`` sweeps the
+    lines under the prefixes whose ``box_abs_bound`` is above the running
+    max (a NaN bound keeps its prefix), so a prefix that cannot raise the
+    max is never evaluated.  The bound carries a rigorous rounding allowance
+    and the max is a selection, so the result is the full sweep's float bit
+    for bit.  Memory stays at one block whatever the resolution.
     """
-    axis = grid_axis(p.n, resolution)
-    per_block = _slabs_per_block(resolution, p.n)
-    if per_block >= resolution:
-        return float(np.max(np.abs(p.evaluate_axes(_slab_axes(axis, axis, p.n)))))
-    bound = np.broadcast_to(p.box_abs_bound([axis]), axis.shape)
-    order = np.argsort(-bound, kind="stable")
-    best = -np.inf
-    # the top slab alone often settles the sweep, so blocks start at one slab
-    start, size = 0, 1
-    while start < resolution:
-        block = order[start : start + size]
-        # descending: a slab that fails here fails in every later block too
-        block = block[bound[block] > best]
-        if not len(block):
-            break
-        values = p.evaluate_axes(_slab_axes(axis[block], axis, p.n))
-        best = max(best, float(np.max(np.abs(values))))
-        start, size = start + size, min(2 * size, per_block)
-    return best
+    # the grid checks run on this call; keep reads the running max as the walk goes
+    lines = grid_lines(p.n, resolution, lambda heads: ~(p.box_abs_bound(heads) <= best), len(p.terms))
+    best = np.max(np.abs(p.evaluate_axes(np.ix_(*[[-1.0, 1.0]] * p.n))))
+    for axes in lines:
+        best = np.maximum(best, np.max(np.abs(p.evaluate_axes(axes))))
+    return float(best)

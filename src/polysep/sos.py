@@ -64,7 +64,6 @@ class MonomialBasis:
     """Ordered monomial basis of R[x]_d used to parameterize one Gram matrix."""
 
     n: int
-    half_degree: int
     elements: tuple
 
     def __len__(self) -> int:
@@ -74,7 +73,7 @@ class MonomialBasis:
 def basis(n: int, half_degree: int) -> MonomialBasis:
     if half_degree < 0:
         raise ValueError(f"half degree must be non-negative, got {half_degree}")
-    return MonomialBasis(n, half_degree, tuple(monomials_up_to_degree(n, half_degree)))
+    return MonomialBasis(n, tuple(monomials_up_to_degree(n, half_degree)))
 
 
 @dataclass(frozen=True)

@@ -626,7 +626,7 @@ def test_grid_memory_does_not_grow_with_the_resolution(capsys):
         finally:
             tracemalloc.stop()
         assert code == 0
-    # the whole 1000^2 CSV is about 62 MB; a slab-streamed grid holds a block
+    # the whole 1000^2 CSV is about 62 MB; a streamed grid holds a block
     assert peaks[1000] <= 2 * peaks[256]
 
 

@@ -209,6 +209,12 @@ def test_sup_norm_corners_only():
 
 def test_sup_norm_interior_maximum():
     assert sup_norm_grid(parse("1 - x1^2", 1), 101) == 1.0
+    # the max beats the corners' 1 by 5e-4 at x1^2 = 1/2, so prefixes whose
+    # bound is only just above the running max must still be evaluated
+    for n in (2, 3):
+        p = parse("1 + 0.002*x1^2 - 0.002*x1^4", n)
+        expected = float(np.max(np.abs(p.evaluate_many(poly.box_grid_points(n, 101)))))
+        assert expected > 1.0004 and sup_norm_grid(p, 101) == expected
 
 
 def test_sup_norm_monotone_under_nested_refinement():
@@ -230,50 +236,72 @@ def test_grid_requires_resolution_at_least_two():
         poly.box_grid_points(2, 1)
 
 
-# ---- chunked grid sweeps ----------------------------------------------------
+# ---- grid line walk ---------------------------------------------------------
 
 # (n, resolution, block rows): n=2 at 1000 ends blocks mid-grid with a partial
-# last block; n=3 at 33 with 500-row blocks has slabs taller than a block
-CHUNK_SHAPES = [(1, 5, None), (1, 1000, 64), (2, 2, None), (2, 1000, None), (3, 33, 500), (4, 31, None)]
+# last block; n=3 at 33 with 500-row blocks has several prefix chunks, with
+# 20-row blocks lines longer than a block
+CHUNK_SHAPES = [
+    (1, 5, None), (1, 1000, 64), (2, 2, None), (2, 1000, None), (3, 33, 500), (3, 33, 20), (4, 31, None)
+]
 
 
-def slab_points(axes):
-    """A grid_slabs block's points as x1-major rows, like box_grid_points."""
+def line_points(axes):
+    """A grid_lines block's points as x1-major rows, like box_grid_points."""
     return np.stack([poly.on_grid(x, axes).ravel() for x in axes], axis=-1)
+
+
+def keep_all(heads):
+    return True
+
+
+def check_line_axes(axes, axis):
+    # prefix values down the first dimension, then a run of the axis (the whole
+    # x_n axis once there is a prefix) along the second
+    *prefix, line = axes
+    assert all(x.shape == (len(prefix[0]), 1) for x in prefix)
+    assert line.shape[0] == 1 and (not prefix or line.ravel().tobytes() == axis.tobytes())
 
 
 @pytest.mark.parametrize("n, resolution, block_rows", CHUNK_SHAPES)
 def test_box_grid_chunks_are_box_grid_points_in_whole_slabs(n, resolution, block_rows, monkeypatch):
+    # grid_lines keeping every prefix: whole x_n lines (for n = 2 the x1-slabs),
+    # at most a block height or one line per block, box_grid_points in order
     if block_rows is not None:
         monkeypatch.setattr(poly, "GRID_BLOCK_ROWS", block_rows)
-    slab = resolution ** (n - 1)
-    slabs = list(poly.grid_slabs(n, resolution))
+    blocks = list(poly.grid_lines(n, resolution, keep_all, 1))
     axis = np.linspace(-1.0, 1.0, resolution)
-    for axes in slabs:
-        # x1 values down the first dimension, the whole axis down each other one
-        assert axes[0].shape == (len(axes[0]),) + (1,) * (n - 1)
-        assert all(x.ravel().tobytes() == axis.tobytes() for x in axes[1:])
-    blocks = [slab_points(axes) for axes in slabs]
-    height = max(1, poly.GRID_BLOCK_ROWS // slab) * slab
-    assert all(len(block) == height for block in blocks[:-1])
-    assert 0 < len(blocks[-1]) <= height and len(blocks[-1]) % slab == 0
+    for axes in blocks:
+        check_line_axes(axes, axis)
+    points = [line_points(axes) for axes in blocks]
+    assert all(0 < len(block) <= max(poly.GRID_BLOCK_ROWS, resolution) for block in points)
+    # a line or a run of it is cut only at the block height
+    height = poly.GRID_BLOCK_ROWS if n == 1 else max(1, poly.GRID_BLOCK_ROWS // resolution) * resolution
+    if n <= 2:
+        assert all(len(block) == height for block in points[:-1])
     full = poly.box_grid_points(n, resolution)
-    joined = np.concatenate(blocks)
+    joined = np.concatenate(points)
     assert joined.shape == full.shape and joined.tobytes() == full.tobytes()
 
 
 def test_box_grid_chunks_one_slab_per_block_when_a_slab_exceeds_the_block_height(monkeypatch):
-    resolution = 257  # one x1-slab holds 257^2 > GRID_BLOCK_ROWS points
+    # at the real block height a 257^3 grid comes in blocks of whole lines under
+    # x1-major prefixes; the whole grid is 400 MB, so only its prefixes are compared
+    resolution = 257
     monkeypatch.setattr(poly, "GRID_BUDGET", resolution**3)
     axis = np.linspace(-1.0, 1.0, resolution)
-    tail = poly.box_grid_points(2, resolution).tobytes()
-    count = 0
-    for j, axes in enumerate(poly.grid_slabs(3, resolution)):
-        block = slab_points(axes)
-        assert np.all(block[:, 0] == axis[j])
-        assert block[:, 1:].tobytes() == tail
-        count += 1
-    assert count == resolution
+    prefixes = []
+    for axes in poly.grid_lines(3, resolution, keep_all, 1):
+        check_line_axes(axes, axis)
+        assert len(axes[0]) * resolution <= poly.GRID_BLOCK_ROWS
+        prefixes.append(np.concatenate(axes[:-1], axis=1))
+    assert np.concatenate(prefixes).tobytes() == poly.box_grid_points(2, resolution).tobytes()
+    # a block height below one line: one line, here one x1-slab, per block
+    monkeypatch.setattr(poly, "GRID_BLOCK_ROWS", resolution - 1)
+    blocks = list(poly.grid_lines(2, resolution, keep_all, 1))
+    assert len(blocks) == resolution
+    for j, axes in enumerate(blocks):
+        assert line_points(axes).tobytes() == np.stack([np.full(resolution, axis[j]), axis], axis=-1).tobytes()
 
 
 @st.composite
@@ -293,9 +321,10 @@ def grid_polynomials(draw):
 def test_evaluate_axes_on_grid_slabs_is_evaluate_many_bit_for_bit(case):
     p, resolution, block_rows = case
     with pytest.MonkeyPatch.context() as mp:
-        # blocks of a few x1-slabs, down to one slab per block
+        # blocks of a few grid_lines lines, down to part of one line per block
         mp.setattr(poly, "GRID_BLOCK_ROWS", block_rows)
-        values = [poly.on_grid(p.evaluate_axes(axes), axes).ravel() for axes in poly.grid_slabs(p.n, resolution)]
+        lines = poly.grid_lines(p.n, resolution, keep_all, 1)
+        values = [poly.on_grid(p.evaluate_axes(axes), axes).ravel() for axes in lines]
     expected = p.evaluate_many(poly.box_grid_points(p.n, resolution))
     assert np.concatenate(values).tobytes() == expected.tobytes()
 
@@ -346,14 +375,14 @@ def test_sup_norm_grid_matches_the_full_grid(n, resolution, block_rows, monkeypa
 def test_branch_and_bound_sup_norm_is_the_full_sweep_max_bit_for_bit(case):
     p, resolution, block_rows = case
     with pytest.MonkeyPatch.context() as mp:
-        # a block height under the grid's size sends every grid through the branch and bound
+        # small block heights cut the walk into many prefix chunks and blocks
         mp.setattr(poly, "GRID_BLOCK_ROWS", block_rows)
         norm = sup_norm_grid(p, resolution)
     assert norm == float(np.max(np.abs(p.evaluate_many(poly.box_grid_points(p.n, resolution)))))
 
 
 # nothing to prune: a constant and the zero polynomial have one bound on every
-# slab; 2 sum|c| of the last two overflows, so their bound is inf
+# prefix; 2 sum|c| of the last two overflows, so their bound is inf
 UNPRUNABLE = {
     "constant": (Polynomial.constant(3, -2.5), False),
     "zero": (Polynomial.zero(3), False),
@@ -368,20 +397,24 @@ def test_sup_norm_grid_without_a_usable_bound_is_the_full_sweep_max(case, monkey
     full = poly.box_grid_points(3, 21)
     with pytest.warns(RuntimeWarning, match="overflow") if overflows else contextlib.nullcontext():
         expected = float(np.max(np.abs(p.evaluate_many(full))))
-    monkeypatch.setattr(poly, "GRID_BLOCK_ROWS", 2 * 21**2)  # two slabs per block
+    monkeypatch.setattr(poly, "GRID_BLOCK_ROWS", 2 * 21**2)  # 42 lines per block
     sizes = evaluated_points(monkeypatch)
     with pytest.warns(RuntimeWarning, match="overflow") if overflows else contextlib.nullcontext():
         assert sup_norm_grid(p, 21) == expected
     if case == "bound-overflow":
-        assert sum(sizes) == 21**3
+        # the 2^3 corners that seed the max, then every line
+        assert sum(sizes) == 2**3 + 21**3
     if overflows:
         assert expected == np.inf
 
 
 def test_grid_checks_fire_before_any_block(monkeypatch):
-    # grid_slabs checks on the call, not when the first block is drawn
+    def no_work(heads):
+        raise AssertionError("a prefix was offered")
+
+    # grid_lines checks on the call, not when the first block is drawn
     with pytest.raises(ValueError, match="resolution must be at least 2, got 1"):
-        poly.grid_slabs(2, 1)
+        poly.grid_lines(2, 1, no_work, 1)
     # the zero polynomial's grid is checked too
     zero = Polynomial.zero(2)
     with pytest.raises(ValueError, match="resolution must be at least 2, got 1"):
@@ -389,6 +422,42 @@ def test_grid_checks_fire_before_any_block(monkeypatch):
     assert sup_norm_grid(zero, 101) == 0.0
     monkeypatch.setattr(poly, "GRID_BUDGET", 100)  # read when a grid is asked for
     with pytest.raises(SampleBudgetError, match=r"grid of 101\^2 = 10201 points exceeds the budget of 100"):
-        poly.grid_slabs(2, 101)
+        poly.grid_lines(2, 101, no_work, 1)
     with pytest.raises(SampleBudgetError):
         sup_norm_grid(zero, 101)
+
+
+@st.composite
+def pruned_walks(draw):
+    """n <= 4, a resolution, a block height and, per prefix length, a random kept set of prefixes."""
+    n = draw(st.integers(1, 4))
+    resolution = draw(st.integers(2, {1: 40, 2: 24, 3: 11, 4: 7}[n]))
+    block_rows = draw(st.integers(1, 2 * resolution**n))
+    share = draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tables = [rng.random((resolution,) * k) < share for k in range(1, n)]
+    return n, resolution, block_rows, tables
+
+
+@settings(max_examples=200, deadline=None)
+@given(pruned_walks())
+def test_grid_lines_yields_the_grid_rows_whose_prefixes_are_kept(case):
+    n, resolution, block_rows, tables = case
+    axis = np.linspace(-1.0, 1.0, resolution)
+
+    def keep(heads):
+        # the prefix's grid indices looked up in its length's table
+        index = tuple(np.rint((np.asarray(x) + 1.0) * (resolution - 1) / 2.0).astype(int) for x in heads)
+        return tables[len(heads) - 1][index]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "GRID_BLOCK_ROWS", block_rows)
+        blocks = [line_points(axes) for axes in poly.grid_lines(n, resolution, keep, 1)]
+    assert all(0 < len(block) <= max(block_rows, resolution) for block in blocks)
+    full = poly.box_grid_points(n, resolution)
+    index = np.rint((full + 1.0) * (resolution - 1) / 2.0).astype(int)
+    kept = np.ones(len(full), dtype=bool)
+    for k, table in enumerate(tables, start=1):
+        kept &= table[tuple(index[:, :k].T)]
+    joined = np.concatenate(blocks) if blocks else np.empty((0, n))
+    assert joined.shape == (int(kept.sum()), n) and joined.tobytes() == full[kept].tobytes()

@@ -279,16 +279,33 @@ def test_ci_balls_evaluate_a_tenth_of_the_grid_at_most(monkeypatch):
         assert sum(sizes) <= 0.1 * 201**3
 
 
+def sup_norm_sweep(p, resolution):
+    """The max of |p| over every grid_lines block, no prefix dropped."""
+    lines = poly.grid_lines(p.n, resolution, lambda heads: True, 1)
+    return max(np.max(np.abs(p.evaluate_axes(axes))) for axes in lines)
+
+
 def test_ci_ball_sup_norms_evaluate_a_tenth_of_the_grid_at_most(monkeypatch):
-    # the bound report's normalization check at 101: the slab bound is tight for
-    # a ball, so the top slab settles the max
+    # the bound report's normalization check at 101: the prefix bound is tight
+    # for a ball, so past the corners few lines are evaluated
     generators = [parse(text, 3) for text in CI_BALLS]
-    full = [max(np.max(np.abs(g.evaluate_axes(axes))) for axes in poly.grid_slabs(3, 101)) for g in generators]
+    full = [sup_norm_sweep(g, 101) for g in generators]
     sizes = evaluated_points(monkeypatch)
     for g, expected in zip(generators, full):
         sizes.clear()
         assert poly.sup_norm_grid(g, 101) == expected
         assert sum(sizes) <= 0.1 * 101**3
+
+
+def test_golden_sup_norms_evaluate_a_twentieth_of_the_grid_at_most(lemniscate_set, circle_set, monkeypatch):
+    # the bound report's normalization check on the golden generators at 101
+    generators = [lemniscate_set.generators[0], circle_set.generators[0]]
+    full = [sup_norm_sweep(g, 101) for g in generators]
+    sizes = evaluated_points(monkeypatch)
+    for g, expected in zip(generators, full):
+        sizes.clear()
+        assert poly.sup_norm_grid(g, 101) == expected
+        assert sum(sizes) <= 0.05 * 101**2
 
 
 def test_lemniscate_evaluates_only_the_lines_its_grouped_bound_reaches(lemniscate_set, monkeypatch):
