@@ -44,15 +44,7 @@ comp_b = quadratic_module_complexity(
 )
 print(f"\ncomplexity factors: {comp_a.pow10_string()} and {comp_b.pow10_string()}")
 
-params = BoundParams(
-    n=2,
-    dist=dist,
-    loj_exponent=1.0,
-    loj_coeff=1.0,
-    n_generators=1,
-    max_generator_degree=2,
-    jackson_constant=1.0,
-)
+params = BoundParams(n=2, dist=dist, loj_exponent=1.0, jackson_constant=1.0)
 bound = separation_degree_bound(params, comp_a, comp_b)
 print(f"guaranteed separation degree: {bound.pow10_string()}")
 print("(the hierarchy succeeds at level 2 here; the guarantee is astronomically loose)")

@@ -43,19 +43,16 @@ class LogScaleValue:
 class BoundParams:
     """Inputs of the separation-degree bound.
 
-    loj_exponent and loj_coeff are the Lojasiewicz data of the generator
-    systems (user supplied); n_generators and max_generator_degree describe
-    the larger of the two systems; jackson_constant is the absolute constant
-    of the uniform-approximation theorem; dist is (an estimate of) the
-    distance between the two sets.
+    loj_exponent is the Lojasiewicz exponent of the generator systems (user
+    supplied); jackson_constant is the absolute constant of the
+    uniform-approximation theorem; dist is (an estimate of) the distance
+    between the two sets.  The per-set complexities enter the bound as its
+    own arguments.
     """
 
     n: int
     dist: float
     loj_exponent: float = 1.0
-    loj_coeff: float = 1.0
-    n_generators: int = 1
-    max_generator_degree: int = 1
     jackson_constant: float = 1.0
 
     def __post_init__(self):
@@ -63,11 +60,9 @@ class BoundParams:
             raise ValueError("bounds require dimension n >= 2")
         if self.loj_exponent < 1.0:
             raise ValueError("the Lojasiewicz exponent is at least 1")
-        for name in ("dist", "loj_coeff", "jackson_constant"):
+        for name in ("dist", "jackson_constant"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.n_generators < 1 or self.max_generator_degree < 1:
-            raise ValueError("generator count and degree must be at least 1")
 
 
 def lipschitz_constant(dist: float) -> float:

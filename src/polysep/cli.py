@@ -146,13 +146,7 @@ def _bound_report(a, b, resolution, loj_coeff, loj_exponent, jackson_constant):
     dist = dist_estimate(a, b, resolution)
     lip = lipschitz_constant(dist)
     params = BoundParams(
-        n=n,
-        dist=dist,
-        loj_exponent=loj_exponent,
-        loj_coeff=loj_coeff,
-        n_generators=max(len(a.generators), len(b.generators)),
-        max_generator_degree=max(a.max_generator_degree(), b.max_generator_degree()),
-        jackson_constant=jackson_constant,
+        n=n, dist=dist, loj_exponent=loj_exponent, jackson_constant=jackson_constant
     )
 
     def complexities(exponent):

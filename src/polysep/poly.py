@@ -223,8 +223,8 @@ class Polynomial:
         the bound lies within gamma_{#terms + degree + n} sum|c| of the exact
         bound.  So the bound is raised by 2 gamma_K sum|c| with K = #terms +
         degree + 3n + 1, the extra 1 covering the rounding of that allowance
-        itself.  The analysis needs no overflow, which holds while 2 sum|c| is
-        finite; beyond that the bound is inf and excludes nothing.
+        itself.  The analysis needs K u < 1 and no overflow, which holds while
+        2 sum|c| is finite; beyond either the bound is inf and excludes nothing.
         """
         sums, lows, allowance = self._tail_sums(heads)
         # exact: the tail's low end is -1, 0 or 1 and its high end 1
@@ -266,8 +266,15 @@ class Polynomial:
         # variables (entry k: the term order that makes each group contiguous,
         # the groups' starts in it and the low end of each group's tail; the
         # order and starts are None where no two terms share a non-constant
-        # tail, and each term is its own group), and the rounding allowance
+        # tail, and each term is its own group), and the rounding allowance.
+        # gamma_K = K u / (1 - K u) bounds K roundings only while K u < 1, and
+        # the allowance needs 2 sum|c| finite; otherwise only the allowance, inf,
+        # is formed, so no exponent past the integer range is ever laid out
         monos = list(self.terms)
+        scale = sum(abs(c) for c in self.terms.values())
+        rounds = len(monos) + self.total_degree() + 3 * self.n + 1
+        if rounds >= 2**53 or not 2.0 * scale < np.inf:
+            return None, None, None, None, np.inf
         groups = []
         for k in range(self.n + 1):
             tails = sorted({mono[k:] for mono in monos})
@@ -285,14 +292,13 @@ class Polynomial:
             else:
                 # every term its own group, kept in term order
                 groups.append((None, None, lows[labels]))
-        scale = sum(abs(c) for c in self.terms.values())
-        unit = (len(monos) + self.total_degree() + 3 * self.n + 1) * 2.0**-53
+        unit = rounds * 2.0**-53
         return (
             np.fromiter(self.terms.values(), float, len(monos)),
             np.array(monos, dtype=np.intp).reshape(-1, self.n).T,
             tuple(max(e) for e in zip(*monos)) if monos else (0,) * self.n,
             groups,
-            2.0 * unit / (1.0 - unit) * scale if 2.0 * scale < np.inf else np.inf,
+            2.0 * unit / (1.0 - unit) * scale,
         )
 
     def truncate(self, max_degree: int) -> "Polynomial":

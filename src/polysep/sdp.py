@@ -15,19 +15,20 @@ The solver is an infeasible-start primal-dual path-following method with a
 Mehrotra predictor-corrector, using the XZ (HKM) search direction and dense
 linear algebra throughout: the HKM predictor-corrector of SDPT3 (Toh, Todd
 and Tutuncu 1999) on SDPA-style block storage (Fujisawa, Kojima and Nakata
-1997).  A pivoted Cholesky of the row Gram first drops dependent rows.
-Constraints come as one (m, s, s) stack per block, the form the
-quadratic-module assembler writes, and an m-vector of right-hand sides.
-``SdpProblem`` copies the stacks once into one matrix whose columns hold the
-blocks flattened and grouped by size, and the interior-point loop runs on
-that column layout.  X, Z, Z^-1 and the search directions are flat vectors
-of length sum(s_b^2), so A(X) is one matrix-vector product, A*(y) one
-vector-matrix product, and the residuals, inner products and updates are
-one call each.  Per group of k equal-size blocks, X and Z are viewed
-together as one (2, k, s, s) array: one Cholesky and inverse per iteration
-factors both, and one eigensolve per step-length phase gives the primal and
-the dual step.  The Schur complement is one batched product per group, and
-LAPACK's dpotrf and dpotrs factor and solve the Newton system.
+1997).  The predictor and the corrector share one Newton-direction routine.
+A pivoted Cholesky of the row Gram first drops dependent rows.  Constraints
+come as one (m, s, s) stack per block, the form the quadratic-module
+assembler writes, and an m-vector of right-hand sides.  ``SdpProblem``
+packs C and the stacks once into columns that hold the blocks flattened and
+grouped by size, and the interior-point loop runs on that column layout.
+X, Z, Z^-1 and the search directions are flat vectors of length sum(s_b^2),
+so A(X) is one matrix-vector product, A*(y) one vector-matrix product, and
+the residuals, inner products and updates are one call each.  Per group of
+k equal-size blocks, X and Z are viewed together as one (2, k, s, s) array:
+one Cholesky and inverse per iteration factors both, and one eigensolve per
+step-length phase gives the primal and the dual step.  The Schur complement
+is one batched product per group, and LAPACK's dpotrf and dpotrs factor and
+solve the Newton system.
 ``SdpSolution.X`` and ``SdpSolution.S`` are per-block lists in block order.
 It targets desk-scale problems: robustness over speed, no sparsity
 exploitation, blocks capped at a configured size.
@@ -107,7 +108,8 @@ class SdpProblem:
     block b's (m, s_b, s_b) constraint stack, whose entry k is A_k's block b,
     or None for a block no constraint touches; ``rhs`` holds the m values b_k.
 
-    The constructor packs the stacks once (``_pack``) into the m x sum(s_b^2)
+    The constructor packs C once (``_pack``) into the flat vector ``c``, whose
+    per-block views are ``objective``, and the stacks into the m x sum(s_b^2)
     ``matrix``, its (m, s_b, s_b) block views ``stacks`` and its per-size
     (block indices, (m, k, s, s) view) ``groups``.  The rank filter factors
     the row Gram of ``matrix``; the interior-point loop keeps its iterates in
@@ -123,7 +125,8 @@ class SdpProblem:
             raise ValueError(f"block size exceeds the configured limit of {MAX_BLOCK_SIZE}")
         self.block_sizes = sizes
         objective = [None if c is None else np.asarray(c, dtype=float)[None] for c in objective]
-        self.objective = [st[0] for st in _pack(objective, sizes, 1, "objective")[1]]
+        c_mat, c_views, _ = _pack(objective, sizes, 1, "objective")
+        self.c, self.objective = c_mat[0], [st[0] for st in c_views]
         self.rhs = np.array(rhs, dtype=float)
         if self.rhs.ndim != 1 or not self.rhs.size:
             raise ValueError("problem needs at least one constraint; rhs is a vector of b_k")
@@ -176,14 +179,14 @@ class SdpSolution:
 
 
 def min_eigenvalue(mat) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
+    """Smallest eigenvalue of a symmetric matrix; +inf for a 0 x 0 one, which has none."""
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    asym = np.max(np.abs(m - m.T)) if m.size else 0.0
-    if asym > 1e-12 * max(1.0, float(np.max(np.abs(m)))):
+    asym = np.max(np.abs(m - m.T), initial=0.0)
+    if asym > 1e-12 * max(1.0, float(np.max(np.abs(m), initial=0.0))):
         raise ValueError(f"matrix is not symmetric: max asymmetry {asym:g}")
-    return float(la.eigvalsh(0.5 * (m + m.T))[0])
+    return float(np.min(la.eigvalsh(0.5 * (m + m.T)), initial=np.inf))
 
 
 def _rank_filter(problem: SdpProblem):
@@ -325,11 +328,10 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
     # X and Z share one (2, sum s_b^2) buffer, and so do their directions: per group a
     # (2, k, s, s) view factors, eigensolves and updates both sides at once.
     groups, members = problem.groups, [idx for idx, _ in problem.groups]
-    mat, b = problem.matrix, problem.rhs
+    mat, b, c = problem.matrix, problem.rhs, problem.c
     if dropped:
         mat, b = mat[kept], b[kept]
     stacks = _views(mat, groups)
-    c = np.concatenate([problem.objective[i].ravel() for idx in members for i in idx])
     # flat[transpose] transposes every block of a flat iterate
     transpose = np.concatenate([_transpose(v).ravel() for v in _views(np.arange(c.size), groups)])
     m = len(b)
@@ -353,6 +355,14 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
     def times_zinv(left_g, mid_g, out_g):
         for lb, mb, zib, ob in zip(left_g, mid_g, zinv_g, out_g):
             np.matmul(lb @ mb, zib, out=ob)
+
+    def direction(rhs, dx_base, fraction):
+        """Solve the factored Newton system, fill dZ and dX; return dy and the capped steps."""
+        dy = la.lapack.dpotrs(m_fac, rhs, lower=1)[0]
+        np.subtract(dy @ mat, rd, out=dz)
+        times_zinv(x_g, dz_g, work_g)
+        symmetrized(dx_base - work, dx)
+        return dy, np.minimum(1.0, fraction * _max_step(inv_factors, dxz_g))
 
     b_scale = 1.0 + np.linalg.norm(b)
     c_scale = 1.0 + np.linalg.norm(c)
@@ -432,31 +442,15 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
         times_zinv(x_g, rd_g, work_g)
         base_rhs = mat @ work - b
 
-        # predictor: pure Newton step toward the boundary (sigma = 0)
-        dy = la.lapack.dpotrs(m_fac, base_rhs, lower=1)[0]
-        np.subtract(dy @ mat, rd, out=dz)
-        times_zinv(x_g, dz_g, work_g)
-        symmetrized(-x - work, dx)
-
         try:
-            ap, ad = np.minimum(1.0, _max_step(inv_factors, dxz_g))
-        except np.linalg.LinAlgError:
-            status = SdpStatus.NUMERICAL_TROUBLE
-            diagnostics["message"] = "step-length eigensolve failed"
-            break
-        mu_aff = float((x + ap * dx) @ (z + ad * dz)) / n_total
-        sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
-
-        # corrector: recentred step with Mehrotra's second-order term
-        times_zinv(dx_g, dz_g, corr_g)
-        shift = sigma * mu * zinv - corr
-        dy = la.lapack.dpotrs(m_fac, base_rhs + mat @ shift, lower=1)[0]
-        np.subtract(dy @ mat, rd, out=dz)
-        times_zinv(x_g, dz_g, work_g)
-        symmetrized(shift - x - work, dx)
-
-        try:
-            steps = np.minimum(1.0, 0.98 * _max_step(inv_factors, dxz_g))
+            # predictor: pure Newton step toward the boundary (sigma = 0)
+            _, (ap, ad) = direction(base_rhs, -x, 1.0)
+            mu_aff = float((x + ap * dx) @ (z + ad * dz)) / n_total
+            sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
+            # corrector: recentred step with Mehrotra's second-order term
+            times_zinv(dx_g, dz_g, corr_g)
+            shift = sigma * mu * zinv - corr
+            dy, steps = direction(base_rhs + mat @ shift, shift - x, 0.98)
         except np.linalg.LinAlgError:
             status = SdpStatus.NUMERICAL_TROUBLE
             diagnostics["message"] = "step-length eigensolve failed"

@@ -295,8 +295,6 @@ def run_hierarchy(
     """
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
-    if l_max < d_max:
-        raise ValueError("l_max must be at least d_max")
     gens_a, gens_b = _augmented_generators(a, b, options)
     gen_degree = max(g.total_degree() for g in gens_a + gens_b)
 

@@ -185,9 +185,7 @@ def test_criterion_6_bound_calculators_vs_oracle():
         jackson_c = float(rng.uniform(0.2, 5.0))
         dist = float(rng.uniform(0.01, 2.0))
         comp = quadratic_module_complexity(n, t, c, r, deg)
-        params = BoundParams(n=n, dist=dist, loj_exponent=t, loj_coeff=c,
-                             n_generators=r, max_generator_degree=deg,
-                             jackson_constant=jackson_c)
+        params = BoundParams(n=n, dist=dist, loj_exponent=t, jackson_constant=jackson_c)
         bound = separation_degree_bound(params, comp, comp)
         gamma_ref, total_ref = oracle(n, t, c, r, deg, jackson_c, dist)
         assert comp.log10_value == pytest.approx(gamma_ref, abs=1e-9)
@@ -195,8 +193,7 @@ def test_criterion_6_bound_calculators_vs_oracle():
 
     comp = quadratic_module_complexity(2, 1.0, 1.0, 1, 4)
     worked = separation_degree_bound(
-        BoundParams(n=2, dist=0.5, loj_exponent=1.0, loj_coeff=1.0,
-                    n_generators=1, max_generator_degree=4, jackson_constant=1.0),
+        BoundParams(n=2, dist=0.5, loj_exponent=1.0, jackson_constant=1.0),
         comp,
         comp,
     )

@@ -147,8 +147,7 @@ def test_certificate_level_rejects_nonpositive_eps():
 
 def test_separation_degree_worked_value():
     comp = quadratic_module_complexity(2, 1.0, 1.0, 1, 4)
-    params = BoundParams(n=2, dist=0.5, loj_exponent=1.0, loj_coeff=1.0,
-                         n_generators=1, max_generator_degree=4, jackson_constant=1.0)
+    params = BoundParams(n=2, dist=0.5, loj_exponent=1.0, jackson_constant=1.0)
     bound = separation_degree_bound(params, comp, comp)
     expected = math.log10(131072) + 6 * math.log10(2) + 12 * math.log10(12)
     assert bound.log10_value == pytest.approx(expected, abs=1e-12)
@@ -158,8 +157,7 @@ def test_separation_degree_worked_value():
 
 def test_separation_degree_unit_ratio_contributes_nothing():
     comp = quadratic_module_complexity(2, 1.0, 1.0, 1, 4)
-    near = BoundParams(n=2, dist=6.0, loj_exponent=1.0, loj_coeff=1.0,
-                       n_generators=1, max_generator_degree=4, jackson_constant=1.0)
+    near = BoundParams(n=2, dist=6.0, loj_exponent=1.0, jackson_constant=1.0)
     bound = separation_degree_bound(near, comp, comp)
     expected = comp.log10_value + 6 * math.log10(2)
     assert bound.log10_value == pytest.approx(expected, abs=1e-12)
@@ -167,8 +165,7 @@ def test_separation_degree_unit_ratio_contributes_nothing():
 
 def test_exponent_one_path_is_plain_substitution():
     comp = quadratic_module_complexity(3, 1.0, 2.0, 2, 3)
-    params = BoundParams(n=3, dist=0.25, loj_exponent=1.0, loj_coeff=2.0,
-                         n_generators=2, max_generator_degree=3, jackson_constant=1.5)
+    params = BoundParams(n=3, dist=0.25, loj_exponent=1.0, jackson_constant=1.5)
     direct = separation_degree_bound(params, comp, comp)
     oracle = mp_separation_bound(3, 1.0, 2.0, 2, 3, 1.5, 0.25)
     assert direct.log10_value == pytest.approx(oracle, abs=1e-9)
@@ -188,9 +185,7 @@ def test_bounds_against_high_precision_oracle():
         comp = quadratic_module_complexity(n, t, c, r, deg)
         assert comp.log10_value == pytest.approx(mp_complexity(n, t, c, r, deg), abs=1e-9)
 
-        params = BoundParams(n=n, dist=dist, loj_exponent=t, loj_coeff=c,
-                             n_generators=r, max_generator_degree=deg,
-                             jackson_constant=jackson_c)
+        params = BoundParams(n=n, dist=dist, loj_exponent=t, jackson_constant=jackson_c)
         bound = separation_degree_bound(params, comp, comp)
         oracle = mp_separation_bound(n, t, c, r, deg, jackson_c, dist)
         assert bound.log10_value == pytest.approx(oracle, abs=1e-9)
@@ -213,12 +208,8 @@ def test_bound_monotonicity():
         assert quadratic_module_complexity(n, t, 2 * c, r, deg).log10_value >= comp.log10_value
         assert quadratic_module_complexity(n, t, c, r, deg + 1).log10_value >= comp.log10_value
 
-        params = BoundParams(n=n, dist=dist, loj_exponent=t, loj_coeff=c,
-                             n_generators=r, max_generator_degree=deg,
-                             jackson_constant=jackson_c)
-        closer = BoundParams(n=n, dist=dist / 2, loj_exponent=t, loj_coeff=c,
-                             n_generators=r, max_generator_degree=deg,
-                             jackson_constant=jackson_c)
+        params = BoundParams(n=n, dist=dist, loj_exponent=t, jackson_constant=jackson_c)
+        closer = BoundParams(n=n, dist=dist / 2, loj_exponent=t, jackson_constant=jackson_c)
         assert (
             separation_degree_bound(closer, comp, comp).log10_value
             >= separation_degree_bound(params, comp, comp).log10_value

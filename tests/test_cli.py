@@ -9,6 +9,8 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import DISK_LEFT, DISK_RIGHT, REFERENCE_P, write_problem
 from polysep.cli import load_problem, main
@@ -74,6 +76,14 @@ def test_separate_golden_tries_the_cheapest_attempts_first(tmp_path, capsys):
     assert trace == [(1, 4, "no_margin"), (2, 4, "separated")]
     golden = json.loads((DATA_DIR / "golden_result.json").read_text())
     assert result["slack"] == pytest.approx(golden["slack"], abs=1e-12)
+
+
+def test_separate_level_cap_below_the_default_degree_cap(tmp_path, capsys, disk_problem_file):
+    out = tmp_path / "r.json"
+    code, *_ = run(capsys, "separate", disk_problem_file, "--level-max", "2", "--out", str(out))
+    assert code == 0
+    trace = json.loads(out.read_text())["diagnostics"]["trace"]
+    assert [(t["degree"], t["level"]) for t in trace] == [(1, 2)]
 
 
 def test_separate_intersecting_sets_exits_two(tmp_path, capsys):
@@ -462,6 +472,33 @@ def test_verify_accepts_a_zero_tolerance(capsys):
     assert (report["separation"]["passed"], report["certificates"]["passed"]) == (True, False)
 
 
+def test_verify_zero_multiplier_is_decided_by_the_residual(tmp_path, capsys):
+    # an empty basis and Gram is the zero SOS multiplier: it has no eigenvalue,
+    # and without the golden generator multiplier the A identity leaves a residual
+    data = json.loads((DATA_DIR / "golden_result.json").read_text())
+    data["certificates"]["A"]["multipliers"][1].update(basis=[], gram_row_major=[])
+    result = tmp_path / "zero.json"
+    result.write_text(json.dumps(data))
+    code, stdout, _ = run(capsys, "verify", str(DATA_DIR / "golden_problem.json"), str(result))
+    assert code == 3
+    report = json.loads(stdout)["certificates"]
+    assert report["passed"] is False and report["residual_A"] > 1.0
+    assert report["min_gram_eigenvalue"] > 0.0
+
+
+HUGE_EXPONENT = "1/16 - (x1 + 1/2)^2 - x2^2 - x1^99999999999999999999"
+
+
+@pytest.mark.parametrize("command, code", [("bounds", 0), ("verify", 3)])
+def test_exponent_past_int64_ends_in_an_exit_code(tmp_path, capsys, command, code):
+    # no int64 holds the exponent, so the generator gets no prefix bound and the
+    # sweeps evaluate every line; verify fails on the golden certificates'
+    # generators, which are not this problem's
+    problem = write_problem(tmp_path / "huge.json", 2, [HUGE_EXPONENT], [DISK_RIGHT])
+    args = {"bounds": ["--dist-resolution", "21"], "verify": [str(DATA_DIR / "golden_result.json")]}
+    assert run(capsys, command, problem, *args[command])[0] == code
+
+
 # ---- bounds ----------------------------------------------------------------------
 
 
@@ -680,3 +717,76 @@ def test_grid_on_stdout_is_the_text_of_out(tmp_path):
     with contextlib.redirect_stdout(stdout):
         assert main(["grid", problem, result, "--resolution", "257"]) == 0
     assert stdout.getvalue() == out.read_text()
+
+
+# ---- fuzzed input files ------------------------------------------------------------
+
+# short strings over the polynomial alphabet, without "^": a free exponent such as
+# x1^99999999 would build a gigabyte power table in the bound kernel
+FUZZ_TEXT = st.text(alphabet="x1234+-*/.()e ", max_size=8)
+FUZZ_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30) | st.floats() | FUZZ_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(FUZZ_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+# n stays in 1..4, or is no integer at all: the grids and bases grow with it
+FUZZ_N = st.integers(1, 4) | st.none() | st.booleans() | st.floats(0.5, 4.5) | FUZZ_TEXT | st.just([])
+
+
+def json_paths(node, path=()):
+    """(path, value) of every entry under ``node``, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from json_paths(value, path + (key,))
+
+
+@st.composite
+def mutated_inputs(draw):
+    """The golden problem and result, one of them mutated: leaves replaced, keys dropped."""
+    problem = json.loads((DATA_DIR / "golden_problem.json").read_text())
+    result = json.loads((DATA_DIR / "golden_result.json").read_text())
+    doc = draw(st.sampled_from([problem, result]))
+    for _ in range(draw(st.integers(1, 3))):
+        entries = list(json_paths(doc))
+        keys = [path for path, _ in entries if isinstance(path[-1], str)]
+        leaves = [path for path, value in entries if not isinstance(value, (dict, list))]
+        drop = draw(st.booleans()) and keys
+        path = draw(st.sampled_from(keys if drop else leaves))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if drop:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(FUZZ_N if doc is problem and path == ("n",) else FUZZ_VALUES)
+    return problem, result
+
+
+def golden_with(problem_change=None, result_change=None):
+    problem = json.loads((DATA_DIR / "golden_problem.json").read_text())
+    result = json.loads((DATA_DIR / "golden_result.json").read_text())
+    for doc, change in ((problem, problem_change), (result, result_change)):
+        if change:
+            change(doc)
+    return problem, result
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_inputs())
+# a generator exponent past int64 crashed the bound kernel
+@example(golden_with(problem_change=lambda d: d["A_generators"].append("x1^99999999999999999999")))
+# an empty basis and Gram, the zero multiplier, has no eigenvalue to check
+@example(golden_with(result_change=lambda d: d["certificates"]["A"]["multipliers"][1].update(
+    basis=[], gram_row_major=[])))
+def test_fuzzed_input_files_end_in_a_documented_exit_code(tmp_path, inputs):
+    problem, result = (tmp_path / "problem.json", tmp_path / "result.json")
+    for path, doc in zip((problem, result), inputs):
+        path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes = [
+            main(["verify", str(problem), str(result), "--resolution", "5"]),
+            main(["grid", str(problem), str(result), "--resolution", "5"]),
+        ]
+    assert set(codes) <= {0, 1, 2, 3, 4}

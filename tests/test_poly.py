@@ -350,6 +350,16 @@ def test_box_upper_bound_covers_every_grid_value_under_its_prefix(case, data):
     assert magnitude.tobytes() == np.maximum(bound, (-p).box_upper_bound(heads)).tobytes()
 
 
+@pytest.mark.parametrize("exponent", [2**53, 10**20])
+def test_no_bound_once_the_rounding_count_reaches_2_to_the_53(exponent):
+    # gamma_K = K u / (1 - K u) bounds no rounding once K u >= 1, and 10^20 has
+    # no int64: both bounds are inf, so the sweeps prune nothing
+    p = Polynomial(2, {(0, 0): 0.25, (2, 0): -1.0, (0, exponent): -1.0})
+    heads = [np.array([-1.0, 0.0, 0.5])]
+    assert np.all(p.box_upper_bound(heads) == np.inf)
+    assert np.all(p.box_abs_bound(heads) == np.inf)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_box_upper_bound_is_tight_for_a_ball_once_x1_is_fixed(k):
     # with x1 in the head, no two tail terms share a variable, so the bound is

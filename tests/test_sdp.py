@@ -510,6 +510,11 @@ def test_min_eigenvalue_shifted():
     assert min_eigenvalue([[2.0, 1.0], [1.0, 2.0]]) == pytest.approx(1.0, rel=1e-10)
 
 
+def test_min_eigenvalue_of_an_empty_matrix_is_inf():
+    # a 0 x 0 Gram, the zero SOS multiplier, has no eigenvalue to violate PSD
+    assert min_eigenvalue(np.zeros((0, 0))) == np.inf
+
+
 def test_min_eigenvalue_rejects_asymmetric():
     with pytest.raises(ValueError):
         min_eigenvalue([[0.0, 1.0], [0.0, 0.0]])

@@ -115,6 +115,10 @@ SWEEP_CASES = {
         None,
     ),
     "empty": (lambda: SemialgebraicSet(2, (parse("-1 - x1^2", 2),)), 1000, None),
+    # an exponent past int64 has no prefix bound: the sweep evaluates every line
+    "exponent-past-int64": (
+        lambda: SemialgebraicSet(2, (parse("1/4 - x1^2 - x2^99999999999999999999", 2),)), 101, None
+    ),
     # an x1-free term first and an x1-only term last: the running sum reaches
     # the full slab before the x1 terms are added; two x1 values per block
     "x1-terms-last": (

@@ -403,8 +403,9 @@ def test_hierarchy_argument_validation(disk_sets):
     a, b = disk_sets
     with pytest.raises(ValueError):
         run_hierarchy(a, b, d_max=0, l_max=4)
-    with pytest.raises(ValueError):
-        run_hierarchy(a, b, d_max=3, l_max=2)
+    # a level cap below the degree cap clips the degrees at each level
+    result = run_hierarchy(a, b, d_max=3, l_max=2)
+    assert (result.p_degree, result.level) == (1, 2)
 
 
 # ---- grid verification -----------------------------------------------------------

@@ -15,6 +15,7 @@ from polysep.poly import Polynomial, parse
 from polysep.separator import _assemble_separation
 from polysep.sos import (
     LevelTooSmallError,
+    MonomialBasis,
     NegativeSlackError,
     QmCertificate,
     assemble_membership,
@@ -345,6 +346,17 @@ def test_perturbed_gram_residual_is_linear():
     grams[0][0, 0] += 1e-3
     bumped = QmCertificate(cert.generators, tuple(grams), cert.bases, cert.level)
     assert reconstruct_residual(bumped, target) == pytest.approx(1e-3, rel=1e-6)
+
+
+def test_zero_multiplier_leaves_the_others_to_decide():
+    # an empty basis with an empty Gram is the zero SOS multiplier: it adds no
+    # eigenvalue and no term
+    s0 = basis(1, 1)
+    gram = np.array([[2.0, 0.5], [0.5, 1.0]])
+    grams, bases = (gram, np.zeros((0, 0))), (s0, MonomialBasis(1, ()))
+    cert = QmCertificate((parse("1 - x1^2", 1),), grams, bases, 2)
+    assert cert.min_gram_eigenvalue() == sdp.min_eigenvalue(gram)
+    assert cert.polynomial().max_coeff_diff(expand_gram(gram, s0)) == 0.0
 
 
 # ---- certificate semantics ----------------------------------------------------
