@@ -9,7 +9,7 @@ their basis monomial lists so a result can be re-verified from the two
 files alone.
 
 Exit codes: 0 success, 1 input error, 2 no separator found, 3 verification
-failure, 4 empty sample cloud.
+failure, 4 empty sample cloud (``bounds`` only).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .separator import (
     HierarchyExhaustedError,
     SeparatorOptions,
     SeparatorResult,
-    certificate_residuals,
+    certificate_residuals,  # read by perfbench/tracing.py
     run_hierarchy,
     verify_certificate,
     verify_separation,
@@ -246,33 +246,10 @@ def cmd_separate(args) -> int:
     try:
         result = run_hierarchy(a, b, degree_max, level_max, options)
     except HierarchyExhaustedError as err:
-        payload = {"separated": False, "trace": err.trace}
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
-        print(json.dumps(payload, indent=2))
+        _write_json({"separated": False, "trace": err.trace}, args.out)
         print("no separator found within the degree/level caps", file=sys.stderr)
         return EXIT_NO_SEPARATOR
     elapsed = time.perf_counter() - start
-
-    # a grid over the point budget (n >= 4) or a set with no grid point skips the
-    # check, and n = 1 the bound report; the separator and certificates are still written
-    try:
-        report = verify_separation(result.p, a, b, resolution=201, tol=1e-3)
-    except (SampleBudgetError, EmptySampleError) as err:
-        separation = {"resolution": 201, "tol": 1e-3, "skipped": str(err), "passed": None}
-    else:
-        # the result file keeps the extremes, not the witnesses and counts
-        kept = asdict(report)
-        separation = {k: kept[k] for k in ("min_on_A", "max_on_B", "resolution", "tol", "passed")}
-    res_a, res_b = certificate_residuals(result)
-    if a.n < 2:
-        bound = {"warnings": ["bound report unavailable: bounds require dimension n >= 2"]}
-    else:
-        try:
-            bound = _bound_report(a, b, 101, 1.0, 1.0, 1.0)
-        except (EmptySampleError, SampleBudgetError) as err:
-            bound = {"warnings": [f"bound report unavailable: {err}"]}
 
     payload = {
         "version": __version__,
@@ -284,24 +261,33 @@ def cmd_separate(args) -> int:
             "A": _certificate_to_json(result.cert_A),
             "B": _certificate_to_json(result.cert_B),
         },
-        "verification": {
-            "separation": separation,
-            "certificate_residual_A": res_a,
-            "certificate_residual_B": res_b,
-        },
-        "bounds": bound,
-        "diagnostics": {
-            "trace": result.diagnostics.get("trace", []),
-            "sdp_iterations": result.diagnostics.get("sdp_iterations"),
-        },
-        "timing": {"seconds": elapsed},
     }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    # verify's own check of the payload as written; the file keeps the grid
+    # extremes, not the witnesses and counts
+    report = check_result(payload, a, b, 201, 1e-3)
+    omitted = ("witness_A", "witness_B", "count_A", "count_B")
+    certified = report["certificates"]
+    payload["verification"] = {
+        "separation": {k: v for k, v in report["separation"].items() if k not in omitted},
+        "certificate_residual_A": certified["residual_A"],
+        "certificate_residual_B": certified["residual_B"],
+    }
+    # n = 1 or a grid that cannot be sampled leaves the bound report a warning;
+    # the separator and certificates are still written
+    if a.n < 2:
+        bound = {"warnings": ["bound report unavailable: bounds require dimension n >= 2"]}
     else:
-        print(text)
+        try:
+            bound = _bound_report(a, b, 101, 1.0, 1.0, 1.0)
+        except (EmptySampleError, SampleBudgetError) as err:
+            bound = {"warnings": [f"bound report unavailable: {err}"]}
+    payload["bounds"] = bound
+    payload["diagnostics"] = {
+        "trace": result.diagnostics.get("trace", []),
+        "sdp_iterations": result.diagnostics.get("sdp_iterations"),
+    }
+    payload["timing"] = {"seconds": elapsed}
+    _write_json(payload, args.out)
     print(
         f"separator of degree {result.p_degree} found at level {result.level} "
         f"with margin {result.slack:.6g} in {elapsed:.2f}s",
@@ -310,7 +296,17 @@ def cmd_separate(args) -> int:
     return EXIT_OK
 
 
-def _load_result(path: str, n: int):
+def _write_json(payload: dict, out) -> None:
+    """Indented JSON with a trailing newline, into the file ``out`` if given, else on stdout."""
+    text = json.dumps(payload, indent=2)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
+def _load_result(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -320,26 +316,23 @@ def _load_result(path: str, n: int):
         raise InputError(f"result file is not valid JSON: {err}") from err
     if not isinstance(data, dict) or "p" not in data:
         raise InputError("result file has no polynomial entry")
-    p = _poly_from_json(data["p"], n)
-    return data, p
+    return data
 
 
-def cmd_verify(args) -> int:
-    a, b, _ = load_problem(args.problem)
-    data, p = _load_result(args.result, a.n)
-    resolution = int(args.resolution)
-    tol = float(args.tol)
+def check_result(data: dict, a, b, resolution: int, tol: float) -> dict:
+    """The grid check of a result's p and the check of its certificates, as ``verify`` prints them.
 
+    Both read the result as written: p through ``_poly_from_json`` and the
+    certificates through ``_certificate_from_json``.  A grid over the point
+    budget (n >= 4) or without a point of one set is recorded as skipped
+    with ``passed`` None, and the certificates alone decide; a result
+    without certificates then fails.
+    """
+    p = _poly_from_json(data["p"], a.n)
     try:
-        report = verify_separation(p, a, b, resolution=resolution, tol=tol)
-    except EmptySampleError as err:
-        print(f"verification impossible: {err}", file=sys.stderr)
-        return EXIT_EMPTY_SAMPLE
-    except SampleBudgetError as err:
-        # n >= 4: the certificates alone decide
+        separation = asdict(verify_separation(p, a, b, resolution=resolution, tol=tol))
+    except (SampleBudgetError, EmptySampleError) as err:
         separation = {"resolution": resolution, "tol": tol, "skipped": str(err), "passed": None}
-    else:
-        separation = asdict(report)
     output = {"separation": separation}
 
     cert_ok = True
@@ -378,10 +371,15 @@ def cmd_verify(args) -> int:
         output["certificates"] = {"passed": None, "note": "result carries no certificates"}
 
     grid_ok = separation["passed"]
-    passed = bool(cert_ok and (certs if grid_ok is None else grid_ok))
-    output["passed"] = passed
+    output["passed"] = bool(cert_ok and (certs if grid_ok is None else grid_ok))
+    return output
+
+
+def cmd_verify(args) -> int:
+    a, b, _ = load_problem(args.problem)
+    output = check_result(_load_result(args.result), a, b, int(args.resolution), float(args.tol))
     print(json.dumps(output, indent=2))
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+    return EXIT_OK if output["passed"] else EXIT_VERIFY_FAILED
 
 
 def _foreign_generators(cert: QmCertificate, s: SemialgebraicSet) -> list:
@@ -420,7 +418,7 @@ def cmd_grid(args) -> int:
     a, b, _ = load_problem(args.problem)
     if a.n != 2:
         raise InputError(f"grid emission is 2-D only, problem has n = {a.n}")
-    _, p = _load_result(args.result, a.n)
+    p = _poly_from_json(_load_result(args.result)["p"], a.n)
     resolution = int(args.resolution)
     # x1-major blocks of whole x2 lines, every line kept; a resolution below 2
     # or over the point budget raises here, before the output is opened

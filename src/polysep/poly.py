@@ -215,8 +215,8 @@ class Polynomial:
         on the box.  ``evaluate_axes`` takes per term at most n powers (numpy's,
         within one ulp: two roundings each) and n products, then sums the terms,
         so its value lies within gamma_{#terms + 3n} sum|c| of the exact one.
-        Here powers are repeated products, so a head takes at most degree + n
-        roundings.  The heads of a group are summed, then the groups' extremes,
+        Here a power x^e is taken by square-and-multiply, e factors x in e - 1
+        products, so a head takes at most degree + n roundings.  The heads of a group are summed, then the groups' extremes,
         which are exact (a product by -1, 0 or 1, and a max) and move by no
         more than H does; so a head passes through at most (group size - 1) +
         (#groups - 1) <= #terms - 1 additions, as in one sum of the terms, and
@@ -246,14 +246,14 @@ class Polynomial:
         # per prefix and tail group, the summed heads (last axis); each group's
         # tail low end; the rounding allowance.  With an infinite allowance no
         # group is formed, so every bound is inf
-        coeffs, exponents, tops, groups, allowance = self._bound_terms
+        coeffs, powers, groups, allowance = self._bound_terms
         if allowance == np.inf:
             shape = np.broadcast_shapes(*(np.shape(x) for x in heads))
             return np.zeros(shape + (0,)), np.zeros(0), allowance
         head = coeffs
-        for x, e, top in zip(heads, exponents, tops):
-            if top:
-                head = head * _powers(np.asarray(x)[..., None], top)[..., e]
+        for x, (distinct, inverse) in zip(heads, powers):
+            if distinct.any():
+                head = head * _powers(np.asarray(x)[..., None], distinct)[..., inverse]
         order, starts, lows = groups[len(heads)]
         if order is not None:
             head = np.add.reduceat(head[..., order], starts, axis=-1)
@@ -261,12 +261,13 @@ class Polynomial:
 
     @cached_property
     def _bound_terms(self):
-        # box_upper_bound's view of the terms: coefficients, exponents one row per
-        # variable, each row's max, the tail groups after k = 0..n fixed
-        # variables (entry k: the term order that makes each group contiguous,
-        # the groups' starts in it and the low end of each group's tail; the
-        # order and starts are None where no two terms share a non-constant
-        # tail, and each term is its own group), and the rounding allowance.
+        # box_upper_bound's view of the terms: coefficients, per variable the
+        # distinct exponents and each term's index into them, the tail groups
+        # after k = 0..n fixed variables (entry k: the term order that makes
+        # each group contiguous, the groups' starts in it and the low end of
+        # each group's tail; the order and starts are None where no two terms
+        # share a non-constant tail, and each term is its own group), and the
+        # rounding allowance.
         # gamma_K = K u / (1 - K u) bounds K roundings only while K u < 1, and
         # the allowance needs 2 sum|c| finite; otherwise only the allowance, inf,
         # is formed, so no exponent past the integer range is ever laid out
@@ -274,7 +275,7 @@ class Polynomial:
         scale = sum(abs(c) for c in self.terms.values())
         rounds = len(monos) + self.total_degree() + 3 * self.n + 1
         if rounds >= 2**53 or not 2.0 * scale < np.inf:
-            return None, None, None, None, np.inf
+            return None, None, None, np.inf
         groups = []
         for k in range(self.n + 1):
             tails = sorted({mono[k:] for mono in monos})
@@ -295,8 +296,10 @@ class Polynomial:
         unit = rounds * 2.0**-53
         return (
             np.fromiter(self.terms.values(), float, len(monos)),
-            np.array(monos, dtype=np.intp).reshape(-1, self.n).T,
-            tuple(max(e) for e in zip(*monos)) if monos else (0,) * self.n,
+            tuple(
+                np.unique(e, return_inverse=True)
+                for e in np.array(monos, dtype=np.intp).reshape(-1, self.n).T
+            ),
             groups,
             2.0 * unit / (1.0 - unit) * scale,
         )
@@ -555,12 +558,22 @@ def on_grid(values, axes) -> np.ndarray:
     return values if np.shape(values) == shape else np.broadcast_to(values, shape)
 
 
-def _powers(x, top: int) -> np.ndarray:
-    # x^0 .. x^top down a new last axis, each power one product of the one before
-    table = [np.ones_like(x), x]
-    for _ in range(top - 1):
-        table.append(table[-1] * x)
-    return np.concatenate(table, axis=-1)
+def _powers(x, exponents) -> np.ndarray:
+    # x^e for each of the distinct exponents, down a new last axis, by
+    # square-and-multiply: x^e is x^(e/2) squared for even e and x^(e-1) x for
+    # odd e, each power made once, so x^e is e factors x in e - 1 products
+    table = {0: np.ones_like(x), 1: x}
+
+    def power(e):
+        if e not in table:
+            if e % 2:
+                table[e] = power(e - 1) * x
+            else:
+                half = power(e // 2)
+                table[e] = half * half
+        return table[e]
+
+    return np.concatenate([power(e) for e in exponents.tolist()], axis=-1)
 
 
 def _into(op, acc, x):

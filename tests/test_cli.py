@@ -93,6 +93,22 @@ def test_separate_intersecting_sets_exits_two(tmp_path, capsys):
     assert "no separator" in stderr
 
 
+def test_separate_without_a_separator_writes_out_as_a_separated_result_does(tmp_path, capsys):
+    problem = write_problem(tmp_path / "same.json", 2, [DISK_LEFT], [DISK_LEFT])
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run(
+        capsys, "separate", problem, "--degree-max", "1", "--level-max", "4", "--out", str(out)
+    )
+    assert code == 2
+    assert "no separator" in stderr
+    # the payload goes into the file only, as indented JSON with a trailing newline
+    assert stdout == ""
+    text = out.read_text()
+    payload = json.loads(text)
+    assert payload["separated"] is False and payload["trace"]
+    assert text == json.dumps(payload, indent=2) + "\n"
+
+
 def test_separate_malformed_polynomial_exits_one(tmp_path, capsys):
     problem = tmp_path / "bad.json"
     problem.write_text(json.dumps({"n": 2, "A_generators": ["x1 +"], "B_generators": ["x1"]}))
@@ -215,6 +231,46 @@ def test_separate_keeps_result_when_a_set_has_no_grid_point(tmp_path, capsys):
     separation = result["verification"]["separation"]
     assert separation["passed"] is None
     assert "no sample points" in separation["skipped"]
+    # verify skips that grid check the same way, and the certificates decide
+    code, stdout, _ = run(capsys, "verify", problem, str(out))
+    assert code == 0
+    report = json.loads(stdout)
+    assert report["passed"] is True and report["certificates"]["passed"] is True
+    assert set(report["separation"]) == {"resolution", "tol", "skipped", "passed"}
+    assert report["separation"]["passed"] is None
+    assert "no sample points" in report["separation"]["skipped"]
+    # without certificates nothing is left to decide on, as where the grid is over budget
+    del result["certificates"]
+    out.write_text(json.dumps(result))
+    code, stdout, _ = run(capsys, "verify", problem, str(out))
+    assert code == 3
+    assert json.loads(stdout)["passed"] is False
+
+
+BALLS3 = (["1/16 - (x1 + 0.55)^2 - x2^2 - x3^2"], ["0.0484 - (x1 - 0.57)^2 - x2^2 - x3^2"])
+
+
+@pytest.mark.parametrize("case", ["golden", "balls3"])
+def test_separate_records_the_report_verify_gives_on_its_file(tmp_path, capsys, case):
+    # separate checks the result as written, so verify on the file agrees bit for bit;
+    # on golden the p parsed back sums its terms in another order than the p solved for
+    if case == "golden":
+        problem = str(DATA_DIR / "golden_problem.json")
+    else:
+        problem = write_problem(tmp_path / "balls3.json", 3, *BALLS3)
+    out = tmp_path / "r.json"
+    code, *_ = run(capsys, "separate", problem, "--degree-max", "2", "--out", str(out))
+    assert code == 0
+    recorded = json.loads(out.read_text())["verification"]
+    assert list(recorded) == ["separation", "certificate_residual_A", "certificate_residual_B"]
+    assert list(recorded["separation"]) == ["min_on_A", "max_on_B", "resolution", "tol", "passed"]
+    code, stdout, _ = run(capsys, "verify", problem, str(out))
+    assert code == 0
+    report = json.loads(stdout)
+    assert {k: report["separation"][k] for k in recorded["separation"]} == recorded["separation"]
+    assert [recorded["certificate_residual_A"], recorded["certificate_residual_B"]] == [
+        report["certificates"]["residual_A"], report["certificates"]["residual_B"]
+    ]
 
 
 ONE_D_SETS = (["1/16 - (x1 + 1/2)^2"], ["1/16 - (x1 - 1/2)^2"])
@@ -502,6 +558,22 @@ def test_exponent_past_int64_ends_in_an_exit_code(tmp_path, capsys, command, cod
 # ---- bounds ----------------------------------------------------------------------
 
 
+def test_bounds_power_table_is_sized_by_the_exponents_used(tmp_path, capsys):
+    # a table of x^0 .. x^100000 per prefix took 320 MB of traced memory here
+    problem = write_problem(
+        tmp_path / "tall.json", 2, ["0.01 - (x1+0.5)^2 - x2^2 + 1e-9*x1^100000"], [DISK_RIGHT]
+    )
+    tracemalloc.start()
+    try:
+        code, stdout, _ = run(capsys, "bounds", problem, "--dist-resolution", "201")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(stdout)["dist_estimate"] == 0.65
+    assert peak < 20 * 2**20
+
+
 def test_bounds_disk_problem(capsys, disk_problem_file):
     code, stdout, _ = run(capsys, "bounds", disk_problem_file)
     assert code == 0
@@ -721,9 +793,10 @@ def test_grid_on_stdout_is_the_text_of_out(tmp_path):
 
 # ---- fuzzed input files ------------------------------------------------------------
 
-# short strings over the polynomial alphabet, without "^": a free exponent such as
-# x1^99999999 would build a gigabyte power table in the bound kernel
-FUZZ_TEXT = st.text(alphabet="x1234+-*/.()e ", max_size=8)
+# short strings over the polynomial alphabet: eight characters reach an exponent
+# such as x1^99999, whose power table holds only the exponents used, but cannot
+# expand a parenthesised power into many terms
+FUZZ_TEXT = st.text(alphabet="x1234+-*/.()e ^9", max_size=8)
 FUZZ_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-(10**30), 10**30) | st.floats() | FUZZ_TEXT,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(FUZZ_TEXT, inner, max_size=3),
@@ -777,6 +850,8 @@ def golden_with(problem_change=None, result_change=None):
 @given(mutated_inputs())
 # a generator exponent past int64 crashed the bound kernel
 @example(golden_with(problem_change=lambda d: d["A_generators"].append("x1^99999999999999999999")))
+# a power table up to the largest exponent took hundreds of MB per call
+@example(golden_with(problem_change=lambda d: d["A_generators"].append("x1^99999")))
 # an empty basis and Gram, the zero multiplier, has no eigenvalue to check
 @example(golden_with(result_change=lambda d: d["certificates"]["A"]["multipliers"][1].update(
     basis=[], gram_row_major=[])))
@@ -788,5 +863,6 @@ def test_fuzzed_input_files_end_in_a_documented_exit_code(tmp_path, inputs):
         codes = [
             main(["verify", str(problem), str(result), "--resolution", "5"]),
             main(["grid", str(problem), str(result), "--resolution", "5"]),
+            main(["bounds", str(problem), "--dist-resolution", "5"]),
         ]
     assert set(codes) <= {0, 1, 2, 3, 4}
