@@ -8,14 +8,9 @@ margin; the extracted Gram matrices reproduce the target up to solver noise.
 
 import numpy as np
 
-from polysep import (
-    assemble_membership,
-    extract_certificate,
-    membership_slack,
-    parse,
-    reconstruct_residual,
-)
+from polysep import assemble_membership, extract_certificate, parse, reconstruct_residual
 from polysep.sdp import solve
+from polysep.sos import margin_sdp_solution
 
 # ---- a quartic that is a sum of squares ------------------------------------
 
@@ -24,7 +19,7 @@ problem, maps = assemble_membership(target, [], level=4)
 print(f"membership SDP: blocks {problem.block_sizes}, {problem.num_constraints} constraints")
 
 solution = solve(problem, tol=1e-8)
-print(f"solved: {solution.status.value}, margin {membership_slack(solution, maps):+.3e}")
+print(f"solved: {solution.status.value}, margin {margin_sdp_solution(solution)[0]:+.3e}")
 
 cert = extract_certificate(solution, maps)
 print(f"reconstruction residual: {reconstruct_residual(cert, target):.2e}")
@@ -44,7 +39,7 @@ problem, maps = assemble_membership(shifted, [disk], level=2)
 solution = solve(problem, tol=1e-8)
 cert = extract_certificate(solution, maps)
 s0, s1 = cert.multipliers()
-print(f"\n2 - |x|^2 over the disk: margin {membership_slack(solution, maps):+.4f}")
+print(f"\n2 - |x|^2 over the disk: margin {margin_sdp_solution(solution)[0]:+.4f}")
 print(f"  s_0 = {s0}")
 print(f"  s_1 = {s1}")
 rebuilt = s0 + s1 * disk
@@ -55,5 +50,5 @@ print(f"  s_0 + s_1 * g = {rebuilt}")
 not_sos = parse("-1 - x1^2", 1)
 problem, maps = assemble_membership(not_sos, [], level=2)
 solution = solve(problem, tol=1e-8)
-print(f"\n-1 - x1^2 as an SOS: margin {membership_slack(solution, maps):+.4f} "
+print(f"\n-1 - x1^2 as an SOS: margin {margin_sdp_solution(solution)[0]:+.4f} "
       "(negative: no certificate at this level, as it must be)")

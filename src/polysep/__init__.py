@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .poly import ParseError, Polynomial, SampleBudgetError, parse, sup_norm_grid
 from .semialg import (
     EmptySampleError,
-    SampleCloud,
     SemialgebraicSet,
     dist_estimate,
     eps_estimate,
@@ -29,7 +28,6 @@ from .sos import (
     basis,
     expand_gram,
     extract_certificate,
-    membership_slack,
     reconstruct_residual,
 )
 from .separator import (
@@ -63,7 +61,6 @@ __all__ = [
     "parse",
     "sup_norm_grid",
     "EmptySampleError",
-    "SampleCloud",
     "SemialgebraicSet",
     "dist_estimate",
     "eps_estimate",
@@ -80,7 +77,6 @@ __all__ = [
     "basis",
     "expand_gram",
     "extract_certificate",
-    "membership_slack",
     "reconstruct_residual",
     "CertificateReport",
     "HierarchyExhaustedError",

@@ -76,11 +76,18 @@ def jackson_degree(lipschitz: float, n: int, target_err: float, jackson_constant
     """Smallest m with C * L * n^(3/2) / m <= target_err.
 
     The degree at which a polynomial uniformly approximates an L-Lipschitz
-    function on the box to within target_err.
+    function on the box to within target_err.  A quotient past the float
+    range has no integer degree and raises ValueError.
     """
     if lipschitz <= 0.0 or target_err <= 0.0 or jackson_constant <= 0.0 or n < 1:
         raise ValueError("all arguments must be positive")
-    return max(1, math.ceil(jackson_constant * lipschitz * n**1.5 / target_err))
+    quotient = jackson_constant * lipschitz * n**1.5 / target_err
+    if quotient == math.inf:
+        raise ValueError(
+            f"the Jackson degree C * L * n^1.5 / err overflows double precision at C = "
+            f"{jackson_constant:g}, L = {lipschitz:g}, n = {n}, err = {target_err:g}"
+        )
+    return max(1, math.ceil(quotient))
 
 
 def quadratic_module_complexity(
@@ -148,12 +155,18 @@ def generator_norm_warnings(generators) -> list:
 
     Returns one message per generator whose grid sup-norm exceeds 1/2;
     rescaling such a generator by a positive constant restores the assumption
-    without changing the set.
+    without changing the set.  A sup-norm past the float range gives no
+    factor: the message says the values overflow.
     """
     messages = []
     for i, g in enumerate(generators):
         norm = sup_norm_grid(g, SUP_NORM_RESOLUTION)
-        if norm > 0.5:
+        if norm == math.inf:
+            messages.append(
+                f"generator {i + 1} has box values that overflow double precision; "
+                "rescale it to meet the bound's normalization"
+            )
+        elif norm > 0.5:
             messages.append(
                 f"generator {i + 1} has box sup-norm about {norm:.4g} > 1/2; "
                 f"rescale it by {0.5 / norm:.4g} to meet the bound's normalization"

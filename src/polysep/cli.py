@@ -32,7 +32,7 @@ from .bounds import (
     separation_degree_bound,
 )
 from .floattext import float_reprs
-from .poly import ParseError, Polynomial, SampleBudgetError, grid_lines, on_grid, parse
+from .poly import ParseError, Polynomial, SampleBudgetError, grid_axis, grid_lines, on_grid, parse
 from .semialg import EmptySampleError, SemialgebraicSet, dist_estimate
 from .separator import (
     HierarchyExhaustedError,
@@ -52,20 +52,28 @@ EXIT_VERIFY_FAILED = 3
 EXIT_EMPTY_SAMPLE = 4
 
 COEFF_AGREEMENT_TOL = 1e-12
+# the grid check of a result: verify's defaults, and what separate records
+CHECK_RESOLUTION = 201
+CHECK_TOL = 1e-3
 
 
 class InputError(Exception):
     """Anything wrong with input files or flags; maps to exit code 1."""
 
 
-def load_problem(path: str):
+def _read_json(path: str, kind: str):
+    """The decoded JSON of a ``kind`` file; an unreadable or invalid file is an InputError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as err:
-        raise InputError(f"cannot read problem file: {err}") from err
+        raise InputError(f"cannot read {kind} file: {err}") from err
     except json.JSONDecodeError as err:
-        raise InputError(f"problem file is not valid JSON: {err}") from err
+        raise InputError(f"{kind} file is not valid JSON: {err}") from err
+
+
+def load_problem(path: str):
+    data = _read_json(path, "problem")
     try:
         n = integer(data["n"])
         a_strings = list(data["A_generators"])
@@ -134,7 +142,7 @@ def _certificate_from_json(data: dict, n: int, level: int) -> QmCertificate:
             gram = np.asarray(entry["gram_row_major"], dtype=float).reshape(k, k)
             bases.append(MonomialBasis(n, elements))
             grams.append(gram)
-        level = int(data.get("level", level))
+        level = integer(data.get("level", level))
         return QmCertificate(gens, tuple(grams), tuple(bases), level)
     except (KeyError, TypeError, ValueError, OverflowError, ParseError) as err:
         raise InputError(f"malformed certificate entry: {err}") from err
@@ -206,14 +214,12 @@ def _bound_report(a, b, resolution, loj_coeff, loj_exponent, jackson_constant):
 def _setting(args, file_options: dict, name: str, default, cast):
     """The flag if given, else the problem file's option, else the default.
 
-    JSON true/false is refused for every option: it is no number and no "on"/"off".
+    Every cast refuses JSON true/false: it is no number and no "on"/"off".
     """
     value = getattr(args, name)
     if value is None:
         value = file_options.get(name, default)
     try:
-        if isinstance(value, bool):
-            raise TypeError(value)
         return cast(value)
     except (TypeError, ValueError, OverflowError) as err:
         raise InputError(f"option {name} must be {cast.__name__}, got {value!r}") from err
@@ -224,6 +230,13 @@ def integer(value) -> int:
     if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def real(value) -> float:
+    """float(value), refusing true/false instead of reading them as 1.0 and 0.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
 def on_or_off(value) -> bool:
@@ -237,8 +250,8 @@ def cmd_separate(args) -> int:
     a, b, file_options = load_problem(args.problem)
     degree_max = _setting(args, file_options, "degree_max", 3, integer)
     level_max = _setting(args, file_options, "level_max", 8, integer)
-    tol = _setting(args, file_options, "tol", SeparatorOptions.solver_tol, float)
-    margin = _setting(args, file_options, "margin", SeparatorOptions.margin_tol, float)
+    tol = _setting(args, file_options, "tol", SeparatorOptions.solver_tol, real)
+    margin = _setting(args, file_options, "margin", SeparatorOptions.margin_tol, real)
     ball = _setting(args, file_options, "ball", "on", on_or_off)
     options = SeparatorOptions(margin_tol=margin, solver_tol=tol, ball_constraint=ball)
 
@@ -264,7 +277,7 @@ def cmd_separate(args) -> int:
     }
     # verify's own check of the payload as written; the file keeps the grid
     # extremes, not the witnesses and counts
-    report = check_result(payload, a, b, 201, 1e-3)
+    report = check_result(payload, a, b, CHECK_RESOLUTION, CHECK_TOL)
     omitted = ("witness_A", "witness_B", "count_A", "count_B")
     certified = report["certificates"]
     payload["verification"] = {
@@ -307,13 +320,7 @@ def _write_json(payload: dict, out) -> None:
 
 
 def _load_result(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as err:
-        raise InputError(f"cannot read result file: {err}") from err
-    except json.JSONDecodeError as err:
-        raise InputError(f"result file is not valid JSON: {err}") from err
+    data = _read_json(path, "result")
     if not isinstance(data, dict) or "p" not in data:
         raise InputError("result file has no polynomial entry")
     return data
@@ -341,8 +348,8 @@ def check_result(data: dict, a, b, resolution: int, tol: float) -> dict:
         if not isinstance(certs, dict) or not {"A", "B"} <= certs.keys():
             raise InputError("result certificates must be an object with entries A and B")
         try:
-            level = int(data.get("level", 0))
-            slack = float(data.get("slack", 0.0))
+            level = integer(data.get("level", 0))
+            slack = real(data.get("slack", 0.0))
         except (TypeError, ValueError, OverflowError) as err:
             raise InputError(f"malformed level or slack in result file: {err}") from err
         cert_a = _certificate_from_json(certs["A"], a.n, level)
@@ -425,7 +432,7 @@ def cmd_grid(args) -> int:
     blocks = grid_lines(2, resolution, lambda heads: True, 1)
     # each axis value is formatted once; a line's rows share x1 and run over
     # the x2 axis, so a CSV line is x1 before each row's x2, p and flags text
-    axis = np.char.add(float_reprs(np.linspace(-1.0, 1.0, resolution)), b",")
+    axis = np.char.add(float_reprs(grid_axis(2, resolution)), b",")
     heads = iter(axis.tolist())
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -470,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="re-check a result file against its problem")
     p_ver.add_argument("problem")
     p_ver.add_argument("result")
-    p_ver.add_argument("--resolution", type=int, default=201)
-    p_ver.add_argument("--tol", type=float, default=1e-3)
+    p_ver.add_argument("--resolution", type=int, default=CHECK_RESOLUTION)
+    p_ver.add_argument("--tol", type=float, default=CHECK_TOL)
     p_ver.set_defaults(func=cmd_verify)
 
     p_bnd = sub.add_parser("bounds", help="evaluate the guaranteed-degree calculators")

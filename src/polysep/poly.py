@@ -472,7 +472,8 @@ def parse(text: str, n: int) -> Polynomial:
     return _Parser(text, n).parse()
 
 
-def _check_grid(n: int, resolution: int) -> None:
+def grid_axis(n: int, resolution: int) -> np.ndarray:
+    """The axis of the resolution**n grid, once the resolution and budget checks pass."""
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     count = resolution**n
@@ -480,11 +481,6 @@ def _check_grid(n: int, resolution: int) -> None:
         raise SampleBudgetError(
             f"grid of {resolution}^{n} = {count} points exceeds the budget of {GRID_BUDGET}"
         )
-
-
-def grid_axis(n: int, resolution: int) -> np.ndarray:
-    """The axis of the resolution**n grid, once the resolution and budget checks pass."""
-    _check_grid(n, resolution)
     return np.linspace(-1.0, 1.0, resolution)
 
 

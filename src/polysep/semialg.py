@@ -1,9 +1,10 @@
 """Basic closed semialgebraic sets: membership, grid sampling, distances.
 
 A set is S(f) = {x : f_i(x) >= 0 for all i} for finitely many polynomial
-generators f_i, assumed to live inside the box [-1, 1]^n.  Sampling-based
-estimates here are diagnostics; the certified output of the package is the
-algebraic certificate, not these clouds.
+generators f_i, assumed to live inside the box [-1, 1]^n.  A sample cloud
+is the (m, n) array of the grid points in a set.  Sampling-based estimates
+here are diagnostics; the certified output of the package is the algebraic
+certificate, not these clouds.
 """
 
 from __future__ import annotations
@@ -72,24 +73,15 @@ class SemialgebraicSet:
         return max(g.total_degree() for g in self.generators)
 
 
-@dataclass(frozen=True)
-class SampleCloud:
-    """Grid points of [-1, 1]^n passing membership of their originating set."""
-
-    points: np.ndarray  # (m, n)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def sample_grid(s: SemialgebraicSet, resolution: int) -> SampleCloud:
+def sample_grid(s: SemialgebraicSet, resolution: int) -> np.ndarray:
     """Grid points passing ``contains_many`` with ``CLOUD_MEMBERSHIP_SLACK``; may be empty.
 
-    The points keep the x1-major order of ``box_grid_points``.  Before any point
-    is evaluated, ``grid_lines`` drops the grid prefixes the set cannot reach:
-    a prefix (x1, ..., xk), k < n, goes with every grid point under it when
-    some generator's ``box_upper_bound`` over the remaining coordinates is
-    below -``CLOUD_MEMBERSHIP_SLACK`` (a NaN or +inf bound drops nothing).
+    The points are the rows of an (m, n) array, in the x1-major order of
+    ``box_grid_points``.  Before any point is evaluated, ``grid_lines`` drops
+    the grid prefixes the set cannot reach: a prefix (x1, ..., xk), k < n,
+    goes with every grid point under it when some generator's
+    ``box_upper_bound`` over the remaining coordinates is below
+    -``CLOUD_MEMBERSHIP_SLACK`` (a NaN or +inf bound drops nothing).
     That bound carries a rigorous allowance for the rounding of both itself
     and the evaluation, so every dropped point fails the membership test as
     well and the cloud is the full grid's, bit for bit.  The lines left are
@@ -114,7 +106,7 @@ def sample_grid(s: SemialgebraicSet, resolution: int) -> SampleCloud:
             # 1-D takes: indexing the 2-D axes with an array and an int is slower
             *prefix, line = (x.ravel() for x in axes)
             kept.append(np.stack([c[i] for c in prefix] + [line[j]], axis=-1))
-    return SampleCloud(points=np.concatenate(kept))
+    return np.concatenate(kept)
 
 
 def dist_estimate(a: SemialgebraicSet, b: SemialgebraicSet, resolution: int) -> float:
@@ -131,13 +123,12 @@ def dist_estimate(a: SemialgebraicSet, b: SemialgebraicSet, resolution: int) -> 
     distance is computed as an unbounded query over the whole clouds
     computes it, so the float is the same.
     """
-    cloud_a = sample_grid(a, resolution)
-    if len(cloud_a) == 0:
+    pa = sample_grid(a, resolution)
+    if len(pa) == 0:
         raise EmptySampleError(f"first set has no sample points at resolution {resolution}")
-    cloud_b = sample_grid(b, resolution)
-    if len(cloud_b) == 0:
+    pb = sample_grid(b, resolution)
+    if len(pb) == 0:
         raise EmptySampleError(f"second set has no sample points at resolution {resolution}")
-    pa, pb = cloud_a.points, cloud_b.points
     centroid = [x.mean() for x in pb.T]
     nearest = pa[np.argmin(_squared_gaps(pa, centroid, centroid))]
     d0 = float(np.sqrt(np.min(_squared_gaps(pb, nearest, nearest))))
@@ -174,21 +165,21 @@ def _squared_gaps(points: np.ndarray, lows, highs) -> np.ndarray:
     return total
 
 
-def cloud_distance(points, cloud: SampleCloud) -> np.ndarray:
-    """Distance from each query point to the nearest cloud point."""
+def cloud_distance(points, cloud: np.ndarray) -> np.ndarray:
+    """Distance from each query point to the nearest row of the (m, n) ``cloud``."""
     if len(cloud) == 0:
         raise EmptySampleError("cannot measure distance to an empty cloud")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dists, _ = cKDTree(cloud.points).query(pts, k=1)
+    dists, _ = cKDTree(cloud).query(pts, k=1)
     return dists
 
 
-def u_eval(x, a_cloud: SampleCloud, dist_ab: float):
+def u_eval(x, a_cloud: np.ndarray, dist_ab: float):
     """The explicit continuous separator u(x) = 2 - 3 dist(x, A)/dist(A, B).
 
-    Computed against the sample cloud of A.  Equals 2 on cloud points and is
-    (3/dist_ab)-Lipschitz; at or below -1 wherever dist(x, A) >= dist_ab.
-    Accepts a single point or an (m, n) array.
+    Computed against ``a_cloud``, the (m, n) sample cloud of A.  Equals 2 on
+    cloud points and is (3/dist_ab)-Lipschitz; at or below -1 wherever
+    dist(x, A) >= dist_ab.  Accepts a single point or an (m, n) array.
     """
     if dist_ab <= 0.0:
         raise ValueError(f"dist_ab must be positive, got {dist_ab}")
@@ -205,5 +196,5 @@ def eps_estimate(p: Polynomial, a: SemialgebraicSet, resolution: int) -> float:
     cloud = sample_grid(a, resolution)
     if len(cloud) == 0:
         raise EmptySampleError(f"set has no sample points at resolution {resolution}")
-    min_on_a = float(np.min(p.evaluate_many(cloud.points)))
+    min_on_a = float(np.min(p.evaluate_many(cloud)))
     return min_on_a / sup_norm_grid(p, resolution)

@@ -331,8 +331,8 @@ def verify_separation(
     cloud_b = sample_grid(b, resolution)
     if len(cloud_b) == 0:
         raise EmptySampleError(f"second set has no sample points at resolution {resolution}")
-    vals_a = p.evaluate_many(cloud_a.points)
-    vals_b = p.evaluate_many(cloud_b.points)
+    vals_a = p.evaluate_many(cloud_a)
+    vals_b = p.evaluate_many(cloud_b)
     i_min = int(np.argmin(vals_a))
     i_max = int(np.argmax(vals_b))
     min_a = float(vals_a[i_min])
@@ -340,8 +340,8 @@ def verify_separation(
     return SeparationReport(
         min_on_A=min_a,
         max_on_B=max_b,
-        witness_A=tuple(float(v) for v in cloud_a.points[i_min]),
-        witness_B=tuple(float(v) for v in cloud_b.points[i_max]),
+        witness_A=tuple(float(v) for v in cloud_a[i_min]),
+        witness_B=tuple(float(v) for v in cloud_b[i_max]),
         count_A=len(cloud_a),
         count_B=len(cloud_b),
         resolution=resolution,

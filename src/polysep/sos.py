@@ -16,6 +16,8 @@ reduced: the target need not share the generators' symmetry.
 Feasibility is always solved with a margin: the Gram blocks are shifted by
 t*I and t is maximized subject to t <= 1.  A positive optimum certifies
 strict feasibility; a negative optimum certifies infeasibility at this level.
+``margin_sdp_solution`` is the one read-out of a solved margin SDP: t and
+the Gram blocks.
 """
 
 from __future__ import annotations
@@ -177,13 +179,12 @@ class MembershipAssembly:
 
     The blocks follow ``margin_sdp_data``: the shifted Gram of multiplier i
     pairs with ``bases[i]``.  Row k (before the final normalization row)
-    matches the coefficient of ``row_monomials[k]``.
+    matches the coefficient of ``monomials_up_to_degree(n, level)[k]``.
     """
 
     generators: tuple
     bases: tuple
     level: int
-    row_monomials: list
 
 
 def gram_incidence(n: int, generators, level: int):
@@ -272,43 +273,32 @@ def assemble_membership(target: Polynomial, generators, level: int):
             f"level {level} is below the target degree {target.total_degree()}"
         )
     bases, incidence = gram_incidence(n, gens, level)
-    row_monomials = monomials_up_to_degree(n, level)
-    m = len(row_monomials)
+    rows = monomials_up_to_degree(n, level)
+    m = len(rows)
     stacks = [
         incidence_stack(inc, np.arange(m), m, np.arange(len(bas)))
         for inc, bas in zip(incidence, bases)
     ]
     traces = sum(np.trace(st[:m], axis1=1, axis2=2) for st in stacks)
-    rhs = [target.terms.get(alpha, 0.0) for alpha in row_monomials]
+    rhs = [target.terms.get(alpha, 0.0) for alpha in rows]
     problem = SdpProblem(*margin_sdp_data(stacks, traces, rhs))
-    maps = MembershipAssembly(
-        generators=gens,
-        bases=tuple(bases),
-        level=level,
-        row_monomials=row_monomials,
-    )
+    maps = MembershipAssembly(generators=gens, bases=tuple(bases), level=level)
     return problem, maps
 
 
-def membership_slack(sol: SdpSolution, maps: MembershipAssembly) -> float:
-    """The achieved margin t = w - u; positive means strict membership."""
-    return margin_sdp_solution(sol)[0]
-
-
-def extract_certificate(
-    sol: SdpSolution, maps: MembershipAssembly, slack_tol: float = DEFAULT_SLACK_TOL
-) -> QmCertificate:
+def extract_certificate(sol: SdpSolution, maps: MembershipAssembly) -> QmCertificate:
     """Read the Gram matrices out of a solved membership SDP.
 
     Raises NegativeSlackError when the max-margin value falls below
-    -slack_tol (no certificate at this level) or the solve was infeasible.
+    -``DEFAULT_SLACK_TOL`` (no certificate at this level) or the solve was
+    infeasible.
     """
     if sol.status is SdpStatus.INFEASIBLE:
         raise NegativeSlackError("membership SDP is infeasible at this level")
     if sol.status is not SdpStatus.OPTIMAL:
         raise RuntimeError(f"membership SDP did not converge: {sol.status.value}")
     t, blocks = margin_sdp_solution(sol)
-    if t < -slack_tol:
+    if t < -DEFAULT_SLACK_TOL:
         raise NegativeSlackError(
             f"no strict certificate at level {maps.level}: margin {t:.3e}", slack=t
         )

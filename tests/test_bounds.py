@@ -102,6 +102,12 @@ def test_jackson_degree_is_minimal():
             assert bound / (m - 1) > err
 
 
+def test_jackson_degree_past_the_float_range_is_a_value_error():
+    # C * L * n^1.5 = 1e308 * 6 * 2.83 is inf, which no integer degree holds
+    with pytest.raises(ValueError, match="overflows double precision"):
+        jackson_degree(6.0, 2, 1.0, 1e308)
+
+
 # ---- complexity factor ----------------------------------------------------------
 
 

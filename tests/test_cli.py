@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import tracemalloc
 import warnings
@@ -354,6 +355,10 @@ MALFORMED_RESULTS = {
     "certificate generator is a number": lambda d: d["certificates"]["A"].update(generators=[5]),
     "certificates is a list": lambda d: d.update(certificates=[d["certificates"]["A"]]),
     "certificates has no A": lambda d: d["certificates"].pop("A"),
+    # read as float(True) and int(4.9), these verified as margin 1.0 and level 4
+    "slack is true": lambda d: d.update(slack=True),
+    "level is 4.9": lambda d: d.update(level=4.9),
+    "certificate level is 4.9": lambda d: d["certificates"]["A"].update(level=4.9),
 }
 
 
@@ -617,6 +622,31 @@ def test_bounds_empty_set_exits_four(tmp_path, capsys):
     assert code == 4
 
 
+def test_bounds_jackson_degree_past_the_float_range_exits_one(capsys):
+    code, stdout, stderr = run(
+        capsys, "bounds", str(DATA_DIR / "golden_problem.json"), "--C", "1e308"
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: the Jackson degree") and "overflows" in stderr
+
+
+def test_bounds_warns_of_a_generator_past_the_float_range_without_a_factor(tmp_path, capsys):
+    problem = write_problem(
+        tmp_path / "huge.json", 2, ["1e308*x1^2 + 1e308*x2^2 - 1e308*x1"], [DISK_RIGHT]
+    )
+    # the sup-norm is inf, so a factor 0.5 / inf would read "rescale it by 0";
+    # the grid sweeps overflow, which numpy reports as a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, stdout, _ = run(capsys, "bounds", problem)
+    assert code == 0
+    first, second = json.loads(stdout)["warnings"][:2]
+    assert first.startswith("generator 1 has box values that overflow double precision")
+    assert "rescale it by" not in first
+    assert second.startswith("generator 2 has box sup-norm about 3.188 > 1/2; rescale it by 0.1569")
+
+
 def test_bounds_rejects_bad_flags(capsys, disk_problem_file):
     code, _, stderr = run(capsys, "bounds", disk_problem_file, "--c", "-1")
     assert code == 1
@@ -866,3 +896,20 @@ def test_fuzzed_input_files_end_in_a_documented_exit_code(tmp_path, inputs):
             main(["bounds", str(problem), "--dist-resolution", "5"]),
         ]
     assert set(codes) <= {0, 1, 2, 3, 4}
+
+
+# positive finite values from the subnormal 1e-320 up to 1e308, or no finite value at all
+FUZZ_FLAG = st.floats(1e-320, 1e308) | st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(FUZZ_FLAG, FUZZ_FLAG, FUZZ_FLAG)
+def test_fuzzed_bounds_flags_end_in_a_documented_exit_code(tmp_path, c, T, C):
+    # the disks are 1 apart on the 5-point grid, so every run reaches the Jackson
+    # degree, where C * 3 * 2^1.5 past the float range ended in an OverflowError
+    problem = write_problem(tmp_path / "disks.json", 2, [DISK_LEFT], [DISK_RIGHT])
+    flags = ["--c", repr(c), "--T", repr(T), "--C", repr(C), "--dist-resolution", "5"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["bounds", problem, *flags])
+    assert code in {0, 1, 4}

@@ -68,7 +68,7 @@ def test_set_requires_generators():
 def test_sample_unit_disk_coarse(unit_disk):
     cloud = sample_grid(unit_disk, 3)
     assert len(cloud) == 5  # center plus the four edge midpoints
-    pts = {tuple(p) for p in cloud.points}
+    pts = {tuple(p) for p in cloud}
     assert pts == {(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)}
 
 
@@ -86,7 +86,7 @@ def test_cloud_points_pass_membership(lemniscate_set):
     cloud = sample_grid(lemniscate_set, 51)
     assert len(cloud) > 0
     for g in lemniscate_set.generators:
-        assert np.all(g.evaluate_many(cloud.points) >= -1e-12)
+        assert np.all(g.evaluate_many(cloud) >= -1e-12)
 
 
 def reference_cloud(s, resolution):
@@ -140,8 +140,8 @@ def test_sample_grid_matches_the_full_grid(case, monkeypatch):
     cloud = sample_grid(s, resolution)
     ref = reference_cloud(s, resolution)
     assert (len(ref) == 0) == (case == "empty")
-    assert cloud.points.shape == ref.shape and cloud.points.dtype == ref.dtype
-    assert cloud.points.tobytes() == ref.tobytes()
+    assert cloud.shape == ref.shape and cloud.dtype == ref.dtype
+    assert cloud.tobytes() == ref.tobytes()
 
 
 def test_sample_grid_checks_fire_before_any_block(unit_disk, monkeypatch):
@@ -183,7 +183,7 @@ def test_generators_after_an_empty_mask_are_not_evaluated(monkeypatch):
     axis = np.linspace(-1.0, 1.0, 21)
     assert seen[0] == axis[axis >= -0.25 - 1e-9].tolist()
     assert seen[1] == axis[axis >= 0.5 - 1e-9].tolist()
-    assert cloud.points.tobytes() == reference_cloud(s, 21).tobytes()
+    assert cloud.tobytes() == reference_cloud(s, 21).tobytes()
     # contains_many stops the same way once no row is left
     seen[1].clear()
     left = poly.box_grid_points(2, 21)[:21 * 10]
@@ -225,7 +225,7 @@ def test_pruned_sample_grid_is_the_full_grid_cloud_bit_for_bit(case):
         mp.setattr(poly, "GRID_BLOCK_ROWS", block_rows)
         cloud = sample_grid(s, resolution)
     ref = reference_cloud(s, resolution)
-    assert cloud.points.shape == ref.shape and cloud.points.tobytes() == ref.tobytes()
+    assert cloud.shape == ref.shape and cloud.tobytes() == ref.tobytes()
 
 
 def test_a_generator_at_exactly_minus_the_slack_keeps_its_point():
@@ -235,8 +235,8 @@ def test_a_generator_at_exactly_minus_the_slack_keeps_its_point():
     terms.update({tuple(2 * (j == i) for j in range(n)): -1.0 for i in range(n)})
     s = SemialgebraicSet(n, (Polynomial(n, terms),))
     cloud = sample_grid(s, 21)
-    assert cloud.points.tolist() == [[0.0, 0.0, 0.0]]
-    assert cloud.points.tobytes() == reference_cloud(s, 21).tobytes()
+    assert cloud.tolist() == [[0.0, 0.0, 0.0]]
+    assert cloud.tobytes() == reference_cloud(s, 21).tobytes()
     # the bound at the prefix (0, 0) is at least the value there, -slack
     g = s.generators[0]
     assert g.box_upper_bound([np.zeros(1), np.zeros(1)])[0] >= -CLOUD_MEMBERSHIP_SLACK
@@ -253,7 +253,7 @@ def test_a_non_finite_bound_excludes_nothing(monkeypatch):
     cloud = sample_grid(s, 41)
     assert sum(sizes) == 41**2
     ref = reference_cloud(s, 41)
-    assert 0 < len(ref) < 41**2 and cloud.points.tobytes() == ref.tobytes()
+    assert 0 < len(ref) < 41**2 and cloud.tobytes() == ref.tobytes()
 
 
 ONE_VARIABLE_SETS = [("0.09 - (x1 - 0.2)^2",), ("x1^3 - 0.25*x1", "x1 + 0.5"), ("-1 - x1^2",), ("1 - x1^4",)]
@@ -265,7 +265,7 @@ def test_one_variable_sweeps_match_the_full_grid(generators, resolution, block_r
     if block_rows is not None:
         monkeypatch.setattr(poly, "GRID_BLOCK_ROWS", block_rows)
     s = SemialgebraicSet(1, tuple(parse(g, 1) for g in generators))
-    assert sample_grid(s, resolution).points.tobytes() == reference_cloud(s, resolution).tobytes()
+    assert sample_grid(s, resolution).tobytes() == reference_cloud(s, resolution).tobytes()
 
 
 # the 3-D balls of the CI console-script step, with the cloud counts verify reports at 201
@@ -319,7 +319,7 @@ def test_lemniscate_evaluates_only_the_lines_its_grouped_bound_reaches(lemniscat
     sizes = evaluated_points(monkeypatch)
     cloud = sample_grid(lemniscate_set, 201)
     assert sum(sizes) <= 91 * 201
-    assert cloud.points.tobytes() == reference_cloud(lemniscate_set, 201).tobytes()
+    assert cloud.tobytes() == reference_cloud(lemniscate_set, 201).tobytes()
 
 
 def test_grid_sweeps_at_201_cubed_keep_memory_to_a_block():
@@ -356,7 +356,7 @@ def test_distance_of_set_to_itself(disk_sets):
 
 def unbounded_distance(a, b, resolution):
     """The search dist_estimate bounds: every A point's nearest B point over the whole clouds."""
-    cloud_a, cloud_b = sample_grid(a, resolution).points, sample_grid(b, resolution).points
+    cloud_a, cloud_b = sample_grid(a, resolution), sample_grid(b, resolution)
     return float(np.min(cKDTree(cloud_b).query(cloud_a, k=1)[0]))
 
 
@@ -452,7 +452,7 @@ def test_u_on_cloud_points(disk_sets):
     a, b = disk_sets
     cloud = sample_grid(a, 101)
     dist_ab = dist_estimate(a, b, 101)
-    assert u_eval(cloud.points[0], cloud, dist_ab) == pytest.approx(2.0, abs=1e-12)
+    assert u_eval(cloud[0], cloud, dist_ab) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_u_scaled_distances(disk_sets):

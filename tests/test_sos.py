@@ -24,7 +24,7 @@ from polysep.sos import (
     extract_certificate,
     gram_incidence,
     incidence_stack,
-    membership_slack,
+    margin_sdp_solution,
     monomials_up_to_degree,
     parity_classes,
     reconstruct_residual,
@@ -207,7 +207,7 @@ def test_constant_one_is_in_level_zero_module():
     one = Polynomial.constant(1, 1.0)
     sol, maps = solve_membership(one, [], 0)
     assert sol.status is sdp.SdpStatus.OPTIMAL
-    assert membership_slack(sol, maps) > 0.5
+    assert margin_sdp_solution(sol)[0] > 0.5
     cert = extract_certificate(sol, maps)
     assert reconstruct_residual(cert, one) <= 1e-8
 
@@ -235,9 +235,9 @@ def test_rows_carry_target_coefficients_exactly():
     problem, maps = assemble_membership(target, gens, 5)
     contrib = reference_contribution_rows([Polynomial.constant(1, 1.0)] + gens, maps.bases)
     # one row per monomial of degree <= level, then the normalization row
-    assert maps.row_monomials == monomials_up_to_degree(1, 5)
-    assert len(problem.constraints) == len(maps.row_monomials) + 1
-    for mono, (mats, rhs) in zip(maps.row_monomials, problem.constraints):
+    rows = monomials_up_to_degree(1, 5)
+    assert len(problem.constraints) == len(rows) + 1
+    for mono, (mats, rhs) in zip(rows, problem.constraints):
         assert rhs == target.terms.get(mono, 0.0)
         # blocks w and u, then one Gram per multiplier (the margin_sdp_data layout)
         assert len(mats) == 2 + len(maps.bases)
@@ -333,7 +333,7 @@ def test_membership_with_generator():
 def test_extraction_rejects_negative_slack():
     neg = parse("-1 - x1^2", 1)
     sol, maps = solve_membership(neg, [], 2)
-    assert membership_slack(sol, maps) == pytest.approx(-1.0, abs=1e-6)
+    assert margin_sdp_solution(sol)[0] == pytest.approx(-1.0, abs=1e-6)
     with pytest.raises(NegativeSlackError):
         extract_certificate(sol, maps)
 
@@ -367,7 +367,7 @@ def test_certificate_matches_target_at_random_points():
     sol, maps = solve_membership(target, [], 4)
     cert = extract_certificate(sol, maps)
     residual = reconstruct_residual(cert, target)
-    n_monomials = len(maps.row_monomials)
+    n_monomials = len(monomials_up_to_degree(2, 4))
     rng = np.random.default_rng(23)
     pts = rng.uniform(-1.0, 1.0, size=(100, 2))
     total = np.zeros(100)
