@@ -22,12 +22,9 @@ from .semialg import (
 from .sdp import SdpProblem, SdpSolution, SdpStatus, min_eigenvalue
 from .sos import (
     MonomialBasis,
-    NegativeSlackError,
     QmCertificate,
-    assemble_membership,
     basis,
     expand_gram,
-    extract_certificate,
     reconstruct_residual,
 )
 from .separator import (
@@ -71,12 +68,9 @@ __all__ = [
     "SdpStatus",
     "min_eigenvalue",
     "MonomialBasis",
-    "NegativeSlackError",
     "QmCertificate",
-    "assemble_membership",
     "basis",
     "expand_gram",
-    "extract_certificate",
     "reconstruct_residual",
     "CertificateReport",
     "HierarchyExhaustedError",

@@ -181,15 +181,18 @@ class Polynomial:
 
         Terms are summed in order, each c times its ``axes[i] ** e`` in variable
         order, so every element is the float ``evaluate_many`` gives at that
-        point; the sum may come back broadcast-smaller than the full grid.
+        point; the sum may come back broadcast-smaller than the full grid.  A
+        sum past the float range is inf, without a warning: on the box every
+        term is finite, so no inf - inf arises.
         """
         out = 0.0
-        for mono, c in self.terms.items():
-            term = c
-            for x, e in zip(axes, mono):
-                if e:
-                    term = _into(np.multiply, x**e, term)
-            out = _into(np.add, out, term)
+        with np.errstate(over="ignore"):
+            for mono, c in self.terms.items():
+                term = c
+                for x, e in zip(axes, mono):
+                    if e:
+                        term = _into(np.multiply, x**e, term)
+                out = _into(np.add, out, term)
         return out
 
     def box_upper_bound(self, heads) -> np.ndarray:

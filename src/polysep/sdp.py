@@ -196,11 +196,19 @@ def _rank_filter(problem: SdpProblem):
     keeps the rows of its first ``rank`` pivots.  Each dropped row is
     c^T (kept rows) with c = L11^-T L21^T: one triangular solve tests them all.
 
-    Returns (kept indices, dropped indices, inconsistent flag).
+    Returns (kept indices, dropped indices, inconsistent flag).  Raises
+    ValueError when a row's squared norm is past the float range.
     """
     m, b = problem.num_constraints, problem.rhs
-    gram = problem.matrix @ problem.matrix.T
+    # a row whose squared norm passes the float range shows as an inf diagonal
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = problem.matrix @ problem.matrix.T
     scale = float(np.max(np.diag(gram)))
+    if not np.isfinite(scale):
+        raise ValueError(
+            "the SDP's constraint data overflow double precision in the row Gram A A^T;"
+            " rescale the generators"
+        )
     if scale == 0.0:
         return [], list(range(m)), bool(np.any(np.abs(b) > 1e-12))
     tol = max(problem.matrix.shape) * np.finfo(float).eps * scale

@@ -12,8 +12,8 @@ generator of both sets, ball included: each Gram splits into one block per
 parity class of its basis monomials and only the rows of flip-invariant
 monomials are kept, which leaves the optimal margin unchanged.  The Grams
 are written back as full matrices, exactly zero off the parity blocks, so
-certificates and result files keep their form.  ``sos.assemble_membership``
-is not reduced, because its target may break the symmetry.
+certificates and result files keep their form.  ``_assemble_separation`` is
+the package's one quadratic-module SDP assembler.
 
 The hierarchy sweeps (degree, level) pairs cheapest first: level-major, with
 the degrees rising at each even level, and the first pair that separates

@@ -1,23 +1,24 @@
-"""Truncated quadratic-module membership compiled to semidefinite feasibility.
+"""Truncated quadratic modules compiled to max-margin semidefinite programs.
 
 A polynomial q belongs to the degree-l truncated quadratic module of
 generators f_1..f_t when q = s_0 + sum_i s_i f_i with every multiplier s_i a
 sum of squares, deg(s_0) <= l and deg(s_i f_i) <= l.  Each s_i is
 parameterized by a Gram matrix over the monomial basis of half degree
-floor((l - deg f_i)/2), turning membership into a block SDP with one linear
-constraint per monomial of degree <= l.  ``gram_incidence`` finds the row
-each Gram entry feeds per multiplier term; ``incidence_stack`` writes the
+floor((l - deg f_i)/2), so an identity between module elements becomes one
+linear constraint per monomial of degree <= l.  ``gram_incidence`` finds the
+row each Gram entry feeds per multiplier term; ``incidence_stack`` writes the
 stacks of just the rows and Gram blocks an SDP keeps from it.
 ``sign_flips`` and ``parity_classes`` find the coordinate sign flips that
 fix a set of monomials and split monomials by how those flips act on them;
-the separator uses them to reduce its SDP.  Membership SDPs are not
-reduced: the target need not share the generators' symmetry.
+the separator uses them to reduce its SDP.
 
-Feasibility is always solved with a margin: the Gram blocks are shifted by
-t*I and t is maximized subject to t <= 1.  A positive optimum certifies
-strict feasibility; a negative optimum certifies infeasibility at this level.
-``margin_sdp_solution`` is the one read-out of a solved margin SDP: t and
-the Gram blocks.
+``margin_sdp_data`` lays the rows out as a max-margin SDP: two 1x1 blocks w
+and u carry the margin t = w - u, each row adds its own multiple of t to the
+Gram part, and a last row pins w = 1, so t is maximized subject to t <= 1.
+A positive optimum certifies strict feasibility; a non-positive one finds no
+certificate at this level.  ``margin_sdp_solution`` is the one read-out of a
+solved margin SDP: t and the Gram blocks.  ``separator._assemble_separation``
+is the one assembler built on these pieces.
 """
 
 from __future__ import annotations
@@ -27,21 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import Polynomial
-from .sdp import SdpProblem, SdpSolution, SdpStatus, min_eigenvalue
-
-DEFAULT_SLACK_TOL = 1e-6
-
-
-class NegativeSlackError(RuntimeError):
-    """No strict quadratic-module certificate exists at this level."""
-
-    def __init__(self, message: str, slack: float | None = None):
-        super().__init__(message)
-        self.slack = slack
+from .sdp import SdpSolution, min_eigenvalue
 
 
 class LevelTooSmallError(ValueError):
-    """The requested level cannot accommodate the target or a generator."""
+    """The requested level is below a generator's degree."""
 
 
 def monomials_up_to_degree(n: int, degree: int) -> list:
@@ -173,20 +164,6 @@ def parity_classes(flips: np.ndarray, monomials) -> np.ndarray:
     return parity @ np.array([1 << j for j in range(len(flips))], dtype=dtype)
 
 
-@dataclass
-class MembershipAssembly:
-    """Maps tying a membership SDP back to the membership statement.
-
-    The blocks follow ``margin_sdp_data``: the shifted Gram of multiplier i
-    pairs with ``bases[i]``.  Row k (before the final normalization row)
-    matches the coefficient of ``monomials_up_to_degree(n, level)[k]``.
-    """
-
-    generators: tuple
-    bases: tuple
-    level: int
-
-
 def gram_incidence(n: int, generators, level: int):
     """Gram bases and sparse incidence of the level-``level`` quadratic module.
 
@@ -252,63 +229,6 @@ def margin_sdp_data(stacks, margin, rhs):
 def margin_sdp_solution(sol: SdpSolution):
     """(t, Gram blocks) of a solved ``margin_sdp_data`` SDP: t = w - u, then blocks 2, 3, ..."""
     return float(sol.X[0][0, 0] - sol.X[1][0, 0]), list(sol.X[2:])
-
-
-def assemble_membership(target: Polynomial, generators, level: int):
-    """Compile ``target in Q_level(generators)`` into a max-margin SDP.
-
-    Returns (SdpProblem, MembershipAssembly).  The per-monomial rows carry
-    the target coefficients as right-hand sides exactly; one extra row pins
-    the normalization block to 1 so the margin t = w - u is capped at 1.
-    The Grams are shifted by t*I, so each row's margin coefficient is the
-    trace of its Gram incidence.
-    """
-    n = target.n
-    gens = tuple(generators)
-    for g in gens:
-        if g.n != n:
-            raise ValueError("generator dimension mismatch")
-    if target.total_degree() > level:
-        raise LevelTooSmallError(
-            f"level {level} is below the target degree {target.total_degree()}"
-        )
-    bases, incidence = gram_incidence(n, gens, level)
-    rows = monomials_up_to_degree(n, level)
-    m = len(rows)
-    stacks = [
-        incidence_stack(inc, np.arange(m), m, np.arange(len(bas)))
-        for inc, bas in zip(incidence, bases)
-    ]
-    traces = sum(np.trace(st[:m], axis1=1, axis2=2) for st in stacks)
-    rhs = [target.terms.get(alpha, 0.0) for alpha in rows]
-    problem = SdpProblem(*margin_sdp_data(stacks, traces, rhs))
-    maps = MembershipAssembly(generators=gens, bases=tuple(bases), level=level)
-    return problem, maps
-
-
-def extract_certificate(sol: SdpSolution, maps: MembershipAssembly) -> QmCertificate:
-    """Read the Gram matrices out of a solved membership SDP.
-
-    Raises NegativeSlackError when the max-margin value falls below
-    -``DEFAULT_SLACK_TOL`` (no certificate at this level) or the solve was
-    infeasible.
-    """
-    if sol.status is SdpStatus.INFEASIBLE:
-        raise NegativeSlackError("membership SDP is infeasible at this level")
-    if sol.status is not SdpStatus.OPTIMAL:
-        raise RuntimeError(f"membership SDP did not converge: {sol.status.value}")
-    t, blocks = margin_sdp_solution(sol)
-    if t < -DEFAULT_SLACK_TOL:
-        raise NegativeSlackError(
-            f"no strict certificate at level {maps.level}: margin {t:.3e}", slack=t
-        )
-    shift = max(t, 0.0)
-    return QmCertificate(
-        generators=maps.generators,
-        grams=tuple(block + shift * np.eye(len(block)) for block in blocks),
-        bases=maps.bases,
-        level=maps.level,
-    )
 
 
 def reconstruct_residual(cert: QmCertificate, target: Polynomial) -> float:

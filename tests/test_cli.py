@@ -118,6 +118,18 @@ def test_separate_malformed_polynomial_exits_one(tmp_path, capsys):
     assert "position" in stderr
 
 
+def test_separate_sdp_data_past_the_float_range_exits_one(tmp_path, capsys):
+    # the rows carry 1e300 coefficients, whose squares overflow in the row Gram
+    problem = write_problem(tmp_path / "huge.json", 1, ["1e300*(x1+0.5)"], ["1e300*(0.5-x1)"])
+    code, stdout, stderr = run(
+        capsys, "separate", problem, "--degree-max", "1", "--level-max", "4"
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: the SDP's constraint data overflow double precision")
+    assert "rescale the generators" in stderr
+
+
 def test_bad_flag_values_exit_one(tmp_path, capsys, disk_problem_file):
     code, *_ = run(capsys, "separate", disk_problem_file, "--degree-max", "0")
     assert code == 1
@@ -636,11 +648,9 @@ def test_bounds_warns_of_a_generator_past_the_float_range_without_a_factor(tmp_p
         tmp_path / "huge.json", 2, ["1e308*x1^2 + 1e308*x2^2 - 1e308*x1"], [DISK_RIGHT]
     )
     # the sup-norm is inf, so a factor 0.5 / inf would read "rescale it by 0";
-    # the grid sweeps overflow, which numpy reports as a RuntimeWarning
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code, stdout, _ = run(capsys, "bounds", problem)
-    assert code == 0
+    # the grid sweeps overflow to inf without a warning
+    code, stdout, stderr = run(capsys, "bounds", problem)
+    assert code == 0 and stderr == ""
     first, second = json.loads(stdout)["warnings"][:2]
     assert first.startswith("generator 1 has box values that overflow double precision")
     assert "rescale it by" not in first
@@ -794,16 +804,14 @@ def test_grid_writes_infinities_through_the_repr_fallback(tmp_path, capsys, lemn
     # the sum overflows to inf at (1, 1) and to -inf at (-1, -1).  A nan cannot
     # come out: every term is at most its coefficient on the box and the terms
     # are summed in order, so a sum that reached an infinity keeps it
-    # grid writes inf as a value, so no overflow warning escapes it; the
-    # reference evaluation still warns
+    # grid writes inf as a value, and no overflow warning escapes it
     result = polynomial_result_file(tmp_path / "r.json", "1.7e308*x1 + 1.7e308*x2^3")
     out = tmp_path / "g.csv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, _, err = run(capsys, "grid", lemniscate_problem_file, result, "--resolution", "5", "--out", str(out))
     assert code == 0 and err == "" and caught == []
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        expected = reference_grid_csv(lemniscate_problem_file, result, 5)
+    expected = reference_grid_csv(lemniscate_problem_file, result, 5)
     text = out.read_text()
     assert {"inf", "-inf"} <= {line.split(",")[2] for line in text.splitlines()[1:]}
     assert text == expected

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script runs to completion against the package sources, with no warning."""
 
 import os
 import subprocess
@@ -13,11 +13,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # tmp_path as working directory: a demo may write files there
+    # tmp_path as working directory: a demo may write files there; -W error,
+    # as pytest's filterwarnings does not reach a subprocess
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

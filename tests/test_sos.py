@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -10,21 +11,17 @@ from hypothesis import strategies as st
 
 from conftest import CIRCLE, LEMNISCATE
 from polysep import sdp
-from polysep.cli import _certificate_from_json, _certificate_to_json
+from polysep.cli import _certificate_from_json, _certificate_to_json, _poly_from_json
 from polysep.poly import Polynomial, parse
-from polysep.separator import _assemble_separation
+from polysep.separator import _assemble_separation, _full_grams
 from polysep.sos import (
     LevelTooSmallError,
     MonomialBasis,
-    NegativeSlackError,
     QmCertificate,
-    assemble_membership,
     basis,
     expand_gram,
-    extract_certificate,
     gram_incidence,
     incidence_stack,
-    margin_sdp_solution,
     monomials_up_to_degree,
     parity_classes,
     reconstruct_residual,
@@ -34,12 +31,6 @@ from polysep.sos import (
 DATA_DIR = Path(__file__).parent / "data"
 # a disk off the x1 axis: no coordinate sign flip fixes it, so the SDP is unreduced
 SHIFTED_CIRCLE = "1/16 - (x1 - 1/2)^2 - (x2 - 1/5)^2"
-
-
-def solve_membership(target, generators, level, tol=1e-8):
-    problem, maps = assemble_membership(target, generators, level)
-    sol = sdp.solve(problem, tol=tol)
-    return sol, maps
 
 
 def reference_contribution_rows(multipliers, bases_list):
@@ -67,6 +58,24 @@ def reference_contribution_rows(multipliers, bases_list):
 
 def reference_block(contrib, alpha, i, size):
     return contrib.get(alpha, {}).get(i, np.zeros((size, size)))
+
+
+def reference_separation_rows(gens_a, gens_b, bases_a, bases_b, parity, degree, level):
+    """Row monomials of the reduced separation SDP, by the reference loops.
+
+    ``parity(alpha)`` lists alpha's parity under each sign flip.  Returns the
+    contributions of both sides, then the invariant monomials, the joint rows
+    (invariant and reached by a Gram entry) and the elimination rows
+    (invariant, above ``degree`` and reached on the A side), in row order.
+    """
+    n = bases_a[0].n
+    one = Polynomial.constant(n, 1.0)
+    contrib_a = reference_contribution_rows([one] + gens_a, bases_a)
+    contrib_b = reference_contribution_rows([one] + gens_b, bases_b)
+    invariant = [alpha for alpha in monomials_up_to_degree(n, level) if not any(parity(alpha))]
+    joint = [alpha for alpha in invariant if alpha in contrib_a or alpha in contrib_b]
+    eliminate = [alpha for alpha in invariant if sum(alpha) > degree and alpha in contrib_a]
+    return contrib_a, contrib_b, invariant, joint, eliminate
 
 
 def assert_normalization_row(row):
@@ -203,60 +212,10 @@ def test_gram_incidence_matches_reference_loop(n, generators, level):
 
 
 
-def test_constant_one_is_in_level_zero_module():
-    one = Polynomial.constant(1, 1.0)
-    sol, maps = solve_membership(one, [], 0)
-    assert sol.status is sdp.SdpStatus.OPTIMAL
-    assert margin_sdp_solution(sol)[0] > 0.5
-    cert = extract_certificate(sol, maps)
-    assert reconstruct_residual(cert, one) <= 1e-8
-
-
-def test_sum_of_squares_gram_is_determined():
-    target = parse("x1^2 + x2^2", 2)
-    sol, maps = solve_membership(target, [], 2)
-    cert = extract_certificate(sol, maps)
-    assert np.allclose(cert.grams[0], np.diag([0.0, 1.0, 1.0]), atol=1e-7)
-    assert reconstruct_residual(cert, target) <= 1e-8
-
-
-def test_classic_sos_quartic():
-    target = parse("2*x1^4 + 2*x1^3*x2 - x1^2*x2^2 + 5*x2^4", 2)
-    sol, maps = solve_membership(target, [], 4)
-    assert sol.status is sdp.SdpStatus.OPTIMAL
-    cert = extract_certificate(sol, maps)
-    assert reconstruct_residual(cert, target) <= 1e-8
-    assert cert.min_gram_eigenvalue() >= -1e-8
-
-
-def test_rows_carry_target_coefficients_exactly():
-    target = parse("3*x1^2 - 0.5*x1 + 0.25", 1)
-    gens = [parse("1 - x1^2", 1), parse("x1^3 - 0.5*x1 + 0.25", 1)]
-    problem, maps = assemble_membership(target, gens, 5)
-    contrib = reference_contribution_rows([Polynomial.constant(1, 1.0)] + gens, maps.bases)
-    # one row per monomial of degree <= level, then the normalization row
-    rows = monomials_up_to_degree(1, 5)
-    assert len(problem.constraints) == len(rows) + 1
-    for mono, (mats, rhs) in zip(rows, problem.constraints):
-        assert rhs == target.terms.get(mono, 0.0)
-        # blocks w and u, then one Gram per multiplier (the margin_sdp_data layout)
-        assert len(mats) == 2 + len(maps.bases)
-        trace = 0.0
-        for i, bas in enumerate(maps.bases):
-            expected = reference_block(contrib, mono, i, len(bas))
-            np.testing.assert_array_equal(mats[2 + i], expected)
-            trace += float(np.trace(expected))
-        # the Grams are shifted by t*I, t = w - u
-        assert mats[0][0, 0] == trace
-        assert mats[1][0, 0] == -trace
-    assert_normalization_row(problem.constraints[-1])
-
-
 @pytest.mark.parametrize("level", [4, 5])
 def test_separation_rows_match_reference_layout(level):
     n, degree = 2, 2
     ball = Polynomial.ball_generator(n)
-    one = Polynomial.constant(n, 1.0)
     monomials = monomials_up_to_degree(n, level)
     # the shifted pair has no symmetry; the golden pair is fixed by x2 -> -x2,
     # which splits every basis by the parity of the x2 exponent
@@ -282,11 +241,9 @@ def test_separation_rows_match_reference_layout(level):
         blocks_a = [(i, idx) for i, part in enumerate(parts[: len(bases_a)]) for idx in part]
         blocks_b = [(i, idx) for i, part in enumerate(parts[len(bases_a) :]) for idx in part]
         assert problem.block_sizes == (1, 1) + tuple(len(idx) for _, idx in blocks_a + blocks_b)
-        contrib_a = reference_contribution_rows([one] + gens_a, bases_a)
-        contrib_b = reference_contribution_rows([one] + gens_b, bases_b)
-        invariant = [alpha for alpha in monomials if not any(parity(alpha))]
-        joint = [alpha for alpha in invariant if alpha in contrib_a or alpha in contrib_b]
-        eliminate = [alpha for alpha in invariant if sum(alpha) > degree and alpha in contrib_a]
+        contrib_a, contrib_b, invariant, joint, eliminate = reference_separation_rows(
+            gens_a, gens_b, bases_a, bases_b, parity, degree, level
+        )
         if not flips:
             # the unreduced SDP: whole bases, and at level 5 no Gram entry
             # reaches degree 5, so only those rows are dropped
@@ -315,37 +272,66 @@ def test_separation_rows_match_reference_layout(level):
         assert_normalization_row(problem.constraints[-1])
 
 
+# problems (n, A generators, B generators) and (degree, level) pairs: golden
+# (fixed by x2 -> -x2), the shifted pair (no symmetry), the 3-D CI balls
+# (fixed by x2 -> -x2 and x3 -> -x3)
+SEPARATION_CASES = [
+    (2, [LEMNISCATE], [CIRCLE], 2, 4),
+    (2, [LEMNISCATE], [CIRCLE], 3, 6),
+    (2, [LEMNISCATE], [SHIFTED_CIRCLE], 1, 4),
+    (2, [LEMNISCATE], [SHIFTED_CIRCLE], 2, 5),
+    (3, ["1/16 - (x1 + 0.55)^2 - x2^2 - x3^2"], ["0.0484 - (x1 - 0.57)^2 - x2^2 - x3^2"], 2, 4),
+    (3, ["1/16 - (x1 + 0.55)^2 - x2^2 - x3^2"], ["0.0484 - (x1 - 0.57)^2 - x2^2 - x3^2"], 1, 6),
+]
+
+
+@functools.cache
+def assembled_separation(case):
+    """The case's assembled SDP, its Gram layout and its reference row monomials."""
+    n, a, b, degree, level = SEPARATION_CASES[case]
+    ball = Polynomial.ball_generator(n)
+    gens_a, gens_b = [parse(g, n) for g in a] + [ball], [parse(g, n) for g in b] + [ball]
+    problem, bases_a, bases_b, parts, flips = _assemble_separation(n, gens_a, gens_b, degree, level)
+
+    def parity(alpha):
+        return tuple(int(np.dot(f, alpha)) % 2 for f in flips)
+
+    _, _, _, joint, eliminate = reference_separation_rows(
+        gens_a, gens_b, bases_a, bases_b, parity, degree, level
+    )
+    return problem, gens_a, gens_b, bases_a, bases_b, parts, joint, eliminate
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, len(SEPARATION_CASES) - 1), st.integers(0, 2**32 - 1))
+def test_assembled_rows_read_the_certificate_polynomials(case, seed):
+    # any symmetric Gram blocks, written back as certificates: each joint row
+    # reads the coefficient of S_A + S_B, each elimination row that of S_A,
+    # and the normalization row reads no Gram entry
+    problem, gens_a, gens_b, bases_a, bases_b, parts, joint, eliminate = assembled_separation(case)
+    rng = np.random.default_rng(seed)
+    blocks = [rng.standard_normal((s, s)) for s in problem.block_sizes[2:]]
+    blocks = [(x + x.T) / 2 for x in blocks]
+    grams = _full_grams(blocks, bases_a + bases_b, parts)
+    level = SEPARATION_CASES[case][4]
+    s_a = QmCertificate(tuple(gens_a), tuple(grams[: len(bases_a)]), tuple(bases_a), level).polynomial()
+    s_b = QmCertificate(tuple(gens_b), tuple(grams[len(bases_a) :]), tuple(bases_b), level).polynomial()
+    total = s_a + s_b
+    # no coefficient on a non-invariant monomial, nor on a row the assembler dropped
+    assert set(s_a.terms) | set(s_b.terms) <= set(joint)
+    expected = [total.terms.get(alpha, 0.0) for alpha in joint]
+    expected += [s_a.terms.get(alpha, 0.0) for alpha in eliminate]
+    expected = np.array(expected + [0.0])
+    got = np.array([sum(np.sum(m * x) for m, x in zip(mats[2:], blocks)) for mats, _ in problem.constraints])
+    assert got.shape == expected.shape
+    # the two sides sum the same products in different orders
+    assert np.max(np.abs(got - expected)) <= 1e-12 * (1.0 + np.max(np.abs(expected)))
+    assert got[-1] == 0.0
+
+
 def test_level_too_small_raises():
     with pytest.raises(LevelTooSmallError):
-        assemble_membership(parse("x1^4", 1), [], 2)
-    with pytest.raises(LevelTooSmallError):
-        assemble_membership(parse("x1", 1), [parse("1 - x1^4", 1)], 2)
-
-
-def test_membership_with_generator():
-    # 1 - x1^2 is 1 * (1 - x1^2): a strict certificate over its own set
-    g = parse("1 - x1^2", 1)
-    sol, maps = solve_membership(g, [g], 2)
-    cert = extract_certificate(sol, maps)
-    assert reconstruct_residual(cert, g) <= 1e-8
-
-
-def test_extraction_rejects_negative_slack():
-    neg = parse("-1 - x1^2", 1)
-    sol, maps = solve_membership(neg, [], 2)
-    assert margin_sdp_solution(sol)[0] == pytest.approx(-1.0, abs=1e-6)
-    with pytest.raises(NegativeSlackError):
-        extract_certificate(sol, maps)
-
-
-def test_perturbed_gram_residual_is_linear():
-    target = parse("x1^2 + x2^2", 2)
-    sol, maps = solve_membership(target, [], 2)
-    cert = extract_certificate(sol, maps)
-    grams = [g.copy() for g in cert.grams]
-    grams[0][0, 0] += 1e-3
-    bumped = QmCertificate(cert.generators, tuple(grams), cert.bases, cert.level)
-    assert reconstruct_residual(bumped, target) == pytest.approx(1e-3, rel=1e-6)
+        gram_incidence(1, [parse("1 - x1^4", 1)], 2)
 
 
 def test_zero_multiplier_leaves_the_others_to_decide():
@@ -362,42 +348,55 @@ def test_zero_multiplier_leaves_the_others_to_decide():
 # ---- certificate semantics ----------------------------------------------------
 
 
-def test_certificate_matches_target_at_random_points():
-    target = parse("2*x1^4 + 2*x1^3*x2 - x1^2*x2^2 + 5*x2^4", 2)
-    sol, maps = solve_membership(target, [], 4)
-    cert = extract_certificate(sol, maps)
-    residual = reconstruct_residual(cert, target)
-    n_monomials = len(monomials_up_to_degree(2, 4))
-    rng = np.random.default_rng(23)
-    pts = rng.uniform(-1.0, 1.0, size=(100, 2))
-    total = np.zeros(100)
-    mults = [Polynomial.constant(2, 1.0)] + list(cert.generators)
-    for f, gram, bas in zip(mults, cert.grams, cert.bases):
-        total += expand_gram(gram, bas).evaluate_many(pts) * f.evaluate_many(pts)
-    assert np.max(np.abs(target.evaluate_many(pts) - total)) <= residual * n_monomials + 1e-12
-
-
-def test_multipliers_are_pointwise_nonnegative():
-    g = parse("1 - x1^2 - x2^2", 2)
-    target = parse("2 - x1^2 - x2^2", 2)  # = 1 + g, positive on the disk
-    sol, maps = solve_membership(target, [g], 2)
-    cert = extract_certificate(sol, maps)
-    rng = np.random.default_rng(29)
-    pts = rng.uniform(-1.0, 1.0, size=(100, 2))
-    for s in cert.multipliers():
-        assert np.all(s.evaluate_many(pts) >= -1e-9)
-
-
 def test_expand_gram_identity_is_sum_of_squared_monomials():
     b = basis(2, 1)
     p = expand_gram(np.eye(3), b)
     assert p == parse("1 + x1^2 + x2^2", 2)
 
 
+def golden_certificate(side):
+    """One side's certificate of the golden result and its target: p - 1 - t on A, -p - t on B."""
+    data = json.loads((DATA_DIR / "golden_result.json").read_text())
+    p, t = _poly_from_json(data["p"], 2), data["slack"]
+    cert = _certificate_from_json(data["certificates"][side], 2, data["level"])
+    return cert, (p - (1.0 + t) if side == "A" else -p - t)
+
+
+def test_perturbed_gram_residual_is_linear():
+    for side in "AB":
+        cert, target = golden_certificate(side)
+        grams = [g.copy() for g in cert.grams]
+        grams[0][0, 0] += 1e-3
+        bumped = QmCertificate(cert.generators, tuple(grams), cert.bases, cert.level)
+        assert reconstruct_residual(bumped, target) == pytest.approx(1e-3, rel=1e-6)
+
+
+def test_certificate_matches_target_at_random_points():
+    rng = np.random.default_rng(23)
+    pts = rng.uniform(-1.0, 1.0, size=(100, 2))
+    for side in "AB":
+        cert, target = golden_certificate(side)
+        residual = reconstruct_residual(cert, target)
+        n_monomials = len(monomials_up_to_degree(2, cert.level))
+        total = np.zeros(100)
+        mults = [Polynomial.constant(2, 1.0)] + list(cert.generators)
+        for f, gram, bas in zip(mults, cert.grams, cert.bases):
+            total += expand_gram(gram, bas).evaluate_many(pts) * f.evaluate_many(pts)
+        assert np.max(np.abs(target.evaluate_many(pts) - total)) <= residual * n_monomials + 1e-12
+
+
+def test_multipliers_are_pointwise_nonnegative():
+    rng = np.random.default_rng(29)
+    pts = rng.uniform(-1.0, 1.0, size=(100, 2))
+    for side in "AB":
+        cert, _ = golden_certificate(side)
+        for s in cert.multipliers():
+            assert np.all(s.evaluate_many(pts) >= -1e-9)
+
+
 @pytest.mark.parametrize("side", ["A", "B"])
 def test_certificate_polynomial_matches_expand_and_sum_loop(side):
-    data = json.loads((DATA_DIR / "golden_result.json").read_text())
-    cert = _certificate_from_json(data["certificates"][side], 2, data["level"])
+    cert, _ = golden_certificate(side)
     # reference: expand each Gram, multiply by its generator, sum in order
     total = Polynomial.zero(2)
     mults = [Polynomial.constant(2, 1.0)] + list(cert.generators)
