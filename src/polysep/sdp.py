@@ -192,9 +192,12 @@ def min_eigenvalue(mat) -> float:
 def _rank_filter(problem: SdpProblem):
     """Drop linearly dependent constraint rows; detect inconsistent duplicates.
 
-    A pivoted Cholesky of the row Gram A A^T, the Newton matrix at X = Z = I,
-    keeps the rows of its first ``rank`` pivots.  Each dropped row is
-    c^T (kept rows) with c = L11^-T L21^T: one triangular solve tests them all.
+    A pivoted Cholesky of the row-normalized Gram D^-1/2 A A^T D^-1/2, D the
+    diagonal of A A^T, keeps the rows of its first ``rank`` pivots; rank is
+    judged with tolerance max(shape)·eps, so rescaling a row or the whole
+    problem changes nothing.  Each dropped row is c^T (kept rows) with
+    c = L11^-T L21^T: one triangular solve tests them all, on the same
+    normalized rows, b scaled by D^-1/2 as well.
 
     Returns (kept indices, dropped indices, inconsistent flag).  Raises
     ValueError when a row's squared norm is past the float range.
@@ -203,15 +206,20 @@ def _rank_filter(problem: SdpProblem):
     # a row whose squared norm passes the float range shows as an inf diagonal
     with np.errstate(over="ignore", invalid="ignore"):
         gram = problem.matrix @ problem.matrix.T
-    scale = float(np.max(np.diag(gram)))
-    if not np.isfinite(scale):
+    norms = np.sqrt(np.diag(gram))
+    if not np.all(np.isfinite(norms)):
         raise ValueError(
             "the SDP's constraint data overflow double precision in the row Gram A A^T;"
             " rescale the generators"
         )
-    if scale == 0.0:
+    if not norms.any():
         return [], list(range(m)), bool(np.any(np.abs(b) > 1e-12))
-    tol = max(problem.matrix.shape) * np.finfo(float).eps * scale
+    # a zero row stays zero, and falls below the tolerance
+    norms[norms == 0.0] = 1.0
+    gram /= norms[:, None]
+    gram /= norms[None, :]
+    b = b / norms
+    tol = max(problem.matrix.shape) * np.finfo(float).eps
     fac, piv, rank, _ = la.lapack.dpstrf(gram, tol=tol, lower=1)
     kept, dropped = piv[:rank] - 1, piv[rank:] - 1
     coeff = la.solve_triangular(fac[:rank, :rank], fac[rank:, :rank].T, trans="T", lower=True)

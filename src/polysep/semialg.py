@@ -12,13 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .poly import Polynomial, grid_lines, on_grid, sup_norm_grid
 
 # tiny negative slack keeps boundary grid points in sample clouds;
 # SemialgebraicSet.contains stays an exact sign test
 CLOUD_MEMBERSHIP_SLACK = 1e-12
+
+# point pairs per block of the nearest-point searches, and points per chunk of
+# the boundary search: a chunk is a box of nearby grid points, and its pair
+# blocks take whole chunks of the other side
+PAIR_BLOCK = 1 << 16
+CHUNK_POINTS = 64
 
 
 class EmptySampleError(RuntimeError):
@@ -113,16 +118,33 @@ def dist_estimate(a: SemialgebraicSet, b: SemialgebraicSet, resolution: int) -> 
     """Min pairwise distance between the two sample clouds.
 
     An upper bound on dist(A, B) that tightens as the resolution grows;
-    non-increasing under nested grid refinement.  The search is bounded by a
-    pair already found: the A point nearest B's centroid and its nearest B
-    point are d0 apart, so the minimum is at most d0.  A point farther than
-    d0 from the other cloud's bounding box is in no closer pair and is
-    dropped, on both sides; the A points left are queried against a kd-tree
-    of the B points left, with an upper bound just above d0, so the tree
-    prunes whatever lies farther.  The winning pair survives and its
-    distance is computed as an unbounded query over the whole clouds
-    computes it, so the float is the same.
+    non-increasing under nested grid refinement.  The float is the one an
+    exhaustive search over the whole clouds returns: per pair the sum of
+    (a_j - b_j)^2 in axis order, then the square root.
+
+    The search is bounded by a pair already found: the A point nearest B's
+    centroid and its nearest B point are d0 apart, so the minimum is at most
+    d0.  A point farther than d0 from the other cloud's bounding box is in
+    no closer pair and is dropped, on both sides.  If the points left share
+    a grid point the distance is 0.  Otherwise only boundary points are
+    searched: a point with an in-grid axis neighbour outside its own cloud,
+    read off one bool per grid point (set for the cloud points within two
+    grid steps past d0 of the other box, which covers every survivor's
+    neighbours).  In a nearest pair (a, b), a != b, some axis j has
+    |a_j - b_j| >= h, the grid step, and the neighbour of a one step towards
+    b_j on that axis is h^2 or more closer to b in squared distance, a margin
+    far above the rounding of the sums at any resolution the grid budget
+    allows; so a is on A's boundary, b on B's, and the float minimum over
+    boundary points is the minimum over all points.  A shared point has no
+    such axis, hence the test for one first.  The boundary points are
+    searched in chunks of nearby points, in the Morton order of their grid
+    indices, and a chunk pair or point whose box gap exceeds the best
+    squared distance so far is skipped; a box gap is never above the
+    distance of a pair it holds, in floats too.  Memory is the bools, at
+    most ``GRID_BUDGET`` bytes, plus blocks of ``PAIR_BLOCK`` pairs.
     """
+    if a.n != b.n:
+        raise ValueError(f"the sets' dimensions differ: {a.n} and {b.n}")
     pa = sample_grid(a, resolution)
     if len(pa) == 0:
         raise EmptySampleError(f"first set has no sample points at resolution {resolution}")
@@ -130,56 +152,164 @@ def dist_estimate(a: SemialgebraicSet, b: SemialgebraicSet, resolution: int) -> 
     if len(pb) == 0:
         raise EmptySampleError(f"second set has no sample points at resolution {resolution}")
     centroid = [x.mean() for x in pb.T]
-    nearest = pa[np.argmin(_squared_gaps(pa, centroid, centroid))]
-    d0 = float(np.sqrt(np.min(_squared_gaps(pb, nearest, nearest))))
-    if d0 == 0.0:
+    nearest = pa[np.argmin(_squared_gaps(pa, pa, centroid, centroid))]
+    best = float(np.min(_squared_gaps(pb, pb, nearest, nearest)))
+    if best == 0.0:
         return 0.0
-    # the tree compares squared distances: the relative margin covers the
-    # rounding of d0 and of the box gaps, and the floor keeps the bound's
-    # square from underflowing to 0
-    bound = d0 * (1.0 + 2.0**-20) + 1e-150
-    pa, pb = _near_box(pa, pb, bound), _near_box(pb, pa, bound)
-    dists, _ = cKDTree(pb).query(pa, k=1, distance_upper_bound=bound)
-    return float(np.min(dists))
+    # a point's squared gap to the other cloud's bounding box is at most its
+    # squared distance to every point in it: the relative margin covers the
+    # rounding of d0 and of the gaps, and the floor keeps the bound's square
+    # from underflowing to 0
+    bound = float(np.sqrt(best)) * (1.0 + 2.0**-20) + 1e-150
+    # the points within two grid steps past the bound are marked as well: a
+    # survivor's axis neighbours lie at most one step farther, so the cut the
+    # pruning makes does not show as boundary (a missing mark would only add
+    # boundary points, never lose a pair)
+    reach = (bound + 4.0 / (resolution - 1)) ** 2
+    kept = []
+    for points, others in ((pa, pb), (pb, pa)):
+        columns = others.T
+        gaps = _squared_gaps(points, points, [x.min() for x in columns], [x.max() for x in columns])
+        marked = gaps <= reach
+        points, gaps = points[marked], gaps[marked]
+        kept.append((points, _grid_index(points, resolution), gaps <= bound * bound))
+    (pa, index_a, near_a), (pb, index_b, near_b) = kept
+    n = a.n
+    occupied = np.zeros(resolution**n, dtype=bool)
+    occupied[index_a] = True
+    if occupied[index_b[near_b]].any():
+        return 0.0
+    near_a[near_a] = _on_boundary(index_a[near_a], occupied, n, resolution)
+    occupied[index_a] = False
+    occupied[index_b] = True
+    near_b[near_b] = _on_boundary(index_b[near_b], occupied, n, resolution)
+    # the side with fewer boundary points gives the outer loop's chunks
+    sides = sorted(
+        ((pa[near_a], index_a[near_a]), (pb[near_b], index_b[near_b])),
+        key=lambda side: len(side[0]),
+    )
+    outer, (runs, lows, highs) = (_chunks(p[_morton_order(i, n, resolution)]) for p, i in sides)
+    per_block = max(1, PAIR_BLOCK // (CHUNK_POINTS * CHUNK_POINTS))
+    for points, lo, hi in zip(*outer):
+        candidates = np.flatnonzero(_squared_gaps(lows, highs, lo, hi) <= best)
+        for k in range(0, len(candidates), per_block):
+            others = np.concatenate([runs[c] for c in candidates[k : k + per_block]])
+            others = others[_squared_gaps(others, others, lo, hi) <= best]
+            if len(others):
+                best = min(best, float(np.min(_nearest_squared(points, others))))
+    return float(np.sqrt(best))
 
 
-def _near_box(points: np.ndarray, others: np.ndarray, radius: float) -> np.ndarray:
-    """The points within ``radius`` of the bounding box of ``others``.
-
-    The gap to the box is at most the distance to every point in it, so no
-    point within ``radius`` of some other point is dropped; the caller's
-    ``radius`` carries the margin for the rounding of both.
-    """
-    columns = others.T
-    gaps = _squared_gaps(points, [x.min() for x in columns], [x.max() for x in columns])
-    return points[gaps <= radius * radius]
-
-
-def _squared_gaps(points: np.ndarray, lows, highs) -> np.ndarray:
-    # per row, the squared distance to the box [lows, highs], a point where they
-    # are equal; column by column, which beats reductions across (m, n) rows
+def _squared_gaps(lows: np.ndarray, highs: np.ndarray, lo, hi) -> np.ndarray:
+    # per row, the squared gap from the box [lows, highs] of the (k, n) corners
+    # to the box [lo, hi], a row a point and [lo, hi] a point where they are
+    # equal; each term is at most the one of any pair of points in the two
+    # boxes, as float subtraction is monotone.  Column by column, which beats
+    # reductions across (k, n) rows
     total = 0.0
-    for x, lo, hi in zip(points.T, lows, highs):
-        gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
+    for low, high, l, h in zip(lows.T, highs.T, lo, hi):
+        gap = np.maximum(np.maximum(l - high, low - h), 0.0)
         total = total + gap * gap
     return total
 
 
+def _grid_index(points: np.ndarray, resolution: int) -> np.ndarray:
+    """Row-major flat grid index of each row; the rows are ``grid_axis`` points.
+
+    A coordinate is -1 + i*step rounded once, so scaling back and rounding
+    to the nearest integer recovers i exactly.
+    """
+    flat = np.zeros(len(points), dtype=np.int64)
+    for x in points.T:
+        flat *= resolution
+        flat += np.rint((x + 1.0) * ((resolution - 1) / 2)).astype(np.int64)
+    return flat
+
+
+def _axis_indices(flat: np.ndarray, n: int, resolution: int):
+    """(stride, per-row index) for each axis of the row-major flat grid indices, last axis first."""
+    stride = 1
+    for _ in range(n):
+        yield stride, flat // stride % resolution
+        stride *= resolution
+
+
+def _on_boundary(flat: np.ndarray, occupied: np.ndarray, n: int, resolution: int) -> np.ndarray:
+    """Row mask of the grid points with an in-grid axis neighbour not ``occupied``."""
+    edge = np.zeros(len(flat), dtype=bool)
+    for stride, i in _axis_indices(flat, n, resolution):
+        for step, inside in ((-stride, i > 0), (stride, i < resolution - 1)):
+            edge[inside] |= ~occupied[flat[inside] + step]
+    return edge
+
+
+def _morton_order(flat: np.ndarray, n: int, resolution: int) -> np.ndarray:
+    """The order of the Morton codes of the grid indices: runs of it are compact boxes.
+
+    A code takes bit k of axis j's index to bit k*n + j; it fits an int64
+    since resolution**n is within the grid budget.
+    """
+    bits = np.arange((resolution - 1).bit_length())
+    code = np.zeros(len(flat), dtype=np.int64)
+    for j, (_, i) in enumerate(_axis_indices(flat, n, resolution)):
+        # the bits are distinct powers of two, so their sum is their or
+        code += ((i[:, None] >> bits & 1) << (bits * n + j)).sum(axis=1)
+    return np.argsort(code, kind="stable")
+
+
+def _chunks(points: np.ndarray):
+    """Runs of ``CHUNK_POINTS`` rows, and the low and high corners of each run's box."""
+    starts = np.arange(0, len(points), CHUNK_POINTS)
+    runs = np.split(points, starts[1:])
+    return runs, np.minimum.reduceat(points, starts), np.maximum.reduceat(points, starts)
+
+
+def _nearest_squared(points: np.ndarray, cloud: np.ndarray) -> np.ndarray:
+    """Per row of ``points``, the least squared distance to a row of ``cloud``.
+
+    Each pair's sum runs over the axes in order, so its square root is the
+    float a kd-tree query returns; pairs are formed ``PAIR_BLOCK`` at a time.
+    """
+    out = np.full(len(points), np.inf)
+    rows = max(1, PAIR_BLOCK // len(cloud))
+    cols = max(1, PAIR_BLOCK // rows)
+    for i in range(0, len(points), rows):
+        for k in range(0, len(cloud), cols):
+            # in place: one (rows, cols) array per axis, the first one the total
+            pairs = zip(points[i : i + rows].T, cloud[k : k + cols].T)
+            first, *rest = (np.subtract.outer(x, y) for x, y in pairs)
+            total = np.multiply(first, first, out=first)
+            for gap in rest:
+                total += np.multiply(gap, gap, out=gap)
+            np.minimum(out[i : i + rows], np.min(total, axis=1), out=out[i : i + rows])
+    return out
+
+
 def cloud_distance(points, cloud: np.ndarray) -> np.ndarray:
-    """Distance from each query point to the nearest row of the (m, n) ``cloud``."""
+    """Distance from each query point to the nearest row of the (m, n) ``cloud``.
+
+    An exhaustive search in blocks of ``PAIR_BLOCK`` pairs: the query points
+    are arbitrary, not grid points, so ``dist_estimate``'s boundary argument
+    does not apply.  Each distance is the float a kd-tree query returns.
+    """
     if len(cloud) == 0:
         raise EmptySampleError("cannot measure distance to an empty cloud")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dists, _ = cKDTree(cloud).query(pts, k=1)
-    return dists
+    if pts.shape[1] != cloud.shape[1]:
+        raise ValueError(
+            f"points of dimension {pts.shape[1]} against a cloud of dimension {cloud.shape[1]}"
+        )
+    return np.sqrt(_nearest_squared(pts, cloud))
 
 
 def u_eval(x, a_cloud: np.ndarray, dist_ab: float):
     """The explicit continuous separator u(x) = 2 - 3 dist(x, A)/dist(A, B).
 
-    Computed against ``a_cloud``, the (m, n) sample cloud of A.  Equals 2 on
-    cloud points and is (3/dist_ab)-Lipschitz; at or below -1 wherever
-    dist(x, A) >= dist_ab.  Accepts a single point or an (m, n) array.
+    Computed against ``a_cloud``, the (m, n) sample cloud of A, with
+    ``cloud_distance``'s exhaustive search, so dist(x, A) is the exact float
+    minimum over the cloud.  Equals 2 on cloud points and is
+    (3/dist_ab)-Lipschitz; at or below -1 wherever dist(x, A) >= dist_ab.
+    Accepts a single point or an (m, n) array.
     """
     if dist_ab <= 0.0:
         raise ValueError(f"dist_ab must be positive, got {dist_ab}")

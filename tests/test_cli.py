@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -39,6 +41,24 @@ def reference_result_file(path):
     }
     path.write_text(json.dumps({"version": "external", "p": p, "degree": 2}))
     return str(path)
+
+
+def test_package_import_loads_scipy_linalg_only():
+    # scipy.spatial alone pulls in scipy.sparse and scipy.special, 9 MB of
+    # resident memory in every CLI process; a fresh interpreter shows what an
+    # import of the package loads
+    code = (
+        "import sys, polysep, polysep.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'spatial'], ['scipy', 'sparse'], ['scipy', 'special'])))"
+    )
+    path = os.pathsep.join([str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---- separate -------------------------------------------------------------------
@@ -92,6 +112,22 @@ def test_separate_intersecting_sets_exits_two(tmp_path, capsys):
     code, _, stderr = run(capsys, "separate", problem, "--degree-max", "1", "--level-max", "4")
     assert code == 2
     assert "no separator" in stderr
+
+
+def test_separate_scaled_generators_drop_no_row(tmp_path, capsys):
+    # the pair scaled by 1e8 has the unscaled pair's quadratic modules: the rank
+    # test judges the row-normalized Gram, so no row is dropped as dependent
+    problem = write_problem(tmp_path / "scaled.json", 1, ["1e8*(-x1-0.5)"], ["1e8*(x1-0.5)"])
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, *_ = run(
+            capsys, "separate", problem, "--degree-max", "1", "--level-max", "4", "--out", str(out)
+        )
+    assert code == 0
+    result = json.loads(out.read_text())
+    assert (result["degree"], result["level"]) == (1, 2)
+    assert result["slack"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_separate_without_a_separator_writes_out_as_a_separated_result_does(tmp_path, capsys):

@@ -364,29 +364,114 @@ def random_ball(rng, n):
     return ball(n, rng.uniform(-0.6, 0.6, n).round(3).tolist(), round(rng.uniform(0.1, 0.35), 3))
 
 
+SHELL = ("0.64 - x1^2 - x2^2 - x3^2", "x1^2 + x2^2 + x3^2 - 0.36")
+INNER_SHELL = ("0.25 - x1^2 - x2^2 - x3^2", "x1^2 + x2^2 + x3^2 - 0.09")
+
+
+def ring_around_disk(rng):
+    # the disk sits in the ring's hole: its box lies inside the ring's, so no point is dropped
+    ring = SemialgebraicSet(2, (parse("0.64 - x1^2 - x2^2", 2), parse("x1^2 + x2^2 - 0.36", 2)))
+    return ring, ball(2, [0.05, 0.0], 0.2)
+
+
 DISTANCE_CASES = {
     # disks touching at the grid point (0, 0), and half-boxes sharing the line x1 = 0
     "touching-disks": lambda rng: (ball(2, [-0.25, 0.0], 0.25), ball(2, [0.25, 0.0], 0.25)),
     "half-boxes": lambda rng: tuple(SemialgebraicSet(2, (parse(g, 2),)) for g in ("-x1", "x1")),
-    # the disk sits in the ring's hole: its box lies inside the ring's, so no point is dropped
-    "ring-around-disk": lambda rng: (
-        SemialgebraicSet(2, (parse("0.64 - x1^2 - x2^2", 2), parse("x1^2 + x2^2 - 0.36", 2))),
-        ball(2, [0.05, 0.0], 0.2),
-    ),
+    "ring-around-disk": ring_around_disk,
     "self": lambda rng: (ball(3, [0.1, 0.0, -0.2], 0.3),) * 2,
     "golden": lambda rng: tuple(SemialgebraicSet(2, (parse(g, 2),)) for g in (LEMNISCATE, CIRCLE)),
     **{f"disks-{i}": lambda rng: (random_ball(rng, 2), random_ball(rng, 2)) for i in range(4)},
     **{f"balls-{i}": lambda rng: (random_ball(rng, 3), random_ball(rng, 3)) for i in range(4)},
+    # the boundary search's cases, after the random ones so that their seeds stay
+    "ring-around-disk-201": ring_around_disk,
+    # the 3-D analogue: the pruning keeps most of the shell, the boundary search decides
+    "shell-around-ball": lambda rng: (
+        SemialgebraicSet(3, tuple(parse(g, 3) for g in SHELL)),
+        ball(3, [0.05, 0.0, 0.0], 0.2),
+    ),
+    # a hollow shell inside a ball: the first pair, from the ball's point at the
+    # shell's centroid, is 0.3 apart, and the shell's boundary points are all
+    # interior to the ball, so only the shared-point test gives 0
+    "shell-inside-ball": lambda rng: (
+        ball(3, [0.0, 0.0, 0.0], 0.8),
+        SemialgebraicSet(3, tuple(parse(g, 3) for g in INNER_SHELL)),
+    ),
 }
 
 
 @pytest.mark.parametrize("case", DISTANCE_CASES)
 def test_bounded_distance_is_the_unbounded_search_bit_for_bit(case):
     a, b = DISTANCE_CASES[case](np.random.default_rng(list(DISTANCE_CASES).index(case)))
+    resolution = 201 if case.endswith("-201") else 101
     for first, second in ((a, b), (b, a)):
-        assert dist_estimate(first, second, 101) == unbounded_distance(first, second, 101)
-    if case in ("touching-disks", "half-boxes", "self"):
-        assert dist_estimate(a, b, 101) == 0.0
+        assert dist_estimate(first, second, resolution) == unbounded_distance(first, second, resolution)
+    if case in ("touching-disks", "half-boxes", "shell-inside-ball", "self"):
+        assert dist_estimate(a, b, resolution) == 0.0
+
+
+def boundary_rows(cloud, resolution):
+    """The rows with an in-grid axis neighbour outside the cloud, as coordinate tuples."""
+    n = cloud.shape[1]
+    index = np.rint((cloud + 1.0) * ((resolution - 1) / 2)).astype(int)
+    occupied = np.zeros((resolution,) * n, dtype=bool)
+    occupied[tuple(index.T)] = True
+    # a neighbour off the grid counts as occupied
+    padded = np.pad(occupied, 1, constant_values=True)
+    edge = np.zeros(len(cloud), dtype=bool)
+    for j in range(n):
+        for step in (-1, 1):
+            neighbour = index + 1
+            neighbour[:, j] += step
+            edge |= ~padded[tuple(neighbour.T)]
+    return set(map(tuple, cloud[edge].tolist()))
+
+
+def test_distance_searches_boundary_points_only(monkeypatch):
+    # the pruning keeps most of the shell; the pairs are formed from boundary points alone
+    shell, inner = DISTANCE_CASES["shell-around-ball"](None)
+    boundary = boundary_rows(sample_grid(shell, 101), 101) | boundary_rows(sample_grid(inner, 101), 101)
+    searched = set()
+    nearest_squared = semialg._nearest_squared
+
+    def recording(points, cloud):
+        searched.update(map(tuple, points.tolist()), map(tuple, cloud.tolist()))
+        return nearest_squared(points, cloud)
+
+    monkeypatch.setattr(semialg, "_nearest_squared", recording)
+    assert dist_estimate(shell, inner, 101) == unbounded_distance(shell, inner, 101)
+    assert searched and searched <= boundary
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cloud_distance_is_the_kd_tree_query_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    cloud = sample_grid(ball(n, [0.1] * n, 0.5), 41)
+    queries = rng.uniform(-1.2, 1.2, size=(4000, n))
+    # more pairs than one block, and a single point
+    assert len(queries) * len(cloud) > semialg.PAIR_BLOCK
+    for points in (queries, queries[0]):
+        want = cKDTree(cloud).query(np.atleast_2d(points))[0]
+        assert cloud_distance(points, cloud).tolist() == want.tolist()
+    # a cloud of more rows than one block: one query point's pairs span several,
+    # and the temporaries stay at a block, not 200 rows of 66,536 pairs
+    big = rng.uniform(-1.0, 1.0, size=(semialg.PAIR_BLOCK + 1000, n))
+    tracemalloc.start()
+    try:
+        got = cloud_distance(queries[:200], big)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == cKDTree(big).query(queries[:200])[0].tolist()
+    assert peak < 4 * 2**20, f"cloud_distance peaked at {peak / 2**20:.1f} MB"
+
+
+def test_distances_refuse_mismatched_dimensions(disk_sets):
+    a, _ = disk_sets
+    with pytest.raises(ValueError, match="dimensions differ"):
+        dist_estimate(a, ball(3, [0.0, 0.0, 0.0], 0.5), 21)
+    with pytest.raises(ValueError, match="dimension 3 against a cloud of dimension 2"):
+        cloud_distance([0.0, 0.0, 0.0], sample_grid(a, 21))
 
 
 def test_distance_empty_cloud(disk_sets):
