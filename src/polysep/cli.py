@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -254,6 +255,8 @@ def cmd_separate(args) -> int:
     margin = _setting(args, file_options, "margin", SeparatorOptions.margin_tol, real)
     ball = _setting(args, file_options, "ball", "on", on_or_off)
     options = SeparatorOptions(margin_tol=margin, solver_tol=tol, ball_constraint=ball)
+    if args.out:
+        _check_writable(args.out)
 
     start = time.perf_counter()
     try:
@@ -307,6 +310,14 @@ def cmd_separate(args) -> int:
         file=sys.stderr,
     )
     return EXIT_OK
+
+
+def _check_writable(path: str) -> None:
+    """Refuse an output path that cannot be opened for writing; creates no file."""
+    folder = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else folder
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
+        raise InputError(f"cannot write the result file {path}")
 
 
 def _write_json(payload: dict, out) -> None:

@@ -20,8 +20,8 @@ from .poly import Polynomial, grid_lines, on_grid, sup_norm_grid
 CLOUD_MEMBERSHIP_SLACK = 1e-12
 
 # point pairs per block of the nearest-point searches, and points per chunk of
-# the boundary search: a chunk is a box of nearby grid points, and its pair
-# blocks take whole chunks of the other side
+# the boundary search: a chunk is a run of one side's boundary points in the
+# clouds' x1-major order, and the box of a run is what the search prunes by
 PAIR_BLOCK = 1 << 16
 CHUNK_POINTS = 64
 
@@ -136,12 +136,13 @@ def dist_estimate(a: SemialgebraicSet, b: SemialgebraicSet, resolution: int) -> 
     far above the rounding of the sums at any resolution the grid budget
     allows; so a is on A's boundary, b on B's, and the float minimum over
     boundary points is the minimum over all points.  A shared point has no
-    such axis, hence the test for one first.  The boundary points are
-    searched in chunks of nearby points, in the Morton order of their grid
-    indices, and a chunk pair or point whose box gap exceeds the best
-    squared distance so far is skipped; a box gap is never above the
-    distance of a pair it holds, in floats too.  Memory is the bools, at
-    most ``GRID_BUDGET`` bytes, plus blocks of ``PAIR_BLOCK`` pairs.
+    such axis, hence the test for one first.  The boundary points are cut
+    into runs of ``CHUNK_POINTS`` in the clouds' x1-major order; each run of
+    the side with fewer meets, in one step, the other side's points left
+    once every run, then every point, whose box gap to the run's box
+    exceeds the best squared distance so far is dropped.  A box gap is never
+    above the distance of a pair it holds, in floats too.  Memory is the
+    bools, at most ``GRID_BUDGET`` bytes, plus blocks of ``PAIR_BLOCK`` pairs.
     """
     if a.n != b.n:
         raise ValueError(f"the sets' dimensions differ: {a.n} and {b.n}")
@@ -184,16 +185,11 @@ def dist_estimate(a: SemialgebraicSet, b: SemialgebraicSet, resolution: int) -> 
     occupied[index_b] = True
     near_b[near_b] = _on_boundary(index_b[near_b], occupied, n, resolution)
     # the side with fewer boundary points gives the outer loop's chunks
-    sides = sorted(
-        ((pa[near_a], index_a[near_a]), (pb[near_b], index_b[near_b])),
-        key=lambda side: len(side[0]),
-    )
-    outer, (runs, lows, highs) = (_chunks(p[_morton_order(i, n, resolution)]) for p, i in sides)
-    per_block = max(1, PAIR_BLOCK // (CHUNK_POINTS * CHUNK_POINTS))
+    outer, (runs, lows, highs) = (_chunks(p) for p in sorted((pa[near_a], pb[near_b]), key=len))
     for points, lo, hi in zip(*outer):
         candidates = np.flatnonzero(_squared_gaps(lows, highs, lo, hi) <= best)
-        for k in range(0, len(candidates), per_block):
-            others = np.concatenate([runs[c] for c in candidates[k : k + per_block]])
+        if len(candidates):
+            others = np.concatenate([runs[c] for c in candidates])
             others = others[_squared_gaps(others, others, lo, hi) <= best]
             if len(others):
                 best = min(best, float(np.min(_nearest_squared(points, others))))
@@ -226,35 +222,16 @@ def _grid_index(points: np.ndarray, resolution: int) -> np.ndarray:
     return flat
 
 
-def _axis_indices(flat: np.ndarray, n: int, resolution: int):
-    """(stride, per-row index) for each axis of the row-major flat grid indices, last axis first."""
+def _on_boundary(flat: np.ndarray, occupied: np.ndarray, n: int, resolution: int) -> np.ndarray:
+    """Row mask of the row-major flat grid indices with an in-grid axis neighbour not ``occupied``."""
+    edge = np.zeros(len(flat), dtype=bool)
     stride = 1
     for _ in range(n):
-        yield stride, flat // stride % resolution
-        stride *= resolution
-
-
-def _on_boundary(flat: np.ndarray, occupied: np.ndarray, n: int, resolution: int) -> np.ndarray:
-    """Row mask of the grid points with an in-grid axis neighbour not ``occupied``."""
-    edge = np.zeros(len(flat), dtype=bool)
-    for stride, i in _axis_indices(flat, n, resolution):
+        i = flat // stride % resolution
         for step, inside in ((-stride, i > 0), (stride, i < resolution - 1)):
             edge[inside] |= ~occupied[flat[inside] + step]
+        stride *= resolution
     return edge
-
-
-def _morton_order(flat: np.ndarray, n: int, resolution: int) -> np.ndarray:
-    """The order of the Morton codes of the grid indices: runs of it are compact boxes.
-
-    A code takes bit k of axis j's index to bit k*n + j; it fits an int64
-    since resolution**n is within the grid budget.
-    """
-    bits = np.arange((resolution - 1).bit_length())
-    code = np.zeros(len(flat), dtype=np.int64)
-    for j, (_, i) in enumerate(_axis_indices(flat, n, resolution)):
-        # the bits are distinct powers of two, so their sum is their or
-        code += ((i[:, None] >> bits & 1) << (bits * n + j)).sum(axis=1)
-    return np.argsort(code, kind="stable")
 
 
 def _chunks(points: np.ndarray):

@@ -292,14 +292,22 @@ def run_hierarchy(
     separates there, the answer is (d', l) even if d would have separated at
     a higher level.  Raises HierarchyExhaustedError with the full attempt
     trace if nothing separates: the sets intersect or the caps are too small.
+    Raises ValueError if d_max < 1 or l_max is below the first level, where
+    the sweep would make no attempt.
     """
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
     gens_a, gens_b = _augmented_generators(a, b, options)
     gen_degree = max(g.total_degree() for g in gens_a + gens_b)
+    first = gen_degree + gen_degree % 2
+    if l_max < first:
+        raise ValueError(
+            f"l_max {l_max} is below the sweep's first level {first}, the largest "
+            "generator degree (ball generator included) rounded up to even"
+        )
 
     trace = []
-    for level in range(gen_degree + gen_degree % 2, l_max + 1, 2):
+    for level in range(first, l_max + 1, 2):
         for d in range(1, min(d_max, level) + 1):
             attempt = {"degree": d, "level": level}
             try:

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DISK_LEFT, DISK_RIGHT, REFERENCE_P, write_problem
+from polysep import cli
 from polysep.cli import load_problem, main
 from polysep.poly import box_grid_points, parse
 from polysep.separator import SeparationReport
@@ -105,6 +106,38 @@ def test_separate_level_cap_below_the_default_degree_cap(tmp_path, capsys, disk_
     assert code == 0
     trace = json.loads(out.read_text())["diagnostics"]["trace"]
     assert [(t["degree"], t["level"]) for t in trace] == [(1, 2)]
+
+
+def test_separate_level_cap_below_the_first_level_exits_one(tmp_path, capsys):
+    # x2^10 starts the sweep at level 10, past the default level cap of 8
+    problem = write_problem(
+        tmp_path / "p.json", 2, ["1/16 - (x1 + 1/2)^2 - x2^10"], [DISK_RIGHT]
+    )
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run(capsys, "separate", problem, "--out", str(out))
+    assert code == 1
+    assert stdout == "" and not out.exists()
+    assert "l_max 8 is below the sweep's first level 10" in stderr
+
+
+def test_separate_refuses_an_unwritable_out_before_the_search(tmp_path, capsys, monkeypatch):
+    def search(*args):
+        raise ValueError("the search ran")
+
+    monkeypatch.setattr(cli, "run_hierarchy", search)
+    problem = str(DATA_DIR / "golden_problem.json")
+    # a missing folder and a folder as the file: neither is created or replaced
+    for out in (tmp_path / "missing" / "r.json", tmp_path):
+        code, stdout, stderr = run(capsys, "separate", problem, "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert stderr == f"error: cannot write the result file {out}\n"
+    assert not (tmp_path / "missing").exists()
+    # a writable file passes the check untouched, and the search runs
+    out = tmp_path / "old.json"
+    out.write_text("kept")
+    code, _, stderr = run(capsys, "separate", problem, "--out", str(out))
+    assert code == 1 and stderr == "error: the search ran\n"
+    assert out.read_text() == "kept"
 
 
 def test_separate_intersecting_sets_exits_two(tmp_path, capsys):

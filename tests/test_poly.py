@@ -274,7 +274,7 @@ def check_line_axes(axes, axis):
 
 
 @pytest.mark.parametrize("n, resolution, block_rows", CHUNK_SHAPES)
-def test_box_grid_chunks_are_box_grid_points_in_whole_slabs(n, resolution, block_rows, monkeypatch):
+def test_grid_lines_keeping_every_prefix_are_box_grid_points_in_whole_lines(n, resolution, block_rows, monkeypatch):
     # grid_lines keeping every prefix: whole x_n lines (for n = 2 the x1-slabs),
     # at most a block height or one line per block, box_grid_points in order
     if block_rows is not None:
@@ -294,7 +294,7 @@ def test_box_grid_chunks_are_box_grid_points_in_whole_slabs(n, resolution, block
     assert joined.shape == full.shape and joined.tobytes() == full.tobytes()
 
 
-def test_box_grid_chunks_one_slab_per_block_when_a_slab_exceeds_the_block_height(monkeypatch):
+def test_grid_lines_one_line_per_block_when_a_line_exceeds_the_block_height(monkeypatch):
     # at the real block height a 257^3 grid comes in blocks of whole lines under
     # x1-major prefixes; the whole grid is 400 MB, so only its prefixes are compared
     resolution = 257
@@ -328,7 +328,7 @@ def grid_polynomials(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(grid_polynomials())
-def test_evaluate_axes_on_grid_slabs_is_evaluate_many_bit_for_bit(case):
+def test_evaluate_axes_on_grid_lines_is_evaluate_many_bit_for_bit(case):
     p, resolution, block_rows = case
     with pytest.MonkeyPatch.context() as mp:
         # blocks of a few grid_lines lines, down to part of one line per block

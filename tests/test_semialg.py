@@ -397,13 +397,22 @@ DISTANCE_CASES = {
         ball(3, [0.0, 0.0, 0.0], 0.8),
         SemialgebraicSet(3, tuple(parse(g, 3) for g in INNER_SHELL)),
     ),
+    # many chunks per side: 9 to 58 runs of 64 boundary points, in either argument order
+    "ring-around-disk-1001": ring_around_disk,
 }
+
+
+def case_resolution(case):
+    """The grid resolution a case name ends in (ring-around-disk-201), else 101."""
+    _, _, suffix = case.rpartition("-")
+    # the random cases end in their index, 0 to 3, which is no resolution
+    return int(suffix) if suffix.isdigit() and int(suffix) > 100 else 101
 
 
 @pytest.mark.parametrize("case", DISTANCE_CASES)
 def test_bounded_distance_is_the_unbounded_search_bit_for_bit(case):
     a, b = DISTANCE_CASES[case](np.random.default_rng(list(DISTANCE_CASES).index(case)))
-    resolution = 201 if case.endswith("-201") else 101
+    resolution = case_resolution(case)
     for first, second in ((a, b), (b, a)):
         assert dist_estimate(first, second, resolution) == unbounded_distance(first, second, resolution)
     if case in ("touching-disks", "half-boxes", "shell-inside-ball", "self"):

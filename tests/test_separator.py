@@ -408,6 +408,21 @@ def test_hierarchy_argument_validation(disk_sets):
     assert (result.p_degree, result.level) == (1, 2)
 
 
+def test_hierarchy_refuses_a_level_cap_below_its_first_level(disk_sets, monkeypatch):
+    # x2^10 puts the first even level at 10: a cap of 8 or 9 leaves no attempt,
+    # which is an argument error, not an exhausted sweep
+    _, b = disk_sets
+    a = SemialgebraicSet(2, (parse("1/16 - (x1 + 1/2)^2 - x2^10", 2),))
+
+    def no_solve(problem):
+        raise AssertionError("no attempt should be solved")
+
+    monkeypatch.setattr(separator, "solve_fixed_level", no_solve)
+    for l_max in (8, 9):
+        with pytest.raises(ValueError, match=f"l_max {l_max} is below the sweep's first level 10,"):
+            run_hierarchy(a, b, d_max=3, l_max=l_max)
+
+
 # ---- grid verification -----------------------------------------------------------
 
 
