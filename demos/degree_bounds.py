@@ -49,7 +49,7 @@ bound = separation_degree_bound(params, comp_a, comp_b)
 print(f"guaranteed separation degree: {bound.pow10_string()}")
 print("(the hierarchy succeeds at level 2 here; the guarantee is astronomically loose)")
 
-for message in generator_norm_warnings(list(a.generators) + list(b.generators)):
+for message in generator_norm_warnings(list(a.generators) + list(b.generators), 201):
     print("warning:", message)
 
 # the level bound for one membership: take the separator the hierarchy

@@ -51,7 +51,3 @@ impossible = SdpProblem(
 solution = solve(impossible, tol=1e-8)
 print(f"\nx11 = -1: {solution.status.value}")
 print("improving ray:", solution.diagnostics["infeasibility_ray"])
-
-# the plain-text dump is handy for cross-checking against another solver
-print("\nproblem dump:")
-print(completion.dump())

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .poly import sup_norm_grid
 
 LOG10_2 = math.log10(2.0)
-SUP_NORM_RESOLUTION = 101  # grid points per axis of the normalization sup-norm check
 
 
 @dataclass(frozen=True)
@@ -150,17 +149,18 @@ def separation_degree_bound(
     return LogScaleValue(value)
 
 
-def generator_norm_warnings(generators) -> list:
+def generator_norm_warnings(generators, resolution: int) -> list:
     """Normalization warnings: the level bounds assume every ||f_i|| <= 1/2.
 
-    Returns one message per generator whose grid sup-norm exceeds 1/2;
-    rescaling such a generator by a positive constant restores the assumption
-    without changing the set.  A sup-norm past the float range gives no
-    factor: the message says the values overflow.
+    Returns one message per generator whose sup-norm on the ``resolution``^n
+    grid exceeds 1/2; the bound report passes its distance resolution, so it
+    sweeps one grid.  Rescaling such a generator by a positive constant
+    restores the assumption without changing the set.  A sup-norm past the
+    float range gives no factor: the message says the values overflow.
     """
     messages = []
     for i, g in enumerate(generators):
-        norm = sup_norm_grid(g, SUP_NORM_RESOLUTION)
+        norm = sup_norm_grid(g, resolution)
         if norm == math.inf:
             messages.append(
                 f"generator {i + 1} has box values that overflow double precision; "

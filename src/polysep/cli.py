@@ -150,7 +150,10 @@ def _certificate_from_json(data: dict, n: int, level: int) -> QmCertificate:
 
 
 def _bound_report(a, b, resolution, loj_coeff, loj_exponent, jackson_constant):
-    """Distance, Lipschitz constant, approximation degree and level bounds."""
+    """Distance, Lipschitz constant, approximation degree and level bounds.
+
+    The distance and the generator sup-norms are swept on one grid, ``resolution``^n.
+    """
     n = a.n
     dist = dist_estimate(a, b, resolution)
     lip = lipschitz_constant(dist)
@@ -175,7 +178,7 @@ def _bound_report(a, b, resolution, loj_coeff, loj_exponent, jackson_constant):
     dist_ball = dist / np.sqrt(n)
     sep_ball = separation_degree_bound(replace(params, dist=dist_ball), comp_a, comp_b)
 
-    warnings = generator_norm_warnings(a.generators + b.generators)
+    warnings = generator_norm_warnings(a.generators + b.generators, resolution)
     warnings.append(
         "Lojasiewicz data defaults (coefficient 1, exponent 1) are assumptions; "
         "exponent 1 needs linearly independent active-constraint gradients"

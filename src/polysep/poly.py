@@ -181,9 +181,11 @@ class Polynomial:
 
         Terms are summed in order, each c times its ``axes[i] ** e`` in variable
         order, so every element is the float ``evaluate_many`` gives at that
-        point; the sum may come back broadcast-smaller than the full grid.  A
-        sum past the float range is inf, without a warning: on the box every
-        term is finite, so no inf - inf arises.
+        point; the sum may come back broadcast-smaller than the full grid.  The
+        sum is a numpy array, or a numpy float for a constant (``np.add``, so a
+        comparison of it still has ``.any()``); only the zero polynomial gives
+        the Python float 0.0.  A sum past the float range is inf, without a
+        warning: on the box every term is finite, so no inf - inf arises.
         """
         out = 0.0
         with np.errstate(over="ignore"):
@@ -191,8 +193,8 @@ class Polynomial:
                 term = c
                 for x, e in zip(axes, mono):
                     if e:
-                        term = _into(np.multiply, x**e, term)
-                out = _into(np.add, out, term)
+                        term = term * x**e
+                out = np.add(out, term)
         return out
 
     def box_upper_bound(self, heads) -> np.ndarray:
@@ -573,13 +575,6 @@ def _powers(x, exponents) -> np.ndarray:
         return table[e]
 
     return np.concatenate([power(e) for e in exponents.tolist()], axis=-1)
-
-
-def _into(op, acc, x):
-    # op(acc, x), in place when x broadcasts into the (always fresh) acc: no full-size copy
-    if np.ndim(acc) and np.broadcast(acc, x).shape == acc.shape:
-        return op(acc, x, out=acc)
-    return op(acc, x)
 
 
 def sup_norm_grid(p: Polynomial, resolution: int) -> float:

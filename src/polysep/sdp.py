@@ -104,17 +104,18 @@ def _pack(stacks, sizes, num: int, what: str):
 class SdpProblem:
     """Block-diagonal SDP data, sense: maximize.
 
-    ``objective`` holds one symmetric matrix per block (C); ``stacks[b]`` is
-    block b's (m, s_b, s_b) constraint stack, whose entry k is A_k's block b,
-    or None for a block no constraint touches; ``rhs`` holds the m values b_k.
+    The constructor takes one symmetric matrix per block for the objective C,
+    or None for a zero block; ``stacks[b]``, block b's (m, s_b, s_b)
+    constraint stack, whose entry k is A_k's block b, or None for a block no
+    constraint touches; and ``rhs``, the m values b_k.
 
-    The constructor packs C once (``_pack``) into the flat vector ``c``, whose
-    per-block views are ``objective``, and the stacks into the m x sum(s_b^2)
-    ``matrix``, its (m, s_b, s_b) block views ``stacks`` and its per-size
-    (block indices, (m, k, s, s) view) ``groups``.  The rank filter factors
-    the row Gram of ``matrix``; the interior-point loop keeps its iterates in
-    the column layout of ``matrix`` and reads ``groups`` for the per-group
-    blocks of the Schur complement, the factorizations and the eigensolves.
+    It packs C once (``_pack``) into the flat vector ``c``, and the stacks
+    into the m x sum(s_b^2) ``matrix``, its (m, s_b, s_b) block views
+    ``stacks`` and its per-size (block indices, (m, k, s, s) view)
+    ``groups``.  The rank filter factors the row Gram of ``matrix``; the
+    interior-point loop keeps its iterates in the column layout of ``matrix``
+    and reads ``groups`` for the per-group blocks of the Schur complement, the
+    factorizations and the eigensolves.
     """
 
     def __init__(self, block_sizes, objective, stacks, rhs):
@@ -125,8 +126,7 @@ class SdpProblem:
             raise ValueError(f"block size exceeds the configured limit of {MAX_BLOCK_SIZE}")
         self.block_sizes = sizes
         objective = [None if c is None else np.asarray(c, dtype=float)[None] for c in objective]
-        c_mat, c_views, _ = _pack(objective, sizes, 1, "objective")
-        self.c, self.objective = c_mat[0], [st[0] for st in c_views]
+        self.c = _pack(objective, sizes, 1, "objective")[0][0]
         self.rhs = np.array(rhs, dtype=float)
         if self.rhs.ndim != 1 or not self.rhs.size:
             raise ValueError("problem needs at least one constraint; rhs is a vector of b_k")
@@ -140,27 +140,6 @@ class SdpProblem:
     @property
     def num_constraints(self) -> int:
         return len(self.rhs)
-
-    def dump(self) -> str:
-        """Plain-text dump for cross-checking against external solvers.
-
-        Line 1: block sizes.  Then the objective blocks and, per constraint,
-        its right-hand side followed by its non-zero blocks, all row-major.
-        """
-        lines = [f"blocks {' '.join(str(s) for s in self.block_sizes)}", "objective"]
-        for bi, mat in enumerate(self.objective):
-            lines.append(f"  block {bi}")
-            for row in mat:
-                lines.append("    " + " ".join(repr(float(v)) for v in row))
-        for k, (mats, rhs) in enumerate(self.constraints):
-            lines.append(f"constraint {k} rhs {rhs!r}")
-            for bi, mat in enumerate(mats):
-                if not np.any(mat):
-                    continue
-                lines.append(f"  block {bi}")
-                for row in mat:
-                    lines.append("    " + " ".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
 
 
 @dataclass

@@ -31,10 +31,6 @@ from .poly import Polynomial
 from .sdp import SdpSolution, min_eigenvalue
 
 
-class LevelTooSmallError(ValueError):
-    """The requested level is below a generator's degree."""
-
-
 def monomials_up_to_degree(n: int, degree: int) -> list:
     """All exponent tuples of total degree <= degree, graded lex (x1 major)."""
 
@@ -173,14 +169,11 @@ def gram_incidence(n: int, generators, level: int):
     and term j feeds G_i[a, b] times ``coeffs[j]`` into row monomial
     ``rows[j, a, b]`` of ``monomials_up_to_degree(n, level)``.  A (row, a, b)
     triple fixes its term, so each reached entry carries one coefficient.
+    A generator of degree above ``level`` has a negative half degree, which
+    ``basis`` refuses with ValueError.
     """
     multipliers = [Polynomial.constant(n, 1.0)] + list(generators)
-    bases = []
-    for f in multipliers:
-        d = f.total_degree()
-        if d > level:
-            raise LevelTooSmallError(f"level {level} is below generator degree {d}")
-        bases.append(basis(n, (level - d) // 2))
+    bases = [basis(n, (level - f.total_degree()) // 2) for f in multipliers]
     # exponents are at most level: with c(alpha) = alpha's digits in base B =
     # level + 1 (x1 first), deg(alpha)*B^n - c(alpha) is a linear key rising
     # along the graded-lex rows; Python integers keep it exact past int64

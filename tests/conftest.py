@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from polysep import poly, semialg
+from polysep import poly, sdp, semialg, separator
 
 LEMNISCATE = "-16/9*(x1^2+x2^2)^2 + x2^2 - x1^2"
 CIRCLE = "1/16 - (x1 - 1/2)^2 - x2^2"
@@ -75,3 +75,20 @@ def evaluated_points(monkeypatch):
 
     monkeypatch.setattr(poly.Polynomial, "evaluate_axes", counting)
     return sizes
+
+
+@pytest.fixture
+def troubled_solver(monkeypatch):
+    """Every separator SDP solve ends in NUMERICAL_TROUBLE; returns the detail each attempt records."""
+    message = "step-length eigensolve failed"
+
+    def troubled(problem, tol, max_iter):
+        nan = float("nan")
+        return sdp.SdpSolution(
+            status=sdp.SdpStatus.NUMERICAL_TROUBLE, X=[], y=np.zeros(problem.num_constraints),
+            S=[], objective=nan, dual_objective=nan, gap=nan, primal_residual=nan,
+            dual_residual=nan, iterations=0, diagnostics={"message": message},
+        )
+
+    monkeypatch.setattr(separator, "sdp_solve", troubled)
+    return f"SDP solver failed with status NumericalTrouble. {message}"

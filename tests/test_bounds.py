@@ -239,6 +239,6 @@ def test_bound_params_validation():
 def test_generator_norm_warnings_flag_large_generators():
     small = parse("0.25 - 0.25*x1^2", 1)
     large = parse("4 - 4*x1^2", 1)
-    messages = generator_norm_warnings([small, large])
+    messages = generator_norm_warnings([small, large], 101)
     assert len(messages) == 1
     assert "generator 2" in messages[0]

@@ -147,6 +147,20 @@ def test_separate_intersecting_sets_exits_two(tmp_path, capsys):
     assert "no separator" in stderr
 
 
+def test_separate_records_failed_solves_and_exits_two(
+    tmp_path, capsys, disk_problem_file, troubled_solver
+):
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run(
+        capsys, "separate", disk_problem_file, "--degree-max", "2", "--level-max", "4",
+        "--out", str(out),
+    )
+    assert (code, stdout) == (2, "") and "no separator" in stderr
+    trace = json.loads(out.read_text())["trace"]
+    assert [(t["degree"], t["level"]) for t in trace] == [(1, 2), (2, 2), (1, 4), (2, 4)]
+    assert all(t["outcome"] == "solver_error" and t["detail"] == troubled_solver for t in trace)
+
+
 def test_separate_scaled_generators_drop_no_row(tmp_path, capsys):
     # the pair scaled by 1e8 has the unscaled pair's quadratic modules: the rank
     # test judges the row-normalized Gram, so no row is dropped as dependent
@@ -467,6 +481,29 @@ def test_verify_malformed_result_json_exits_one(tmp_path, capsys, case):
     assert stderr.startswith("error: ")
 
 
+# (file changed, change, message): cases the malformed-file tests above leave out
+NAMED_INPUT_ERRORS = {
+    "A_generators is empty": (
+        "problem", lambda d: d.update(A_generators=[]), "invalid set description"
+    ),
+    "options is a list": ("problem", lambda d: d.update(options=[1]), "options must be a JSON object"),
+    "result has no p": ("result", lambda d: d.pop("p"), "result file has no polynomial entry"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_INPUT_ERRORS))
+def test_input_error_exits_one_with_its_message(tmp_path, capsys, case):
+    kind, change, message = NAMED_INPUT_ERRORS[case]
+    paths = {"problem": DATA_DIR / "golden_problem.json", "result": DATA_DIR / "golden_result.json"}
+    data = json.loads(paths[kind].read_text())
+    change(data)
+    paths[kind] = tmp_path / "bad.json"
+    paths[kind].write_text(json.dumps(data))
+    code, stdout, stderr = run(capsys, "verify", str(paths["problem"]), str(paths["result"]))
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("change", ["extra", "missing"])
 def test_verify_certificate_with_wrong_multiplier_count_exits_one(tmp_path, capsys, change):
     # one Gram per multiplier of [1] + generators: an extra s_0 copy used to be dropped
@@ -685,6 +722,24 @@ def test_bounds_lemniscate_problem(capsys, lemniscate_problem_file):
     assert report["separation_degree_log10"] > 20.0
     assert report["separation_degree"].startswith("10^")
     assert any("Lojasiewicz" in w for w in report["warnings"])
+
+
+def test_bounds_4d_sweeps_distance_and_sup_norms_on_the_dist_resolution_grid(tmp_path, capsys):
+    problem = write_problem(
+        tmp_path / "balls4.json", 4,
+        ["0.04 - (x1 + 0.5)^2 - x2^2 - x3^2 - x4^2"],
+        ["0.04 - (x1 - 0.5)^2 - x2^2 - x3^2 - x4^2"],
+    )
+    code, stdout, _ = run(capsys, "bounds", problem, "--dist-resolution", "31")
+    assert code == 0
+    report = json.loads(stdout)
+    assert report["dist_estimate"] == 0.6666666666666666
+    # each generator's max |f| sits at a box corner: 0.04 - 1.5^2 - 3
+    assert ["sup-norm about 5.21 >" in w for w in report["warnings"][:2]] == [True, True]
+    # the default 201 is over the point budget in 4-D, and the error names that grid
+    code, stdout, stderr = run(capsys, "bounds", problem)
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("error: grid of 201^4 = ")
 
 
 def test_bounds_t1_variant_matches_a_run_at_t1(capsys, disk_problem_file):

@@ -6,6 +6,7 @@ import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polysep import sdp
 from polysep.sdp import (
     DependentConstraintWarning,
     SdpProblem,
@@ -153,6 +154,29 @@ def test_failed_iterate_factorization_is_numerical_trouble(monkeypatch):
     assert "iterate factorization failed" in sol.diagnostics["message"]
 
 
+def test_failed_step_length_eigensolve_is_numerical_trouble(monkeypatch):
+    def failing(inv_factors, directions):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(sdp, "_max_step", failing)
+    sol = solve(completion_problem(), tol=1e-8)
+    assert sol.status is SdpStatus.NUMERICAL_TROUBLE
+    assert sol.diagnostics["message"] == "step-length eigensolve failed"
+    assert sol.iterations == 0
+
+
+def test_stalled_steps_on_an_ill_conditioned_newton_system_are_numerical_trouble(monkeypatch):
+    # steps of 1e-6, under 1e-5, on a Newton system of condition 1e15, over 1e14
+    monkeypatch.setattr(sdp, "_max_step", lambda inv_factors, directions: np.array([1e-6, 1e-6]))
+    monkeypatch.setattr(np.linalg, "cond", lambda a: 1e15)
+    sol = solve(completion_problem(), tol=1e-8)
+    assert sol.status is SdpStatus.NUMERICAL_TROUBLE
+    assert sol.diagnostics["message"] == (
+        "Newton system condition 1.00e+15 exceeds 1e14 and progress stalled"
+    )
+    assert sol.iterations == 0
+
+
 def test_newton_factorization_jitters_then_gives_up(monkeypatch):
     shifts = []
 
@@ -297,13 +321,6 @@ def test_stacks_must_match_block_sizes_and_rhs():
     prob = SdpProblem((2, 1), [None, None], [np.eye(2)[None], None], [1.0])
     ((mats, rhs),) = prob.constraints
     assert rhs == 1.0 and np.array_equal(mats[0], np.eye(2)) and np.array_equal(mats[1], [[0.0]])
-
-
-def test_dump_round_trips_basic_structure():
-    text = completion_problem().dump()
-    assert text.startswith("blocks 2\n")
-    assert "constraint 0 rhs 1.0" in text
-    assert "constraint 1 rhs 0.3" in text
 
 
 # ---- per-iteration kernels ------------------------------------------------

@@ -382,6 +382,16 @@ def test_hierarchy_exhausts_on_identical_sets(disk_sets):
     assert all(t["outcome"] == "no_margin" for t in info.value.trace)
 
 
+def test_hierarchy_records_a_failed_solve_and_goes_on(disk_sets, troubled_solver):
+    a, b = disk_sets
+    with pytest.raises(HierarchyExhaustedError) as info:
+        run_hierarchy(a, b, d_max=2, l_max=4)
+    assert info.value.trace == [
+        {"degree": d, "level": level, "outcome": "solver_error", "detail": troubled_solver}
+        for level, d in ((2, 1), (2, 2), (4, 1), (4, 2))
+    ]
+
+
 def test_hierarchy_exhausts_level_major_over_the_degree_major_pairs(disk_sets):
     a, _ = disk_sets
     d_max, l_max = 3, 6
