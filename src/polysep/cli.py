@@ -23,7 +23,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, poly
 from .bounds import (
     BoundParams,
     generator_norm_warnings,
@@ -292,12 +292,16 @@ def cmd_separate(args) -> int:
         "certificate_residual_B": certified["residual_B"],
     }
     # n = 1 or a grid that cannot be sampled leaves the bound report a warning;
-    # the separator and certificates are still written
+    # the separator and certificates are still written.  The report's grid is the
+    # largest odd resolution up to 101 within the budget, read now as grid_axis
+    # does: 101 for n <= 3, 55 at n = 4; where none from 3 fits (n > 14), 101
+    # gives the budget warning
     if a.n < 2:
         bound = {"warnings": ["bound report unavailable: bounds require dimension n >= 2"]}
     else:
+        resolution = next((r for r in range(101, 1, -2) if r**a.n <= poly.GRID_BUDGET), 101)
         try:
-            bound = _bound_report(a, b, 101, 1.0, 1.0, 1.0)
+            bound = _bound_report(a, b, resolution, 1.0, 1.0, 1.0)
         except (EmptySampleError, SampleBudgetError) as err:
             bound = {"warnings": [f"bound report unavailable: {err}"]}
     payload["bounds"] = bound

@@ -230,31 +230,15 @@ class Polynomial:
         degree + 3n + 1, the extra 1 covering the rounding of that allowance
         itself.  The analysis needs K u < 1 and no overflow, which holds while
         2 sum|c| is finite; beyond either the bound is inf and excludes nothing.
+
+        The bound of -p caps -p the same way, so the larger of the two caps |p|:
+        negating p negates every head and group sum exactly, and -p has p's
+        allowance.
         """
-        sums, lows, allowance = self._tail_sums(heads)
-        # exact: the tail's low end is -1, 0 or 1 and its high end 1
-        return np.maximum(sums, sums * lows).sum(axis=-1) + allowance
-
-    def box_abs_bound(self, heads) -> np.ndarray:
-        """Per prefix, a float no ``abs(evaluate_axes)`` value in the box under that prefix exceeds.
-
-        The larger of ``box_upper_bound`` of p and of -p, from one pass over
-        the heads: negating p negates every head and group sum exactly, so each
-        of the two is that bound bit for bit.
-        """
-        sums, lows, allowance = self._tail_sums(heads)
-        upper = np.maximum(sums, sums * lows).sum(axis=-1)
-        lower = np.minimum(sums, sums * lows).sum(axis=-1)
-        return np.maximum(upper, -lower) + allowance
-
-    def _tail_sums(self, heads):
-        # per prefix and tail group, the summed heads (last axis); each group's
-        # tail low end; the rounding allowance.  With an infinite allowance no
-        # group is formed, so every bound is inf
         coeffs, powers, groups, allowance = self._bound_terms
         if allowance == np.inf:
-            shape = np.broadcast_shapes(*(np.shape(x) for x in heads))
-            return np.zeros(shape + (0,)), np.zeros(0), allowance
+            # no group is formed, so every bound is inf
+            return allowance + np.zeros(np.broadcast_shapes(*(np.shape(x) for x in heads)))
         head = coeffs
         for x, (distinct, inverse) in zip(heads, powers):
             if distinct.any():
@@ -262,7 +246,8 @@ class Polynomial:
         order, starts, lows = groups[len(heads)]
         if order is not None:
             head = np.add.reduceat(head[..., order], starts, axis=-1)
-        return head, lows, allowance
+        # exact: the tail's low end is -1, 0 or 1 and its high end 1
+        return np.maximum(head, head * lows).sum(axis=-1) + allowance
 
     @cached_property
     def _bound_terms(self):
@@ -581,14 +566,19 @@ def sup_norm_grid(p: Polynomial, resolution: int) -> float:
     """Max of |p| over the uniform grid; a lower bound on the true box sup-norm.
 
     The max starts at the 2^n grid corners; then ``grid_lines`` sweeps the
-    lines under the prefixes whose ``box_abs_bound`` is above the running
-    max (a NaN bound keeps its prefix), so a prefix that cannot raise the
-    max is never evaluated.  The bound carries a rigorous rounding allowance
-    and the max is a selection, so the result is the full sweep's float bit
-    for bit.  Memory stays at one block whatever the resolution.
+    lines under the prefixes where ``box_upper_bound`` of p or of -p is above
+    the running max (a NaN bound keeps its prefix), so a prefix that cannot
+    raise the max is never evaluated.  The bounds carry a rigorous rounding
+    allowance and the max is a selection, so the result is the full sweep's
+    float bit for bit.  Memory stays at one block whatever the resolution.
     """
+    neg = -p
+
+    def keep(heads):
+        return ~((p.box_upper_bound(heads) <= best) & (neg.box_upper_bound(heads) <= best))
+
     # the grid checks run on this call; keep reads the running max as the walk goes
-    lines = grid_lines(p.n, resolution, lambda heads: ~(p.box_abs_bound(heads) <= best), len(p.terms))
+    lines = grid_lines(p.n, resolution, keep, len(p.terms))
     best = np.max(np.abs(p.evaluate_axes(np.ix_(*[[-1.0, 1.0]] * p.n))))
     for axes in lines:
         best = np.maximum(best, np.max(np.abs(p.evaluate_axes(axes))))

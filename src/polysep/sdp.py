@@ -58,36 +58,52 @@ class DependentConstraintWarning(UserWarning):
     """Linearly dependent constraint rows were dropped before solving."""
 
 
-def _pack(stacks, sizes, num: int, what: str):
+def _views(flat, groups, block_sizes) -> list:
+    """Per-group (..., k, s, s) views of ``flat``; the one function that knows the column layout.
+
+    ``flat`` is (..., sum s_b^2): one iterate, a stack of them or the
+    constraint matrix.  ``groups`` lists per block size, ascending, the
+    indices of the k blocks of that size s (``SdpProblem.groups``); the
+    columns hold group after group, a group's blocks side by side, each
+    flattened row-major.  Writing into a view writes into ``flat``.
+    """
+    out, start = [], 0
+    for idx in groups:
+        k, s = len(idx), block_sizes[idx[0]]
+        end = start + k * s * s
+        out.append(flat[..., start:end].reshape(flat.shape[:-1] + (k, s, s)))
+        start = end
+    return out
+
+
+def _unbatch(members, groups) -> list:
+    """Per-block entries in block order from per-group arrays; members[g] are group g's blocks."""
+    out = [None] * sum(len(idx) for idx in members)
+    for idx, group in zip(members, groups):
+        for j, i in enumerate(idx):
+            out[i] = group[j]
+    return out
+
+
+def _pack(stacks, groups, sizes, num: int, what: str) -> np.ndarray:
     """Pack per-block (num, s_b, s_b) stacks (None for an all-zero block) into one matrix.
 
     Returns the (num, sum s_b^2) matrix whose row k holds each ``stacks[b][k]``
-    flattened row-major, the (num, s_b, s_b) view of each block's columns in
-    block order, and one (indices, (num, k, s, s) view) pair per group of the
-    k blocks of size s, in ascending size: the columns are laid out group by
-    group, so a group's blocks sit side by side.  Each group is checked for
-    symmetry in one batched reduction, every block relative to its own
-    largest entry, then symmetrized.
+    in the column layout of ``_views``.  Group by group, the blocks are
+    written, checked for symmetry in one batched reduction, every block
+    relative to its own largest entry, and symmetrized.
     """
     if len(stacks) != len(sizes):
         raise ValueError(f"{what} must have one stack (or None) per block")
     matrix = np.zeros((num, sum(s * s for s in sizes)))
-    views, groups, start = [None] * len(sizes), [], 0
-    for s in sorted(set(sizes)):
-        idx = [i for i, t in enumerate(sizes) if t == s]
-        end = start + len(idx) * s * s
-        group = matrix[:, start:end].reshape(num, len(idx), s, s)
-        groups.append((idx, group))
-        for j, i in enumerate(idx):
-            views[i] = group[:, j]
-        start = end
-    for s, stack, view in zip(sizes, stacks, views):
-        if stack is None:
-            continue
-        if np.shape(stack) != (num, s, s):
-            raise ValueError(f"{what} block has shape {np.shape(stack)}, expected {(num, s, s)}")
-        view[...] = stack
-    for _, group in groups:
+    for idx, group in zip(groups, _views(matrix, groups, sizes)):
+        s = group.shape[-1]
+        for j, stack in enumerate(stacks[i] for i in idx):
+            if stack is None:
+                continue
+            if np.shape(stack) != (num, s, s):
+                raise ValueError(f"{what} block has shape {np.shape(stack)}, expected {(num, s, s)}")
+            group[:, j] = stack
         trans = np.swapaxes(group, 2, 3)
         if np.array_equal(group, trans):  # exactly symmetric: no float temporaries
             continue
@@ -98,7 +114,7 @@ def _pack(stacks, sizes, num: int, what: str):
         if bad.any():
             raise ValueError(f"{what} block is not symmetric: max asymmetry {asym[bad].max():g}")
         group[...] = 0.5 * (group + trans)
-    return matrix, views, groups
+    return matrix
 
 
 class SdpProblem:
@@ -109,13 +125,13 @@ class SdpProblem:
     constraint stack, whose entry k is A_k's block b, or None for a block no
     constraint touches; and ``rhs``, the m values b_k.
 
-    It packs C once (``_pack``) into the flat vector ``c``, and the stacks
-    into the m x sum(s_b^2) ``matrix``, its (m, s_b, s_b) block views
-    ``stacks`` and its per-size (block indices, (m, k, s, s) view)
-    ``groups``.  The rank filter factors the row Gram of ``matrix``; the
-    interior-point loop keeps its iterates in the column layout of ``matrix``
-    and reads ``groups`` for the per-group blocks of the Schur complement, the
-    factorizations and the eigensolves.
+    ``groups`` lists the block indices of each block size, ascending by
+    size.  The constructor packs C once (``_pack``) into the flat vector
+    ``c``, and the stacks into the m x sum(s_b^2) ``matrix``, both in the
+    column layout of ``_views``.  The rank filter factors the row Gram of
+    ``matrix``; the interior-point loop keeps its iterates in that layout
+    and takes the per-group blocks of the Schur complement, the
+    factorizations and the eigensolves through ``_views``.
     """
 
     def __init__(self, block_sizes, objective, stacks, rhs):
@@ -125,17 +141,25 @@ class SdpProblem:
         if any(s > MAX_BLOCK_SIZE for s in sizes):
             raise ValueError(f"block size exceeds the configured limit of {MAX_BLOCK_SIZE}")
         self.block_sizes = sizes
+        self.groups = [[i for i, t in enumerate(sizes) if t == s] for s in sorted(set(sizes))]
         objective = [None if c is None else np.asarray(c, dtype=float)[None] for c in objective]
-        self.c = _pack(objective, sizes, 1, "objective")[0][0]
+        self.c = _pack(objective, self.groups, sizes, 1, "objective")[0]
         self.rhs = np.array(rhs, dtype=float)
         if self.rhs.ndim != 1 or not self.rhs.size:
             raise ValueError("problem needs at least one constraint; rhs is a vector of b_k")
-        self.matrix, self.stacks, self.groups = _pack(stacks, sizes, len(self.rhs), "constraint")
+        self.matrix = _pack(stacks, self.groups, sizes, len(self.rhs), "constraint")
+
+    @property
+    def stacks(self) -> list:
+        """Block b's (m, s_b, s_b) constraint stack, as a view of ``matrix``, in block order."""
+        views = _views(self.matrix, self.groups, self.block_sizes)
+        return _unbatch(self.groups, [np.swapaxes(v, 0, 1) for v in views])
 
     @property
     def constraints(self) -> list:
         """Per-row (per-block views, b_k) pairs, derived from ``stacks`` and ``rhs``."""
-        return [([st[k] for st in self.stacks], float(b)) for k, b in enumerate(self.rhs)]
+        stacks = self.stacks
+        return [([st[k] for st in stacks], float(b)) for k, b in enumerate(self.rhs)]
 
     @property
     def num_constraints(self) -> int:
@@ -211,31 +235,6 @@ def _transpose(blocks):
     return np.swapaxes(blocks, -1, -2)
 
 
-def _views(flat, groups) -> list:
-    """Per-group (..., k, s, s) views of ``flat``, laid out as ``SdpProblem.matrix``'s columns.
-
-    ``flat`` is (..., sum s_b^2): one iterate, a stack of them or the
-    constraint matrix; ``groups`` is ``SdpProblem.groups``.  Writing into a
-    view writes into ``flat``.
-    """
-    out, start = [], 0
-    for _, group in groups:
-        k, s = group.shape[1], group.shape[2]
-        end = start + k * s * s
-        out.append(flat[..., start:end].reshape(flat.shape[:-1] + (k, s, s)))
-        start = end
-    return out
-
-
-def _unbatch(members, groups) -> list:
-    """Per-block entries in block order from per-group arrays; members[g] are group g's blocks."""
-    out = [None] * sum(len(idx) for idx in members)
-    for idx, group in zip(members, groups):
-        for j, i in enumerate(idx):
-            out[i] = group[j]
-    return out
-
-
 def _inverse_factors(blocks) -> list:
     """L^-1 for each block, or stack of blocks, L L^T.
 
@@ -278,12 +277,14 @@ def _max_step(inv_factors, directions) -> np.ndarray:
     return np.array([min(1e6, -1.0 / side) if side < 0.0 else 1e6 for side in lam])
 
 
-def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSolution:
+def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
     """Solve the block SDP by a Mehrotra predictor-corrector interior-point method.
 
     Status Optimal guarantees relative primal/dual residuals and duality gap
     at most ``tol``; Infeasible comes with a dual improving-ray certificate in
-    the diagnostics.  The iteration schedule is deterministic.
+    the diagnostics.  The iteration schedule is deterministic; after
+    ``max_iter`` iterations, 200 by default and the cap of every separation
+    SDP, the status is IterationLimit.
     """
     if not 0.0 < tol <= 1e-2:
         raise ValueError(f"tol must lie in (0, 1e-2], got {tol}")
@@ -322,26 +323,28 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
     # A(X) = mat @ x and A*(y) = y @ mat; ``_views`` gives its per-group blocks.
     # X and Z share one (2, sum s_b^2) buffer, and so do their directions: per group a
     # (2, k, s, s) view factors, eigensolves and updates both sides at once.
-    groups, members = problem.groups, [idx for idx, _ in problem.groups]
+    groups = problem.groups
     mat, b, c = problem.matrix, problem.rhs, problem.c
     if dropped:
         mat, b = mat[kept], b[kept]
-    stacks = _views(mat, groups)
+    stacks = _views(mat, groups, sizes)
     # flat[transpose] transposes every block of a flat iterate
-    transpose = np.concatenate([_transpose(v).ravel() for v in _views(np.arange(c.size), groups)])
+    transpose = np.concatenate(
+        [_transpose(v).ravel() for v in _views(np.arange(c.size), groups, sizes)]
+    )
     m = len(b)
     n_total = sum(sizes)
 
     xz, dxz = np.zeros((2, c.size)), np.zeros((2, c.size))
     x, z, dx, dz = xz[0], xz[1], dxz[0], dxz[1]
-    xz_g, dxz_g = _views(xz, groups), _views(dxz, groups)
+    xz_g, dxz_g = _views(xz, groups, sizes), _views(dxz, groups, sizes)
     x_g, z_g, dx_g, dz_g = ([v[i] for v in vs] for vs in (xz_g, dxz_g) for i in (0, 1))
     eta = 1.0 + float(np.max(np.abs(b)))
     for v in xz_g:
         v[...] = eta * np.eye(v.shape[-1])
     y = np.zeros(m)
     rd, zinv, work, corr = (np.zeros(c.size) for _ in range(4))
-    rd_g, zinv_g, work_g, corr_g = (_views(v, groups) for v in (rd, zinv, work, corr))
+    rd_g, zinv_g, work_g, corr_g = (_views(v, groups, sizes) for v in (rd, zinv, work, corr))
 
     def symmetrized(flat, out):
         np.add(flat, flat[transpose], out=out)
@@ -394,7 +397,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
             ray = yhat @ mat
             ray_scale = max(1.0, float(np.max(np.abs(ray))))
             block_min = _unbatch(
-                members, [np.linalg.eigvalsh(rb)[:, 0] for rb in _views(ray, groups)]
+                groups, [np.linalg.eigvalsh(rb)[:, 0] for rb in _views(ray, groups, sizes)]
             )
             lam_min = min(block_min)
             if b @ yhat < -1e-4 * b_scale and lam_min >= -1e-9 * ray_scale:
@@ -470,9 +473,9 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSol
 
     return SdpSolution(
         status=status,
-        X=_unbatch(members, x_g),
+        X=_unbatch(groups, x_g),
         y=y_full,
-        S=_unbatch(members, z_g),
+        S=_unbatch(groups, z_g),
         objective=pobj,
         dual_objective=dobj,
         gap=abs(pobj - dobj),

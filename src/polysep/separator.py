@@ -43,10 +43,6 @@ from .sos import (
     sign_flips,
 )
 
-# interior-point iteration cap of every separation SDP solve
-SDP_MAX_ITER = 200
-
-
 class InfeasibleAtLevelError(RuntimeError):
     """The margin SDP found no strict separator at this (degree, level)."""
 
@@ -239,7 +235,7 @@ def solve_fixed_level(prob: SeparatorProblem) -> SeparatorResult:
     sdp_problem, bases_a, bases_b, parts, flips = _assemble_separation(
         n, gens_a, gens_b, prob.p_degree, prob.level
     )
-    sol = sdp_solve(sdp_problem, tol=opts.solver_tol, max_iter=SDP_MAX_ITER)
+    sol = sdp_solve(sdp_problem, tol=opts.solver_tol)
     if sol.status is not SdpStatus.OPTIMAL:
         raise SeparatorSolverError(sol.status, sol.diagnostics.get("message", ""))
     t, blocks = margin_sdp_solution(sol)
@@ -251,11 +247,8 @@ def solve_fixed_level(prob: SeparatorProblem) -> SeparatorResult:
     grams_a, grams_b = tuple(grams[: len(bases_a)]), tuple(grams[len(bases_a) :])
     cert_a = QmCertificate(tuple(gens_a), grams_a, tuple(bases_a), prob.level)
     cert_b = QmCertificate(tuple(gens_b), grams_b, tuple(bases_b), prob.level)
-    p_full = cert_a.polynomial() + (1.0 + t)
-    p = p_full.truncate(prob.p_degree)
-    truncation_error = p_full.max_coeff_diff(p)
     return SeparatorResult(
-        p=p,
+        p=(cert_a.polynomial() + (1.0 + t)).truncate(prob.p_degree),
         cert_A=cert_a,
         cert_B=cert_b,
         slack=t,
@@ -263,13 +256,9 @@ def solve_fixed_level(prob: SeparatorProblem) -> SeparatorResult:
         p_degree=prob.p_degree,
         diagnostics={
             "sdp_iterations": sol.iterations,
-            "sdp_primal_residual": sol.primal_residual,
-            "sdp_dual_residual": sol.dual_residual,
-            "sdp_gap": sol.gap,
             "sign_flips": [(np.flatnonzero(f) + 1).tolist() for f in flips],
             "block_sizes": list(sdp_problem.block_sizes),
             "num_constraints": sdp_problem.num_constraints,
-            "truncation_error": truncation_error,
             "ball_constraint": opts.ball_constraint,
         },
     )

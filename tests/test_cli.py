@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DISK_LEFT, DISK_RIGHT, REFERENCE_P, write_problem
-from polysep import cli
+from polysep import cli, poly
 from polysep.cli import load_problem, main
 from polysep.poly import box_grid_points, parse
 from polysep.separator import SeparationReport
@@ -295,7 +295,7 @@ def test_separate_is_deterministic(tmp_path, capsys, disk_problem_file):
 
 
 def test_separate_4d_writes_result_when_grids_exceed_the_budget(tmp_path, capsys):
-    # 201^4 check points and 101^4 bound points are both over the grid budget
+    # 201^4 check points are over the grid budget; the bound report sweeps 55^4
     problem = write_problem(
         tmp_path / "balls4.json", 4,
         ["0.04 - (x1 + 0.5)^2 - x2^2 - x3^2 - x4^2"],
@@ -311,7 +311,26 @@ def test_separate_4d_writes_result_when_grids_exceed_the_budget(tmp_path, capsys
     assert set(separation) == {"resolution", "tol", "skipped", "passed"}
     assert separation["passed"] is None
     assert "exceeds the budget" in separation["skipped"]
-    assert any("exceeds the budget" in w for w in result["bounds"]["warnings"])
+    assert result["bounds"]["params"]["dist_resolution"] == 55
+    assert result["bounds"]["dist_estimate"] == 0.6666666666666666
+
+
+@pytest.mark.parametrize("budget, resolution", [(2500, 49), (49, 7), (8, None)])
+def test_separate_bound_report_sweeps_the_largest_odd_grid_within_the_budget(
+    tmp_path, capsys, monkeypatch, disk_problem_file, budget, resolution
+):
+    # the budget is read at call time; where not even 3^n fits, the report is a warning
+    monkeypatch.setattr(poly, "GRID_BUDGET", budget)
+    out = tmp_path / "r.json"
+    code, *_ = run(capsys, "separate", disk_problem_file, "--degree-max", "1", "--out", str(out))
+    assert code == 0
+    bounds = json.loads(out.read_text())["bounds"]
+    if resolution is None:
+        assert bounds == {"warnings": [
+            f"bound report unavailable: grid of 101^2 = 10201 points exceeds the budget of {budget}"
+        ]}
+    else:
+        assert bounds["params"]["dist_resolution"] == resolution
 
 
 def test_separate_keeps_result_when_a_set_has_no_grid_point(tmp_path, capsys):
@@ -481,25 +500,47 @@ def test_verify_malformed_result_json_exits_one(tmp_path, capsys, case):
     assert stderr.startswith("error: ")
 
 
-# (file changed, change, message): cases the malformed-file tests above leave out
+def first_exponents(data, exponents):
+    data["p"]["coefficients"][0]["exponents"] = exponents
+
+
+# (command, file changed, change or None for a missing file, message): cases the
+# malformed-file tests above leave out
 NAMED_INPUT_ERRORS = {
     "A_generators is empty": (
-        "problem", lambda d: d.update(A_generators=[]), "invalid set description"
+        "verify", "problem", lambda d: d.update(A_generators=[]), "invalid set description"
     ),
-    "options is a list": ("problem", lambda d: d.update(options=[1]), "options must be a JSON object"),
-    "result has no p": ("result", lambda d: d.pop("p"), "result file has no polynomial entry"),
+    "options is a list": (
+        "verify", "problem", lambda d: d.update(options=[1]), "options must be a JSON object"
+    ),
+    "result has no p": (
+        "verify", "result", lambda d: d.pop("p"), "result file has no polynomial entry"
+    ),
+    "problem file is missing": ("separate", "problem", None, "cannot read problem file"),
+    "result file is missing": ("verify", "result", None, "cannot read result file"),
+    "monomial is too long": (
+        "verify", "result", lambda d: first_exponents(d, [1, 0, 0]),
+        "malformed polynomial entry: monomial (1, 0, 0) has length 3, expected 2",
+    ),
+    "exponent is negative": (
+        "verify", "result", lambda d: first_exponents(d, [-1, 2]),
+        "malformed polynomial entry: negative exponent in monomial (-1, 2)",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NAMED_INPUT_ERRORS))
 def test_input_error_exits_one_with_its_message(tmp_path, capsys, case):
-    kind, change, message = NAMED_INPUT_ERRORS[case]
+    command, kind, change, message = NAMED_INPUT_ERRORS[case]
     paths = {"problem": DATA_DIR / "golden_problem.json", "result": DATA_DIR / "golden_result.json"}
-    data = json.loads(paths[kind].read_text())
-    change(data)
-    paths[kind] = tmp_path / "bad.json"
-    paths[kind].write_text(json.dumps(data))
-    code, stdout, stderr = run(capsys, "verify", str(paths["problem"]), str(paths["result"]))
+    bad = tmp_path / "bad.json"
+    if change is not None:
+        data = json.loads(paths[kind].read_text())
+        change(data)
+        bad.write_text(json.dumps(data))
+    paths[kind] = bad
+    files = [paths["problem"], paths["result"]][: 2 if command == "verify" else 1]
+    code, stdout, stderr = run(capsys, command, *map(str, files))
     assert (code, stdout) == (1, "")
     assert stderr.startswith(f"error: {message}")
 

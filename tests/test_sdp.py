@@ -113,6 +113,25 @@ def test_inconsistent_dependent_rows_are_infeasible():
     assert sol.status is SdpStatus.INFEASIBLE
 
 
+def all_zero_rows_problem(b):
+    return SdpProblem((2,), [np.eye(2)], [np.zeros((1, 2, 2))], [b])
+
+
+def test_all_zero_rows_with_zero_rhs_are_no_proper_sdp():
+    with pytest.warns(DependentConstraintWarning):
+        with pytest.raises(ValueError) as info:
+            solve(all_zero_rows_problem(0.0))
+    assert str(info.value) == "all constraint rows are zero; the problem is not a proper SDP"
+
+
+def test_all_zero_rows_with_a_nonzero_rhs_are_infeasible():
+    with pytest.warns(DependentConstraintWarning):
+        sol = solve(all_zero_rows_problem(1.0))
+    assert sol.status is SdpStatus.INFEASIBLE
+    assert sol.diagnostics["message"] == "inconsistent dependent constraint rows"
+    assert sol.diagnostics["dropped_rows"] == [0]
+
+
 @pytest.mark.parametrize("delta, dropped, objective", [(1e-2, [], -4.0), (1e-10, [1], -2.0)])
 def test_nearly_dependent_row_is_judged_at_the_newton_resolution(delta, dropped, objective):
     # rows E11, E11 + delta E22, E33 with b = (1, 1 + 2 delta, 1): kept, the middle
@@ -243,7 +262,7 @@ def interleaved_problem():
 
 def test_interleaved_block_sizes_come_back_in_block_order():
     prob = interleaved_problem()
-    assert [idx for idx, _ in prob.groups] == [[0, 2], [1, 3]]
+    assert prob.groups == [[0, 2], [1, 3]]
     sol = solve(prob, tol=1e-8)
     assert sol.status is SdpStatus.OPTIMAL
     assert [xb.shape[0] for xb in sol.X] == [2, 3, 2, 3]
@@ -362,18 +381,18 @@ def reference_max_step(blocks, directions):
 
 def packed(prob, blocks):
     """Per-block matrices as one flat vector in the column layout of ``prob.matrix``."""
-    return np.concatenate([blocks[i].ravel() for idx, _ in prob.groups for i in idx])
+    return np.concatenate([blocks[i].ravel() for idx in prob.groups for i in idx])
 
 
 def fused(prob, x_blocks, z_blocks):
     """Per-group (2, k, s, s) stacks of the X and Z blocks, as the solver factors them."""
-    return [np.stack([[x_blocks[i] for i in idx], [z_blocks[i] for i in idx]]) for idx, _ in prob.groups]
+    return [np.stack([[x_blocks[i] for i in idx], [z_blocks[i] for i in idx]]) for idx in prob.groups]
 
 
 def packed_schur(prob, x, zinv):
     """The Schur kernel on the packed layout, from per-block X and Z^-1."""
-    views = [_views(packed(prob, blocks), prob.groups) for blocks in (x, zinv)]
-    return _schur(_views(prob.matrix, prob.groups), *views)
+    views = [_views(packed(prob, blocks), prob.groups, prob.block_sizes) for blocks in (x, zinv)]
+    return _schur(_views(prob.matrix, prob.groups, prob.block_sizes), *views)
 
 
 def test_schur_matches_explicit_traces():
@@ -400,8 +419,8 @@ def test_adjoint_matches_explicit_sum():
         for out, ak in zip(expected, mats):
             if ak is not None:
                 out += yk * ak
-    members = [idx for idx, _ in prob.groups]
-    got = _unbatch(members, _views(y @ prob.matrix, prob.groups))
+    members = prob.groups
+    got = _unbatch(members, _views(y @ prob.matrix, prob.groups, prob.block_sizes))
     for g, e in zip(got, expected):
         np.testing.assert_allclose(g, e, rtol=KERNEL_RTOL, atol=1e-12)
 
@@ -431,7 +450,7 @@ def test_grouped_kernels_match_per_block_kernels():
     sizes = (3, 1, 3, 4, 1)
     rows = [[random_symmetric(rng, s) for s in sizes] for _ in range(7)]
     prob = SdpProblem(sizes, [None] * 5, [np.array(blk) for blk in zip(*rows)], np.arange(7.0))
-    members = [idx for idx, _ in prob.groups]
+    members = prob.groups
     assert members == [[1, 4], [0, 2], [3]]
 
     x = [random_pd(rng, s) for s in sizes]
@@ -442,7 +461,7 @@ def test_grouped_kernels_match_per_block_kernels():
     want = [sum(np.vdot(a, xb) for a, xb in zip(row, x)) for row in rows]
     np.testing.assert_allclose(prob.matrix @ packed(prob, x), want, rtol=KERNEL_RTOL)
     # A*(y) is one product the other way, read back per block
-    got = _unbatch(members, _views(y @ prob.matrix, prob.groups))
+    got = _unbatch(members, _views(y @ prob.matrix, prob.groups, prob.block_sizes))
     for g, row_sum in zip(got, [sum(yk * row[b] for yk, row in zip(y, rows)) for b in range(5)]):
         np.testing.assert_allclose(g, row_sum, rtol=KERNEL_RTOL, atol=1e-12)
     expected = np.array(
@@ -491,12 +510,12 @@ def test_packed_kernels_are_adjoint_and_fused_steps_match_each_side(case):
     rng = np.random.default_rng(seed)
     stacks = [np.array([random_symmetric(rng, s) for _ in range(m)]) for s in sizes]
     prob = SdpProblem(sizes, [None] * len(sizes), stacks, np.zeros(m))
-    members = [idx for idx, _ in prob.groups]
+    members = prob.groups
     assert sorted(i for idx in members for i in idx) == list(range(len(sizes)))
     x = [random_symmetric(rng, s) for s in sizes]
     y = rng.standard_normal(m)
     # <A(X), y> on the packed layout equals <X, A*(y)> summed block by block
-    adjoint = _unbatch(members, _views(y @ prob.matrix, prob.groups))
+    adjoint = _unbatch(members, _views(y @ prob.matrix, prob.groups, prob.block_sizes))
     lhs = (prob.matrix @ packed(prob, x)) @ y
     rhs = sum(np.vdot(xb, ab) for xb, ab in zip(x, adjoint))
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)

@@ -157,7 +157,7 @@ def test_sign_symmetry_reduction_matches_the_full_sdp(n, generators, degree, lev
     opts = SeparatorOptions()
     gens_a, gens_b = separator._augmented_generators(a, b, opts)
     full_problem = full_margin_sdp(n, gens_a, gens_b, degree, level)
-    full = sdp.solve(full_problem, tol=opts.solver_tol, max_iter=separator.SDP_MAX_ITER)
+    full = sdp.solve(full_problem, tol=opts.solver_tol)
     assert full.status is sdp.SdpStatus.OPTIMAL
     full_t = margin_sdp_solution(full)[0]
     problem = SeparatorProblem(A=a, B=b, p_degree=degree, level=level, options=opts)
