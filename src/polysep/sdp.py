@@ -16,7 +16,8 @@ Mehrotra predictor-corrector, using the XZ (HKM) search direction and dense
 linear algebra throughout: the HKM predictor-corrector of SDPT3 (Toh, Todd
 and Tutuncu 1999) on SDPA-style block storage (Fujisawa, Kojima and Nakata
 1997).  The predictor and the corrector share one Newton-direction routine.
-A pivoted Cholesky of the row Gram first drops dependent rows.  Constraints
+A Cholesky of the row Gram first drops dependent rows: unpivoted when every
+pivot clears the rank tolerance, pivoted otherwise.  Constraints
 come as one (m, s, s) stack per block, the form the quadratic-module
 assembler writes, and an m-vector of right-hand sides.  ``SdpProblem``
 packs C and the stacks once into columns that hold the blocks flattened and
@@ -27,8 +28,9 @@ the residuals, inner products and updates are one call each.  Per group of
 k equal-size blocks, X and Z are viewed together as one (2, k, s, s) array:
 one Cholesky and inverse per iteration factors both, and one eigensolve per
 step-length phase gives the primal and the dual step.  The Schur complement
-is one batched product per group, and LAPACK's dpotrf and dpotrs factor and
-solve the Newton system.
+is one batched product per group; a Cholesky tests the Newton system for
+positive definiteness and ``numpy.linalg.solve`` solves it.  All linear
+algebra is ``numpy.linalg``.
 ``SdpSolution.X`` and ``SdpSolution.S`` are per-block lists in block order.
 It targets desk-scale problems: robustness over speed, no sparsity
 exploitation, blocks capped at a configured size.
@@ -41,7 +43,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.linalg as la
 
 MAX_BLOCK_SIZE = 400
 SYMMETRY_TOL = 1e-14
@@ -189,18 +190,47 @@ def min_eigenvalue(mat) -> float:
     asym = np.max(np.abs(m - m.T), initial=0.0)
     if asym > 1e-12 * max(1.0, float(np.max(np.abs(m), initial=0.0))):
         raise ValueError(f"matrix is not symmetric: max asymmetry {asym:g}")
-    return float(np.min(la.eigvalsh(0.5 * (m + m.T)), initial=np.inf))
+    return float(np.min(np.linalg.eigvalsh(0.5 * (m + m.T)), initial=np.inf))
+
+
+def _pivoted_cholesky(gram, tol):
+    """Pivoted Cholesky of a positive semidefinite matrix, stopped at its numerical rank.
+
+    LAPACK's dpstf2 in numpy: step k takes the largest remaining pivot, the
+    diagonal less the squares of the row's columns so far, and stops once it
+    is at most ``tol``; one matrix-vector product gives column k.  Returns
+    (fac, piv, rank): in the symmetric permutation ``piv``, the first rank
+    columns of the lower triangle ``fac`` hold L11 over L21.
+    """
+    a = np.array(gram, dtype=float)
+    n = len(a)
+    piv, squares = np.arange(n), np.zeros(n)
+    for k in range(n):
+        remaining = np.diagonal(a)[k:] - squares[k:]
+        j = k + int(np.argmax(remaining))
+        if not remaining[j - k] > tol:
+            return np.tril(a), piv, k
+        for v in (piv, squares):
+            v[[k, j]] = v[[j, k]]
+        a[[k, j]] = a[[j, k]]
+        a[:, [k, j]] = a[:, [j, k]]
+        a[k, k] = np.sqrt(remaining[j - k])
+        a[k + 1 :, k] -= a[k + 1 :, :k] @ a[k, :k]
+        a[k + 1 :, k] *= 1.0 / a[k, k]
+        squares[k + 1 :] += a[k + 1 :, k] ** 2
+    return np.tril(a), piv, n
 
 
 def _rank_filter(problem: SdpProblem):
     """Drop linearly dependent constraint rows; detect inconsistent duplicates.
 
-    A pivoted Cholesky of the row-normalized Gram D^-1/2 A A^T D^-1/2, D the
-    diagonal of A A^T, keeps the rows of its first ``rank`` pivots; rank is
-    judged with tolerance max(shape)·eps, so rescaling a row or the whole
-    problem changes nothing.  Each dropped row is c^T (kept rows) with
-    c = L11^-T L21^T: one triangular solve tests them all, on the same
-    normalized rows, b scaled by D^-1/2 as well.
+    Rank is judged on the row-normalized Gram D^-1/2 A A^T D^-1/2, D the
+    diagonal of A A^T, with tolerance max(shape)·eps, so rescaling a row or
+    the whole problem changes nothing.  When an unpivoted Cholesky of it has
+    every pivot above the tolerance, every row is kept.  Otherwise a pivoted
+    Cholesky keeps the rows of its first ``rank`` pivots.  Each dropped row
+    is c^T (kept rows) with c = L11^-T L21^T: one solve tests them all, on
+    the same normalized rows, b scaled by D^-1/2 as well.
 
     Returns (kept indices, dropped indices, inconsistent flag).  Raises
     ValueError when a row's squared norm is past the float range.
@@ -223,9 +253,14 @@ def _rank_filter(problem: SdpProblem):
     gram /= norms[None, :]
     b = b / norms
     tol = max(problem.matrix.shape) * np.finfo(float).eps
-    fac, piv, rank, _ = la.lapack.dpstrf(gram, tol=tol, lower=1)
-    kept, dropped = piv[:rank] - 1, piv[rank:] - 1
-    coeff = la.solve_triangular(fac[:rank, :rank], fac[rank:, :rank].T, trans="T", lower=True)
+    try:
+        if np.all(np.diagonal(np.linalg.cholesky(gram)) ** 2 > tol):
+            return list(range(m)), [], False
+    except np.linalg.LinAlgError:
+        pass
+    fac, piv, rank = _pivoted_cholesky(gram, tol)
+    kept, dropped = piv[:rank], piv[rank:]
+    coeff = np.linalg.solve(fac[:rank, :rank].T, fac[rank:, :rank].T)
     excess = np.abs(b[dropped] - b[kept] @ coeff)
     inconsistent = bool(np.any(excess > 1e-8 * (1.0 + np.abs(b[dropped]))))
     return sorted(kept.tolist()), sorted(dropped.tolist()), inconsistent
@@ -242,6 +277,15 @@ def _inverse_factors(blocks) -> list:
     factor has a positive diagonal, so its inverse cannot fail.
     """
     return [np.linalg.inv(np.linalg.cholesky(mb)) for mb in blocks]
+
+
+def _positive_definite(mat) -> bool:
+    """Whether a Cholesky factorization of the symmetric ``mat`` succeeds."""
+    try:
+        np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _schur(stacks, x, zinv) -> np.ndarray:
@@ -355,15 +399,18 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSol
             np.matmul(lb @ mb, zib, out=ob)
 
     def direction(rhs, dx_base, fraction):
-        """Solve the factored Newton system, fill dZ and dX; return dy and the capped steps."""
-        dy = la.lapack.dpotrs(m_fac, rhs, lower=1)[0]
+        """Solve the Newton system, fill dZ and dX; return dy and the capped steps."""
+        dy = np.linalg.solve(m_sys, rhs)
         np.subtract(dy @ mat, rd, out=dz)
         times_zinv(x_g, dz_g, work_g)
         symmetrized(dx_base - work, dx)
         return dy, np.minimum(1.0, fraction * _max_step(inv_factors, dxz_g))
 
-    b_scale = 1.0 + np.linalg.norm(b)
-    c_scale = 1.0 + np.linalg.norm(c)
+    # data past the float range show as inf or nan measures and end the loop
+    # in "complementarity diverged", not in numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_scale = 1.0 + np.linalg.norm(b)
+        c_scale = 1.0 + np.linalg.norm(c)
 
     status = SdpStatus.ITERATION_LIMIT
     iterations = 0
@@ -372,15 +419,16 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSol
 
     for it in range(max_iter):
         iterations = it
-        fp = b - mat @ x
-        np.subtract(c, y @ mat, out=rd)
-        rd += z
-        mu = float(x @ z) / n_total
-        pobj = float(c @ x)
-        dobj = float(b @ y)
-        pinf = float(np.linalg.norm(fp)) / b_scale
-        dinf = float(np.linalg.norm(rd)) / c_scale
-        relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        with np.errstate(over="ignore", invalid="ignore"):
+            fp = b - mat @ x
+            np.subtract(c, y @ mat, out=rd)
+            rd += z
+            mu = float(x @ z) / n_total
+            pobj = float(c @ x)
+            dobj = float(b @ y)
+            pinf = float(np.linalg.norm(fp)) / b_scale
+            dinf = float(np.linalg.norm(rd)) / c_scale
+            relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         diagnostics["trace"].append(
             {"iter": it, "mu": mu, "pinf": pinf, "dinf": dinf, "relgap": relgap}
         )
@@ -425,14 +473,13 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSol
         for li, zib in zip(inv_factors, zinv_g):
             np.matmul(_transpose(li[1]), li[1], out=zib)
         m_mat = _schur(stacks, x_g, zinv_g)
-        jitter = 0.0
-        m_fac, info = la.lapack.dpotrf(m_mat, lower=1)
-        while info:
+        m_sys, jitter = m_mat, 0.0
+        while not _positive_definite(m_sys):
             jitter = max(10.0 * jitter, 1e-14 * (1.0 + np.trace(m_mat) / m))
             if jitter > 1e-2:
                 break
-            m_fac, info = la.lapack.dpotrf(m_mat + jitter * np.eye(m), lower=1)
-        if info:
+            m_sys = m_mat + jitter * np.eye(m)
+        if jitter > 1e-2:
             status = SdpStatus.NUMERICAL_TROUBLE
             diagnostics["message"] = "Newton system factorization failed"
             break

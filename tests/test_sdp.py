@@ -163,10 +163,14 @@ def failing_after(calls, function, error):
 
 
 def test_failed_iterate_factorization_is_numerical_trouble(monkeypatch):
-    # X and Z are factored together, one Cholesky per size group and iteration; with
-    # two groups the fourth Cholesky is the second iteration's second group
+    # X and Z are factored together, one Cholesky of a (2, k, s, s) stack per size
+    # group and iteration; with two groups the fourth stacked Cholesky is the second
+    # iteration's second group.  The rank filter and the Newton system's
+    # positive-definiteness test factor 2-D matrices and pass through.
     error = np.linalg.LinAlgError("Matrix is not positive definite")
-    monkeypatch.setattr(np.linalg, "cholesky", failing_after(3, np.linalg.cholesky, error))
+    real = np.linalg.cholesky
+    stacked = failing_after(3, real, error)
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: real(a) if np.ndim(a) == 2 else stacked(a))
     sol = solve(interleaved_problem(), tol=1e-8)
     assert sol.status is SdpStatus.NUMERICAL_TROUBLE
     assert sol.iterations == 1
@@ -199,11 +203,11 @@ def test_stalled_steps_on_an_ill_conditioned_newton_system_are_numerical_trouble
 def test_newton_factorization_jitters_then_gives_up(monkeypatch):
     shifts = []
 
-    def never_positive_definite(a, lower):
+    def never_positive_definite(a):
         shifts.append(float(np.mean(np.diag(a))))
-        return a, 1
+        return False
 
-    monkeypatch.setattr(la.lapack, "dpotrf", never_positive_definite)
+    monkeypatch.setattr(sdp, "_positive_definite", never_positive_definite)
     sol = solve(completion_problem(), tol=1e-8)
     assert sol.status is SdpStatus.NUMERICAL_TROUBLE
     assert sol.diagnostics["message"] == "Newton system factorization failed"
@@ -216,17 +220,26 @@ def test_newton_factorization_jitters_then_gives_up(monkeypatch):
 
 
 def test_newton_factorization_recovers_with_jitter(monkeypatch):
-    calls, real = [], la.lapack.dpotrf
+    calls, real = [], sdp._positive_definite
 
-    def fails_first(a, lower):
+    def fails_first(a):
         calls.append(a)
-        return (a, 1) if len(calls) == 1 else real(a, lower=lower)
+        return len(calls) > 1 and real(a)
 
-    monkeypatch.setattr(la.lapack, "dpotrf", fails_first)
+    monkeypatch.setattr(sdp, "_positive_definite", fails_first)
     sol = solve(completion_problem(), tol=1e-8)
     assert sol.status is SdpStatus.OPTIMAL
     assert sol.X[0][0, 0] == pytest.approx(0.09, abs=1e-6)
     assert np.all(np.diag(calls[1] - calls[0]) > 0.0)  # the retry carried a diagonal shift
+
+
+def test_right_hand_side_past_the_float_range_diverges_without_warnings():
+    # eta = 1 + 1e300 starts X and Z past where x @ z, the norms and pinf stay finite;
+    # any numpy RuntimeWarning on the way fails the test (filterwarnings = error)
+    sol = solve(SdpProblem((2,), [np.eye(2)], [np.eye(2)[None]], [1e300]), tol=1e-8)
+    assert sol.status is SdpStatus.NUMERICAL_TROUBLE
+    assert sol.diagnostics["message"] == "complementarity diverged"
+    assert sol.iterations == 0
 
 
 def test_multiblock_problem():

@@ -3,6 +3,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from conftest import CIRCLE, LEMNISCATE
 from polysep import sdp, separator
@@ -216,6 +217,79 @@ def test_rank_filter_drops_rows_only_at_odd_levels_of_odd_degree_generators(
                 _, dropped, inconsistent = sdp._rank_filter(problem)
                 expected = 3 if level in dependent_levels else 0
                 assert (len(dropped), inconsistent) == (expected, False), (ball, level, degree)
+
+
+def normalized_gram(problem):
+    """The rank filter's row-normalized Gram and tolerance, computed as it does."""
+    gram = problem.matrix @ problem.matrix.T
+    norms = np.sqrt(np.diag(gram))
+    norms[norms == 0.0] = 1.0
+    gram /= norms[:, None]
+    gram /= norms[None, :]
+    return gram, max(problem.matrix.shape) * np.finfo(float).eps
+
+
+def dpstrf_rank(problem) -> int:
+    """The reference: LAPACK's pivoted Cholesky rank of the normalized Gram."""
+    gram, tol = normalized_gram(problem)
+    return la.lapack.dpstrf(gram, tol=tol, lower=1)[2]
+
+
+def assert_dropped_rows_are_consistent_combinations(problem, kept, dropped):
+    # independent of the filter's own test: least squares over the kept rows
+    # reproduces every dropped row and its right-hand side
+    mat, b = problem.matrix, problem.rhs
+    coeff = np.linalg.lstsq(mat[kept].T, mat[dropped].T, rcond=None)[0]
+    scale = np.abs(mat).max()
+    np.testing.assert_allclose(mat[kept].T @ coeff, mat[dropped].T, atol=1e-10 * scale)
+    np.testing.assert_allclose(b[kept] @ coeff, b[dropped], atol=1e-8 * (1.0 + np.abs(b).max()))
+
+
+@pytest.mark.parametrize("level", range(3, 9))
+@pytest.mark.parametrize("degree", (1, 2, 3))
+def test_rank_filter_keeps_lapack_pivoted_rank_on_the_cubic_pair(monkeypatch, degree, level):
+    # the cubic pair repeats up to three rows, consistently, at odd levels; at
+    # even levels the unpivoted Cholesky keeps every row and the pivoted one never runs
+    a, b = (SemialgebraicSet(2, (parse(g, 2),)) for g in (CUBIC_A, CUBIC_B))
+    gens_a, gens_b = separator._augmented_generators(a, b, SeparatorOptions())
+    problem = separator._assemble_separation(2, gens_a, gens_b, degree, level)[0]
+    if level % 2 == 0:
+        monkeypatch.setattr(sdp, "_pivoted_cholesky", None)
+    kept, dropped, inconsistent = sdp._rank_filter(problem)
+    rank = dpstrf_rank(problem)
+    assert (len(kept), len(dropped), inconsistent) == (rank, problem.num_constraints - rank, False)
+    assert_dropped_rows_are_consistent_combinations(problem, kept, dropped)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rank_filter_keeps_lapack_pivoted_rank_on_random_rank_deficient_rows(seed):
+    # rows of random rank r on 4 x 4 symmetric blocks, scaled over six decades;
+    # odd seeds add a zero row
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(2, 9))
+    m = rank + int(rng.integers(1, 8))
+    base = rng.standard_normal((rank, 4, 4))
+    base += np.swapaxes(base, 1, 2)
+    coeff = rng.standard_normal((m, rank)) * 10.0 ** rng.uniform(-3, 3, (m, 1))
+    if seed % 2:
+        coeff[rng.integers(m)] = 0.0
+    rhs = coeff @ rng.standard_normal(rank)
+    problem = sdp.SdpProblem((4,), [None], [np.einsum("mr,rij->mij", coeff, base)], rhs)
+
+    kept, dropped, inconsistent = sdp._rank_filter(problem)
+    assert (len(kept), len(dropped), inconsistent) == (rank, m - rank, False)
+    assert dpstrf_rank(problem) == rank
+    assert_dropped_rows_are_consistent_combinations(problem, kept, dropped)
+    # the numpy pivoted Cholesky takes LAPACK's pivots and reproduces the kept rows' Gram
+    gram, tol = normalized_gram(problem)
+    fac, piv, found = sdp._pivoted_cholesky(gram, tol)
+    ref_piv = la.lapack.dpstrf(gram, tol=tol, lower=1)[1] - 1
+    assert found == rank and piv[:rank].tolist() == ref_piv[:rank].tolist()
+    l11 = fac[:rank, :rank]
+    np.testing.assert_allclose(l11 @ l11.T, gram[np.ix_(piv[:rank], piv[:rank])], atol=1e-12)
+    # an inconsistent right-hand side on a dropped row is caught
+    problem.rhs[dropped[0]] += 1.0 + abs(problem.rhs[dropped[0]])
+    assert sdp._rank_filter(problem)[2]
 
 
 # ---- certificates --------------------------------------------------------------
