@@ -17,7 +17,6 @@ from .semialg import (
     dist_estimate,
     eps_estimate,
     sample_grid,
-    u_eval,
 )
 from .sdp import SdpProblem, SdpSolution, SdpStatus, min_eigenvalue
 from .sos import (
@@ -62,7 +61,6 @@ __all__ = [
     "dist_estimate",
     "eps_estimate",
     "sample_grid",
-    "u_eval",
     "SdpProblem",
     "SdpSolution",
     "SdpStatus",

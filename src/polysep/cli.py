@@ -420,8 +420,8 @@ def _foreign_generators(cert: QmCertificate, s: SemialgebraicSet) -> list:
 def cmd_bounds(args) -> int:
     a, b, _ = load_problem(args.problem)
     for name, value in (("--c", args.c), ("--T", args.T), ("--C", args.C)):
-        if value <= 0:
-            raise InputError(f"{name} must be positive")
+        if not 0 < value < np.inf:
+            raise InputError(f"{name} must be positive and finite")
     if args.T < 1.0:
         raise InputError("--T must be at least 1")
     try:

@@ -151,16 +151,10 @@ class SdpProblem:
         self.matrix = _pack(stacks, self.groups, sizes, len(self.rhs), "constraint")
 
     @property
-    def stacks(self) -> list:
-        """Block b's (m, s_b, s_b) constraint stack, as a view of ``matrix``, in block order."""
-        views = _views(self.matrix, self.groups, self.block_sizes)
-        return _unbatch(self.groups, [np.swapaxes(v, 0, 1) for v in views])
-
-    @property
     def constraints(self) -> list:
-        """Per-row (per-block views, b_k) pairs, derived from ``stacks`` and ``rhs``."""
-        stacks = self.stacks
-        return [([st[k] for st in stacks], float(b)) for k, b in enumerate(self.rhs)]
+        """Per-row (per-block views of ``matrix`` in block order, b_k) pairs."""
+        views = _views(self.matrix, self.groups, self.block_sizes)
+        return [(_unbatch(self.groups, [v[k] for v in views]), float(b)) for k, b in enumerate(self.rhs)]
 
     @property
     def num_constraints(self) -> int:
@@ -484,8 +478,9 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSol
             diagnostics["message"] = "Newton system factorization failed"
             break
 
-        times_zinv(x_g, rd_g, work_g)
-        base_rhs = mat @ work - b
+        with np.errstate(over="ignore", invalid="ignore"):
+            times_zinv(x_g, rd_g, work_g)
+            base_rhs = mat @ work - b
 
         try:
             # predictor: pure Newton step toward the boundary (sigma = 0)

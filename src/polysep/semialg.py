@@ -19,7 +19,7 @@ from .poly import Polynomial, grid_lines, on_grid, sup_norm_grid
 # SemialgebraicSet.contains stays an exact sign test
 CLOUD_MEMBERSHIP_SLACK = 1e-12
 
-# point pairs per block of the nearest-point searches, and points per chunk of
+# point pairs per block of the nearest-point search, and points per chunk of
 # the boundary search: a chunk is a run of one side's boundary points in the
 # clouds' x1-major order, and the box of a run is what the search prunes by
 PAIR_BLOCK = 1 << 16
@@ -260,40 +260,6 @@ def _nearest_squared(points: np.ndarray, cloud: np.ndarray) -> np.ndarray:
                 total += np.multiply(gap, gap, out=gap)
             np.minimum(out[i : i + rows], np.min(total, axis=1), out=out[i : i + rows])
     return out
-
-
-def cloud_distance(points, cloud: np.ndarray) -> np.ndarray:
-    """Distance from each query point to the nearest row of the (m, n) ``cloud``.
-
-    An exhaustive search in blocks of ``PAIR_BLOCK`` pairs: the query points
-    are arbitrary, not grid points, so ``dist_estimate``'s boundary argument
-    does not apply.  Each distance is the float a kd-tree query returns.
-    """
-    if len(cloud) == 0:
-        raise EmptySampleError("cannot measure distance to an empty cloud")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != cloud.shape[1]:
-        raise ValueError(
-            f"points of dimension {pts.shape[1]} against a cloud of dimension {cloud.shape[1]}"
-        )
-    return np.sqrt(_nearest_squared(pts, cloud))
-
-
-def u_eval(x, a_cloud: np.ndarray, dist_ab: float):
-    """The explicit continuous separator u(x) = 2 - 3 dist(x, A)/dist(A, B).
-
-    Computed against ``a_cloud``, the (m, n) sample cloud of A, with
-    ``cloud_distance``'s exhaustive search, so dist(x, A) is the exact float
-    minimum over the cloud.  Equals 2 on cloud points and is
-    (3/dist_ab)-Lipschitz; at or below -1 wherever dist(x, A) >= dist_ab.
-    Accepts a single point or an (m, n) array.
-    """
-    if dist_ab <= 0.0:
-        raise ValueError(f"dist_ab must be positive, got {dist_ab}")
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    values = 2.0 - 3.0 * cloud_distance(arr, a_cloud) / dist_ab
-    return float(values[0]) if single else values
 
 
 def eps_estimate(p: Polynomial, a: SemialgebraicSet, resolution: int) -> float:

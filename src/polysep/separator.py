@@ -259,7 +259,6 @@ def solve_fixed_level(prob: SeparatorProblem) -> SeparatorResult:
             "sign_flips": [(np.flatnonzero(f) + 1).tolist() for f in flips],
             "block_sizes": list(sdp_problem.block_sizes),
             "num_constraints": sdp_problem.num_constraints,
-            "ball_constraint": opts.ball_constraint,
         },
     )
 

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DISK_LEFT, DISK_RIGHT, REFERENCE_P, write_problem
+import polysep
 from polysep import cli, poly
 from polysep.cli import load_problem, main
 from polysep.poly import box_grid_points, parse
@@ -59,6 +60,12 @@ def test_package_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_exports_resolve():
+    # a stale __all__ entry would fail only at "from polysep import *"
+    assert [name for name in polysep.__all__ if not hasattr(polysep, name)] == []
+    assert len(set(polysep.__all__)) == len(polysep.__all__)
 
 
 # ---- separate -------------------------------------------------------------------
@@ -823,9 +830,14 @@ def test_bounds_warns_of_a_generator_past_the_float_range_without_a_factor(tmp_p
 
 def test_bounds_rejects_bad_flags(capsys, disk_problem_file):
     code, _, stderr = run(capsys, "bounds", disk_problem_file, "--c", "-1")
-    assert code == 1
+    assert code == 1 and "--c must be positive" in stderr
     code, _, stderr = run(capsys, "bounds", disk_problem_file, "--T", "0.5")
-    assert code == 1
+    assert code == 1 and "--T must be at least 1" in stderr
+    for flag in ("--c", "--T", "--C"):
+        for value in ("nan", "inf", "-inf"):
+            # "--c=-inf": argparse reads a lone "-inf" as an option, not a value
+            code, _, stderr = run(capsys, "bounds", disk_problem_file, f"{flag}={value}")
+            assert code == 1 and f"{flag} must be positive and finite" in stderr, (flag, value, stderr)
 
 
 # ---- grid ------------------------------------------------------------------------

@@ -56,8 +56,15 @@ def test_exact_decimal_ties():
 
 
 def test_random_bit_patterns():
+    # only 3% of all bit patterns are positional, so most draws keep their sign and
+    # fraction bits but take an exponent of a binade that meets [1e-4, 1e16): 2^-14
+    # to 2^53, biased 1009 to 1076.  A full-range draw mixed in exercises the
+    # selection of the values that take repr
     rng = np.random.default_rng(20260)
-    assert_reprs(rng.integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False).view(np.float64))
+    bits = rng.integers(0, 2**64, 500_000, dtype=np.uint64)
+    exponents = rng.integers(1023 - 14, 1023 + 53, 400_000, dtype=np.uint64, endpoint=True)
+    bits[:400_000] = bits[:400_000] & ~np.uint64(0x7FF << 52) | exponents << np.uint64(52)
+    assert_reprs(rng.permutation(bits).view(np.float64))
 
 
 def test_shapes_and_chunk_edges():

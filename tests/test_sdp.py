@@ -235,11 +235,13 @@ def test_newton_factorization_recovers_with_jitter(monkeypatch):
 
 def test_right_hand_side_past_the_float_range_diverges_without_warnings():
     # eta = 1 + 1e300 starts X and Z past where x @ z, the norms and pinf stay finite;
-    # any numpy RuntimeWarning on the way fails the test (filterwarnings = error)
-    sol = solve(SdpProblem((2,), [np.eye(2)], [np.eye(2)[None]], [1e300]), tol=1e-8)
-    assert sol.status is SdpStatus.NUMERICAL_TROUBLE
-    assert sol.diagnostics["message"] == "complementarity diverged"
-    assert sol.iterations == 0
+    # an objective of 1e308 overflows the first Newton right-hand side instead.
+    # Any numpy RuntimeWarning on the way fails the test (filterwarnings = error)
+    for objective, rhs, iterations in ((np.eye(2), 1e300, 0), (1e308 * np.eye(2), 1.0, 1)):
+        sol = solve(SdpProblem((2,), [objective], [np.eye(2)[None]], [rhs]), tol=1e-8)
+        assert sol.status is SdpStatus.NUMERICAL_TROUBLE
+        assert sol.diagnostics["message"] == "complementarity diverged"
+        assert sol.iterations == iterations
 
 
 def test_multiblock_problem():

@@ -13,11 +13,9 @@ from polysep.semialg import (
     CLOUD_MEMBERSHIP_SLACK,
     EmptySampleError,
     SemialgebraicSet,
-    cloud_distance,
     dist_estimate,
     eps_estimate,
     sample_grid,
-    u_eval,
 )
 
 
@@ -454,33 +452,32 @@ def test_distance_searches_boundary_points_only(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cloud_distance_is_the_kd_tree_query_bit_for_bit(n):
+    # the distance to a cloud is the square root of _nearest_squared, as in dist_estimate
     rng = np.random.default_rng(n)
     cloud = sample_grid(ball(n, [0.1] * n, 0.5), 41)
     queries = rng.uniform(-1.2, 1.2, size=(4000, n))
     # more pairs than one block, and a single point
     assert len(queries) * len(cloud) > semialg.PAIR_BLOCK
-    for points in (queries, queries[0]):
-        want = cKDTree(cloud).query(np.atleast_2d(points))[0]
-        assert cloud_distance(points, cloud).tolist() == want.tolist()
+    for points in (queries, queries[:1]):
+        want = cKDTree(cloud).query(points)[0]
+        assert np.sqrt(semialg._nearest_squared(points, cloud)).tolist() == want.tolist()
     # a cloud of more rows than one block: one query point's pairs span several,
     # and the temporaries stay at a block, not 200 rows of 66,536 pairs
     big = rng.uniform(-1.0, 1.0, size=(semialg.PAIR_BLOCK + 1000, n))
     tracemalloc.start()
     try:
-        got = cloud_distance(queries[:200], big)
+        got = semialg._nearest_squared(queries[:200], big)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert got.tolist() == cKDTree(big).query(queries[:200])[0].tolist()
-    assert peak < 4 * 2**20, f"cloud_distance peaked at {peak / 2**20:.1f} MB"
+    assert np.sqrt(got).tolist() == cKDTree(big).query(queries[:200])[0].tolist()
+    assert peak < 4 * 2**20, f"_nearest_squared peaked at {peak / 2**20:.1f} MB"
 
 
 def test_distances_refuse_mismatched_dimensions(disk_sets):
     a, _ = disk_sets
     with pytest.raises(ValueError, match="dimensions differ"):
         dist_estimate(a, ball(3, [0.0, 0.0, 0.0], 0.5), 21)
-    with pytest.raises(ValueError, match="dimension 3 against a cloud of dimension 2"):
-        cloud_distance([0.0, 0.0, 0.0], sample_grid(a, 21))
 
 
 def test_distance_empty_cloud(disk_sets):
@@ -537,55 +534,6 @@ def test_lemniscate_circle_distance_vs_random_oracle(lemniscate_set, circle_set)
     # both are upper bounds on the true distance; the denser grid is tighter
     assert grid_value <= oracle + 1e-12
     assert abs(grid_value - oracle) <= 0.02
-
-
-# ---- continuous separator u ------------------------------------------------
-
-
-def test_u_on_cloud_points(disk_sets):
-    a, b = disk_sets
-    cloud = sample_grid(a, 101)
-    dist_ab = dist_estimate(a, b, 101)
-    assert u_eval(cloud[0], cloud, dist_ab) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_u_scaled_distances(disk_sets):
-    a, _ = disk_sets
-    cloud = sample_grid(a, 101)
-    # pick any point and pretend dist(A, B) equals its cloud distance
-    x = np.array([0.9, 0.9])
-    d = float(cloud_distance(x, cloud)[0])
-    assert u_eval(x, cloud, d) == pytest.approx(-1.0, abs=1e-12)
-    assert u_eval(x, cloud, 3.0 * d) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_u_requires_positive_distance(disk_sets):
-    a, _ = disk_sets
-    cloud = sample_grid(a, 51)
-    with pytest.raises(ValueError):
-        u_eval([0.0, 0.0], cloud, 0.0)
-
-
-def test_u_is_lipschitz(lemniscate_set, circle_set):
-    cloud = sample_grid(lemniscate_set, 101)
-    dist_ab = dist_estimate(lemniscate_set, circle_set, 101)
-    lipschitz = 3.0 / dist_ab
-    rng = np.random.default_rng(3)
-    xs = rng.uniform(-1.0, 1.0, size=(1000, 2))
-    ys = rng.uniform(-1.0, 1.0, size=(1000, 2))
-    gap = np.abs(u_eval(xs, cloud, dist_ab) - u_eval(ys, cloud, dist_ab))
-    assert np.all(gap <= lipschitz * np.linalg.norm(xs - ys, axis=1) + 1e-9)
-
-
-def test_u_below_minus_one_far_from_cloud(lemniscate_set, circle_set):
-    cloud = sample_grid(lemniscate_set, 101)
-    dist_ab = dist_estimate(lemniscate_set, circle_set, 101)
-    rng = np.random.default_rng(5)
-    xs = rng.uniform(-1.0, 1.0, size=(500, 2))
-    far = cloud_distance(xs, cloud) >= dist_ab
-    assert far.sum() > 0
-    values = u_eval(xs, cloud, dist_ab)
-    assert np.all(values[far] <= -1.0 + 1e-12)
 
 
 # ---- normalized minimum eps ------------------------------------------------
