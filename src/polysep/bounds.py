@@ -24,6 +24,10 @@ from .poly import sup_norm_grid
 LOG10_2 = math.log10(2.0)
 
 
+class BoundOverflowError(ValueError):
+    """A bound past double precision, even as its base-10 logarithm."""
+
+
 @dataclass(frozen=True)
 class LogScaleValue:
     """A positive quantity stored as its base-10 logarithm."""
@@ -32,7 +36,9 @@ class LogScaleValue:
 
     def __post_init__(self):
         if not math.isfinite(self.log10_value):
-            raise ValueError(f"log10 value must be finite, got {self.log10_value}")
+            raise BoundOverflowError(
+                f"log10 of a degree bound overflows double precision, got {self.log10_value}"
+            )
 
     def pow10_string(self) -> str:
         return f"10^{self.log10_value:.4f}"
@@ -76,13 +82,13 @@ def jackson_degree(lipschitz: float, n: int, target_err: float, jackson_constant
 
     The degree at which a polynomial uniformly approximates an L-Lipschitz
     function on the box to within target_err.  A quotient past the float
-    range has no integer degree and raises ValueError.
+    range has no integer degree and raises BoundOverflowError.
     """
     if lipschitz <= 0.0 or target_err <= 0.0 or jackson_constant <= 0.0 or n < 1:
         raise ValueError("all arguments must be positive")
     quotient = jackson_constant * lipschitz * n**1.5 / target_err
     if quotient == math.inf:
-        raise ValueError(
+        raise BoundOverflowError(
             f"the Jackson degree C * L * n^1.5 / err overflows double precision at C = "
             f"{jackson_constant:g}, L = {lipschitz:g}, n = {n}, err = {target_err:g}"
         )

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__, poly
 from .bounds import (
+    BoundOverflowError,
     BoundParams,
     generator_norm_warnings,
     jackson_degree,
@@ -431,6 +432,9 @@ def cmd_bounds(args) -> int:
     except EmptySampleError as err:
         print(f"bounds unavailable: {err}", file=sys.stderr)
         return EXIT_EMPTY_SAMPLE
+    except BoundOverflowError as err:
+        # --c enters as 2n log10(c), finite for every finite c; --T and --C scale the bounds
+        raise InputError(f"{err} (--T {args.T:g}, --C {args.C:g}); lower --T or --C") from err
     print(json.dumps(report, indent=2))
     return EXIT_OK
 

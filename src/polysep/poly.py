@@ -8,6 +8,7 @@ across threads.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,6 +66,24 @@ class Polynomial:
                 clean[key] = c
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _canonical(cls, n: int, terms: dict) -> "Polynomial":
+        """A result of polynomial arithmetic, whose keys are canonical already.
+
+        Polynomial's own operations and the certificate read-back in ``sos``
+        build their results here.  As the public constructor does, it drops
+        exact zeros and refuses a non-finite coefficient with the same message;
+        it does not re-check the keys.
+        """
+        clean = {mono: c for mono, c in terms.items() if c != 0.0}
+        if not all(map(math.isfinite, clean.values())):
+            mono, c = next((m, c) for m, c in clean.items() if not math.isfinite(c))
+            raise ValueError(f"non-finite coefficient {c} for monomial {mono}")
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "terms", clean)
+        return out
+
     # ---- constructors -------------------------------------------------
 
     @staticmethod
@@ -105,12 +124,12 @@ class Polynomial:
         out = dict(self.terms)
         for mono, c in other.terms.items():
             out[mono] = out.get(mono, 0.0) + c
-        return Polynomial(self.n, out)
+        return Polynomial._canonical(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.n, {m: -c for m, c in self.terms.items()})
+        return Polynomial._canonical(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -129,13 +148,13 @@ class Polynomial:
             for m2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(m1, m2))
                 out[key] = out.get(key, 0.0) + c1 * c2
-        return Polynomial(self.n, out)
+        return Polynomial._canonical(self.n, out)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, factor: float) -> "Polynomial":
-        return Polynomial(self.n, {m: c * float(factor) for m, c in self.terms.items()})
+        return Polynomial._canonical(self.n, {m: c * float(factor) for m, c in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
@@ -296,7 +315,9 @@ class Polynomial:
 
     def truncate(self, max_degree: int) -> "Polynomial":
         """Drop all terms of total degree above ``max_degree``."""
-        return Polynomial(self.n, {m: c for m, c in self.terms.items() if sum(m) <= max_degree})
+        return Polynomial._canonical(
+            self.n, {m: c for m, c in self.terms.items() if sum(m) <= max_degree}
+        )
 
     def max_coeff_diff(self, other: "Polynomial") -> float:
         """Coefficient-wise max-norm of self - other."""

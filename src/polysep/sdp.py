@@ -28,8 +28,9 @@ the residuals, inner products and updates are one call each.  Per group of
 k equal-size blocks, X and Z are viewed together as one (2, k, s, s) array:
 one Cholesky and inverse per iteration factors both, and one eigensolve per
 step-length phase gives the primal and the dual step.  The Schur complement
-is one batched product per group; a Cholesky tests the Newton system for
-positive definiteness and ``numpy.linalg.solve`` solves it.  All linear
+is B B^T summed over the groups, B_k = Lz^-1 A_k Lx from those factors: one
+batched product and one SYRK per group; a Cholesky tests the Newton system
+for positive definiteness and ``numpy.linalg.solve`` solves it.  All linear
 algebra is ``numpy.linalg``.
 ``SdpSolution.X`` and ``SdpSolution.S`` are per-block lists in block order.
 It targets desk-scale problems: robustness over speed, no sparsity
@@ -264,13 +265,14 @@ def _transpose(blocks):
     return np.swapaxes(blocks, -1, -2)
 
 
-def _inverse_factors(blocks) -> list:
-    """L^-1 for each block, or stack of blocks, L L^T.
+def _cholesky_factors(blocks):
+    """(L, L^-1) lists for each block, or stack of blocks, L L^T.
 
     Raises LinAlgError unless every block is positive definite.  A Cholesky
     factor has a positive diagonal, so its inverse cannot fail.
     """
-    return [np.linalg.inv(np.linalg.cholesky(mb)) for mb in blocks]
+    lows = [np.linalg.cholesky(mb) for mb in blocks]
+    return lows, [np.linalg.inv(low) for low in lows]
 
 
 def _positive_definite(mat) -> bool:
@@ -282,19 +284,23 @@ def _positive_definite(mat) -> bool:
     return True
 
 
-def _schur(stacks, x, zinv) -> np.ndarray:
+def _schur(stacks, low_x, inv_low_z) -> np.ndarray:
     """M[j, k] = sum_b <A_j, X A_k Zinv> (symmetric positive definite).
 
-    ``stacks`` are the per-group (m, k, s, s) constraint views, ``x`` and
-    ``zinv`` the matching (k, s, s) blocks: per group, X A_k Zinv for every k
-    is one batched matmul and its traces against every A_j one GEMM.
+    ``stacks`` are the per-group (m, k, s, s) constraint views, ``low_x`` and
+    ``inv_low_z`` the matching (k, s, s) Cholesky factors of X and inverse
+    Cholesky factors of Z.  With B_j = Lz^-1 A_j Lx, <A_j, X A_k Zinv> is
+    <B_j, B_k>, so per group B is one batched matmul and its share B B^T one
+    SYRK, whose result is exactly symmetric.  A group's B is freed before the
+    next group's is made.
     """
     m = len(stacks[0])
-    m_mat = sum(
-        st.reshape(m, -1) @ (xb @ st @ zib).reshape(m, -1).T
-        for st, xb, zib in zip(stacks, x, zinv)
-    )
-    return 0.5 * (m_mat + m_mat.T)
+    m_mat = np.zeros((m, m))
+    for st, lx, lzi in zip(stacks, low_x, inv_low_z):
+        b = (lzi @ st @ lx).reshape(m, -1)
+        m_mat += b @ b.T
+        del b
+    return m_mat
 
 
 def _max_step(inv_factors, directions) -> np.ndarray:
@@ -459,14 +465,14 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSol
 
         # one Cholesky and inverse per group factors X and Z together
         try:
-            inv_factors = _inverse_factors(xz_g)
+            factors, inv_factors = _cholesky_factors(xz_g)
         except np.linalg.LinAlgError:
             status = SdpStatus.NUMERICAL_TROUBLE
             diagnostics["message"] = "iterate factorization failed: X or Z is not positive definite"
             break
         for li, zib in zip(inv_factors, zinv_g):
             np.matmul(_transpose(li[1]), li[1], out=zib)
-        m_mat = _schur(stacks, x_g, zinv_g)
+        m_mat = _schur(stacks, [f[0] for f in factors], [li[1] for li in inv_factors])
         m_sys, jitter = m_mat, 0.0
         while not _positive_definite(m_sys):
             jitter = max(10.0 * jitter, 1e-14 * (1.0 + np.trace(m_mat) / m))

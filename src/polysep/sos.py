@@ -19,11 +19,16 @@ A positive optimum certifies strict feasibility; a non-positive one finds no
 certificate at this level.  ``margin_sdp_solution`` is the one read-out of a
 solved margin SDP: t and the Gram blocks.  ``separator._assemble_separation``
 is the one assembler built on these pieces.
+
+``QmCertificate.polynomial`` reads a certificate back as its module element,
+once per certificate: in arrays of integer-encoded exponents, with the
+floats and the term order of dict arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +60,13 @@ class MonomialBasis:
     n: int
     elements: tuple
 
+    def __post_init__(self):
+        # the expansions encode exponent tuples as integer keys, which needs
+        # every element to be n non-negative integers
+        for mono in self.elements:
+            if len(mono) != self.n or min(mono, default=0) < 0:
+                raise ValueError(f"basis monomial {mono} is not {self.n} non-negative exponents")
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -70,7 +82,9 @@ class QmCertificate:
     """Explicit quadratic-module membership witness.
 
     ``grams[0]`` is the Gram matrix of the free SOS multiplier s_0 (for the
-    implicit generator 1); ``grams[i]`` pairs with ``generators[i-1]``.
+    implicit generator 1); ``grams[i]`` pairs with ``generators[i-1]``.  The
+    certificate is read as frozen: ``polynomial`` expands it once and keeps
+    the result, so its Grams must not change after that.
     """
 
     generators: tuple
@@ -86,6 +100,11 @@ class QmCertificate:
                 f"certificate needs one Gram and basis per multiplier (1 + {len(self.generators)}"
                 f" generators), got {len(self.grams)} Grams and {len(self.bases)} bases"
             )
+        n = self.bases[0].n
+        if any(x.n != n for x in (*self.bases, *self.generators)):
+            raise ValueError(f"dimension mismatch: every basis and generator needs n = {n}")
+        for gram, bas in zip(self.grams, self.bases):
+            _check_gram(gram, bas)
 
     def multipliers(self) -> list:
         """The SOS multipliers s_0..s_t expanded to polynomials."""
@@ -93,29 +112,116 @@ class QmCertificate:
 
     def polynomial(self) -> Polynomial:
         """The module element s_0 + sum_i s_i f_i that the certificate witnesses."""
-        n = self.bases[0].n
-        mults = [Polynomial.constant(n, 1.0)] + list(self.generators)
-        return sum((s * f for f, s in zip(mults, self.multipliers())), Polynomial.zero(n))
+        return self._element
+
+    @cached_property
+    def _element(self) -> Polynomial:
+        multipliers = [Polynomial.constant(self.bases[0].n, 1.0)] + list(self.generators)
+        return _module_element(multipliers, self.grams, self.bases)
 
     def min_gram_eigenvalue(self) -> float:
         return min(min_eigenvalue(g) for g in self.grams)
 
 
+def _check_gram(gram, bas: MonomialBasis) -> np.ndarray:
+    g = np.asarray(gram, dtype=float)
+    if g.shape != (len(bas), len(bas)):
+        raise ValueError(f"Gram matrix shape {g.shape} does not match basis size {len(bas)}")
+    return g
+
+
 def expand_gram(gram: np.ndarray, bas: MonomialBasis) -> Polynomial:
     """The polynomial z(x)^T G z(x) over the basis monomials z."""
-    g = np.asarray(gram, dtype=float)
-    k = len(bas)
-    if g.shape != (k, k):
-        raise ValueError(f"Gram matrix shape {g.shape} does not match basis size {k}")
-    terms: dict = {}
-    elems = bas.elements
-    for a in range(k):
-        for b2 in range(k):
-            if g[a, b2] == 0.0:
-                continue
-            mono = tuple(x + y for x, y in zip(elems[a], elems[b2]))
-            terms[mono] = terms.get(mono, 0.0) + g[a, b2]
-    return Polynomial(bas.n, terms)
+    return _module_element([Polynomial.constant(bas.n, 1.0)], (gram,), (bas,))
+
+
+# The certificate read-back in arrays.  Dict arithmetic (each Gram expanded
+# entry by entry, then s_i * f_i and the sum) fixes an order of float
+# operations and of terms; these functions keep both, so every coefficient
+# and every term order is the dict code's, bit for bit.  ``np.bincount`` adds
+# its weights one by one in input order, from 0.0 as a missing dict entry does.
+
+
+def _top_exponent(monomials) -> int:
+    return max((max(mono, default=0) for mono in monomials), default=0)
+
+
+class _KeyCode:
+    """Exponent tuples of n entries up to ``top`` as integer keys: their digits in base top + 1.
+
+    The sum of two keys is the key of the summed exponents while each entry
+    stays at most ``top``.  Only exponents that occur are encoded, and keys
+    past int64 are Python integers in object arrays, so any exponent a
+    result file carries stays exact.
+    """
+
+    def __init__(self, n: int, top: int):
+        self.n, self.base = n, top + 1
+        dtype = np.int64 if self.base**n < 2**63 else object
+        self.weights = np.array([self.base ** (n - 1 - j) for j in range(n)], dtype=dtype)
+
+    def encode(self, monomials) -> np.ndarray:
+        return np.array(list(monomials), dtype=self.weights.dtype).reshape(-1, self.n) @ self.weights
+
+    def decode(self, keys: np.ndarray) -> list:
+        return list(zip(*((keys // w % self.base).tolist() for w in self.weights)))
+
+    def checked(self, keys: np.ndarray, values: np.ndarray):
+        """(keys, values), unless a value is not finite: then the public constructor's ValueError."""
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            mono = self.decode(keys[bad[:1]])[0]
+            raise ValueError(f"non-finite coefficient {float(values[bad[0]])} for monomial {mono}")
+        return keys, values
+
+    def polynomial(self, keys: np.ndarray, values: np.ndarray) -> Polynomial:
+        return Polynomial._canonical(self.n, dict(zip(self.decode(keys), values.tolist())))
+
+
+def _accumulate(keys: np.ndarray, values: np.ndarray):
+    """A dict's ``out[k] = out.get(k, 0.0) + v`` over the stream, zeros then dropped.
+
+    Returns the distinct keys in first-occurrence order with their sums.
+    """
+    index: dict = {}
+    labels = [index.setdefault(k, len(index)) for k in keys.tolist()]
+    sums = np.bincount(np.array(labels, dtype=np.intp), weights=values, minlength=len(index))
+    keep = sums != 0.0
+    return np.array(list(index), dtype=keys.dtype)[keep], sums[keep]
+
+
+def _gram_sums(gram: np.ndarray, keys: np.ndarray):
+    """``expand_gram``'s terms: the nonzero entries, row-major, summed by pair monomial."""
+    a, b = np.nonzero(gram)  # a NaN entry counts, as it does in the dict loop
+    return _accumulate(keys[a] + keys[b], gram[a, b])
+
+
+def _module_element(multipliers, grams, bases) -> Polynomial:
+    """sum_i (z_i^T G_i z_i) f_i as the dict code computes it: every Gram expanded, then multiplied and added in turn.
+
+    A product s_i f_i adds c_s * c_f in (s-term, f-term) order, as
+    ``Polynomial.__mul__`` does; the products are then added by
+    ``Polynomial.__add__`` itself.  A non-finite coefficient raises where the
+    dict code raised.
+    """
+    code = _KeyCode(
+        bases[0].n,
+        2 * _top_exponent(m for b in bases for m in b.elements)
+        + _top_exponent(m for f in multipliers for m in f.terms),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = [
+            code.checked(*_gram_sums(_check_gram(g, b), code.encode(b.elements)))
+            for g, b in zip(grams, bases)
+        ]
+        products = (
+            code.polynomial(*_accumulate(
+                (s_keys[:, None] + code.encode(f.terms)).ravel(),
+                (s_vals[:, None] * np.fromiter(f.terms.values(), float, len(f.terms))).ravel(),
+            ))
+            for (s_keys, s_vals), f in zip(squares, multipliers)
+        )
+        return sum(products, Polynomial.zero(code.n))
 
 
 def sign_flips(n: int, exponents) -> np.ndarray:

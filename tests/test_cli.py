@@ -838,6 +838,12 @@ def test_bounds_rejects_bad_flags(capsys, disk_problem_file):
             # "--c=-inf": argparse reads a lone "-inf" as an option, not a value
             code, _, stderr = run(capsys, "bounds", disk_problem_file, f"{flag}={value}")
             assert code == 1 and f"{flag} must be positive and finite" in stderr, (flag, value, stderr)
+    # finite values that take a bound past double precision: the complexity and the
+    # separation bound through T, the Jackson degree through C
+    for flag, value in (("--T", "1e308"), ("--T", "3e307"), ("--C", "1e308")):
+        code, _, stderr = run(capsys, "bounds", disk_problem_file, flag, value, "--dist-resolution", "5")
+        assert code == 1 and f"{flag} {float(value):g}" in stderr, (flag, value, stderr)
+        assert "overflows double precision" in stderr and "lower --T or --C" in stderr, stderr
 
 
 # ---- grid ------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -173,6 +174,47 @@ def test_subtraction_cancels_to_zero():
     p = parse("x1 + x2", 2)
     assert (p - p).terms == {}
     assert (p - p).total_degree() == 0
+
+
+ONE_E200 = Polynomial(2, {(1, 0): 1e200, (0, 1): 1e200})
+
+
+@pytest.mark.parametrize(
+    "result, terms",
+    [
+        # sums, products and scalings that round to an exact zero of either sign
+        (lambda: parse("x1 + x2", 2) + parse("-x1", 2), {(0, 1): 1.0}),
+        (lambda: Polynomial(2, {(1, 0): 1e-200}) * Polynomial(2, {(1, 0): -1e-200}), {}),
+        (lambda: parse("x1 - x2", 2) * parse("x1 + x2", 2), {(2, 0): 1.0, (0, 2): -1.0}),
+        (lambda: parse("x1 - x2", 2).scale(-0.0), {}),
+        (lambda: -Polynomial(2, {(1, 0): 5e-324}) * 0.5, {}),
+        (lambda: parse("x1^3 + x2", 2).truncate(2), {(0, 1): 1.0}),
+    ],
+)
+def test_arithmetic_drops_exact_zeros(result, terms):
+    p = result()
+    assert list(p.terms.items()) == list(terms.items())
+    assert all(c != 0.0 and type(c) is float for c in p.terms.values())
+
+
+@pytest.mark.parametrize(
+    "result, message",
+    [
+        (lambda: ONE_E200 + Polynomial(2, {(1, 0): 1.7e308}) * 1.0 + Polynomial(2, {(1, 0): 1e308}),
+         "non-finite coefficient inf for monomial (1, 0)"),
+        (lambda: ONE_E200 * ONE_E200, "non-finite coefficient inf for monomial (2, 0)"),
+        # x1 x2 collects 1e400 and -1e400: inf - inf
+        (lambda: ONE_E200 * Polynomial(2, {(0, 1): 1e200, (1, 0): -1e200}),
+         "non-finite coefficient nan for monomial (1, 1)"),
+        (lambda: ONE_E200.scale(1e200), "non-finite coefficient inf for monomial (1, 0)"),
+        (lambda: ONE_E200 * float("nan"), "non-finite coefficient nan for monomial (1, 0)"),
+        (lambda: -ONE_E200 - Polynomial(2, {(0, 1): 1.7e308}) - Polynomial(2, {(0, 1): 1.7e308}),
+         "non-finite coefficient -inf for monomial (0, 1)"),
+    ],
+)
+def test_arithmetic_past_the_float_range_raises(result, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        result()
 
 
 def test_square_expansion():

@@ -11,7 +11,7 @@ from polysep.sdp import (
     DependentConstraintWarning,
     SdpProblem,
     SdpStatus,
-    _inverse_factors,
+    _cholesky_factors,
     _max_step,
     _schur,
     _unbatch,
@@ -405,8 +405,13 @@ def fused(prob, x_blocks, z_blocks):
 
 
 def packed_schur(prob, x, zinv):
-    """The Schur kernel on the packed layout, from per-block X and Z^-1."""
-    views = [_views(packed(prob, blocks), prob.groups, prob.block_sizes) for blocks in (x, zinv)]
+    """The Schur kernel on the packed layout, from per-block X and Z^-1.
+
+    It takes the Cholesky factor of X and the inverse Cholesky factor of Z.
+    """
+    low_x = [np.linalg.cholesky(xb) for xb in x]
+    inv_low_z = [np.linalg.inv(np.linalg.cholesky(np.linalg.inv(zib))) for zib in zinv]
+    views = [_views(packed(prob, blocks), prob.groups, prob.block_sizes) for blocks in (low_x, inv_low_z)]
     return _schur(_views(prob.matrix, prob.groups, prob.block_sizes), *views)
 
 
@@ -422,7 +427,10 @@ def test_schur_matches_explicit_traces():
             for aj, ak, xb, zib in zip(mats_j, mats_k, x, zinv):
                 if aj is not None and ak is not None:
                     expected[j, k] += np.trace(aj @ xb @ ak @ zib)
-    np.testing.assert_allclose(packed_schur(prob, x, zinv), expected, rtol=KERNEL_RTOL, atol=1e-12)
+    got = packed_schur(prob, x, zinv)
+    np.testing.assert_allclose(got, expected, rtol=KERNEL_RTOL, atol=1e-12)
+    # each group's share is one B B^T, so no symmetrization is needed
+    assert np.array_equal(got, got.T)
 
 
 def test_adjoint_matches_explicit_sum():
@@ -443,7 +451,7 @@ def test_adjoint_matches_explicit_sum():
 def assert_fused_step_matches_reference(prob, x, z, dx, dz):
     """The fused (primal, dual) step equals the per-block reference on each side."""
     want = (reference_max_step(x, dx), reference_max_step(z, dz))
-    got = _max_step(_inverse_factors(fused(prob, x, z)), fused(prob, dx, dz))
+    got = _max_step(_cholesky_factors(fused(prob, x, z))[1], fused(prob, dx, dz))
     assert got.shape == (2,)
     assert got == pytest.approx(want, rel=KERNEL_RTOL)
     return want
@@ -498,7 +506,7 @@ def test_max_step_caps_psd_directions():
     indefinite = [random_symmetric(rng, s) for s in sizes]
     assert reference_max_step(x, psd) == 1e6
     assert_fused_step_matches_reference(prob, x, z, psd, psd)
-    assert tuple(_max_step(_inverse_factors(fused(prob, x, z)), fused(prob, psd, psd))) == (1e6, 1e6)
+    assert tuple(_max_step(_cholesky_factors(fused(prob, x, z))[1], fused(prob, psd, psd))) == (1e6, 1e6)
     # each side is capped on its own
     primal, dual = assert_fused_step_matches_reference(prob, x, z, psd, indefinite)
     assert primal == 1e6 and dual < 1e6
@@ -543,7 +551,7 @@ def test_packed_kernels_are_adjoint_and_fused_steps_match_each_side(case):
 
 def test_inverse_factors_reject_indefinite_blocks():
     with pytest.raises(la.LinAlgError):
-        _inverse_factors([np.eye(2), np.diag([1.0, -1.0])])
+        _cholesky_factors([np.eye(2), np.diag([1.0, -1.0])])
 
 
 # ---- minimum eigenvalue ----------------------------------------------------

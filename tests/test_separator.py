@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as la
 
 from conftest import CIRCLE, LEMNISCATE
-from polysep import sdp, separator
+from polysep import sdp, separator, sos
 from polysep.poly import Polynomial, parse
 from polysep.semialg import EmptySampleError, SemialgebraicSet, sample_grid
 from polysep.separator import (
@@ -302,6 +302,18 @@ def test_result_certificates_reconstruct(disk_sets):
     assert res_a <= 1e-6
     assert res_b <= 1e-6
     assert verify_certificate(result, 1e-6).passed
+
+
+def test_a_solve_and_its_residuals_expand_each_certificate_once(disk_sets, monkeypatch):
+    # p comes from the A side's module element, and the residuals reuse it
+    expanded = []
+    expand = sos._module_element
+    monkeypatch.setattr(sos, "_module_element", lambda *args: expanded.append(args) or expand(*args))
+    result = fixed(*disk_sets, 1, 4)
+    certificate_residuals(result)
+    verify_certificate(result, 1e-6)
+    assert [args[2] for args in expanded] == [result.cert_A.bases, result.cert_B.bases]
+    assert result.cert_A.polynomial() is result.cert_A.polynomial()
 
 
 def test_verify_certificate_reports_residuals_eigenvalue_and_slack(disk_sets):

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -436,3 +437,144 @@ def test_certificate_json_round_trip_is_bit_exact(cert):
     assert all(got.tobytes() == want.tobytes() for got, want in zip(back.grams, cert.grams))
     bits = [{m: np.float64(c).tobytes() for m, c in g.terms.items()} for g in cert.generators]
     assert [{m: np.float64(c).tobytes() for m, c in g.terms.items()} for g in back.generators] == bits
+
+
+# ---- the array read-back against dict arithmetic ---------------------------------
+
+
+def dict_module_element(cert):
+    """``cert.polynomial()`` by dict arithmetic: expand each Gram, multiply by its generator, add in turn.
+
+    Each step is a ``Polynomial`` built by the public constructor, which
+    drops exact zeros and refuses a non-finite coefficient.
+    """
+    n = cert.bases[0].n
+
+    def expand(gram, bas):
+        terms = {}
+        for a, za in enumerate(bas.elements):
+            for b, zb in enumerate(bas.elements):
+                if gram[a, b] != 0.0:
+                    mono = tuple(x + y for x, y in zip(za, zb))
+                    terms[mono] = terms.get(mono, 0.0) + float(gram[a, b])
+        return Polynomial(n, terms)
+
+    def times(s, f):
+        out = {}
+        for m1, c1 in s.terms.items():
+            for m2, c2 in f.terms.items():
+                key = tuple(x + y for x, y in zip(m1, m2))
+                out[key] = out.get(key, 0.0) + c1 * c2
+        return Polynomial(n, out)
+
+    def plus(p, q):
+        out = dict(p.terms)
+        for mono, c in q.terms.items():
+            out[mono] = out.get(mono, 0.0) + c
+        return Polynomial(n, out)
+
+    squares = [expand(np.asarray(g, dtype=float), b) for g, b in zip(cert.grams, cert.bases)]
+    total = Polynomial.zero(n)
+    for s, f in zip(squares, [Polynomial.constant(n, 1.0)] + list(cert.generators)):
+        total = plus(total, times(s, f))
+    return total
+
+
+def outcome(fn, *args):
+    """The terms in order with their bits, or the ValueError's message."""
+    try:
+        return [(mono, c.hex()) for mono, c in fn(*args).terms.items()]
+    except ValueError as err:
+        return str(err)
+
+
+# exact zeros of both signs, values that cancel exactly, subnormals, values whose
+# products or sums leave the float range, and non-finite Gram entries
+_ENTRIES = st.sampled_from(
+    [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 5e-324, 1e200, -1e200, 1e308, -1e308, math.inf, math.nan]
+) | st.floats(-4.0, 4.0)
+# exponents past int64, and ones whose keys pass int64 only in several variables
+_EXPONENTS = st.integers(0, 3) | st.sampled_from([2**31, 2**62, 2**63, 10**20])
+
+
+@st.composite
+def raw_certificates(draw):
+    n = draw(st.integers(1, 3))
+    monomial = st.tuples(*[_EXPONENTS] * n)
+    coeff = _ENTRIES.filter(math.isfinite)
+    generators = [
+        Polynomial(n, draw(st.dictionaries(monomial, coeff, max_size=4)))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    bases, grams = [], []
+    for _ in range(len(generators) + 1):
+        elements = draw(st.lists(monomial, unique=True, max_size=4))
+        k = len(elements)
+        if draw(st.booleans()):
+            gram = np.array(draw(st.lists(_ENTRIES, min_size=k * k, max_size=k * k))).reshape(k, k)
+        else:
+            gram = np.zeros((k, k))
+        bases.append(MonomialBasis(n, tuple(elements)))
+        grams.append(gram)
+    return QmCertificate(tuple(generators), tuple(grams), tuple(bases), 0)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(raw_certificates())
+def test_certificate_polynomial_is_the_dict_arithmetic_bit_for_bit(cert):
+    # the same coefficients to the bit, in the same term order, or the same error
+    want = outcome(dict_module_element, cert)
+    assert outcome(QmCertificate.polynomial, cert) == want
+    for gram, bas in zip(cert.grams, cert.bases):
+        single = QmCertificate((), (gram,), (bas,), 0)
+        assert outcome(expand_gram, gram, bas) == outcome(dict_module_element, single)
+
+
+def test_certificate_polynomial_keeps_the_order_of_a_sum_that_cancels_and_returns():
+    # s_0 = x1^2 + 1, s_1 = -x1^2 cancels its x1^2 and s_2 = 2 x1^2 brings it back:
+    # the dict sum drops the key and inserts it again, now after the constant
+    one = Polynomial.constant(1, 1.0)
+    cert = QmCertificate(
+        (one, one),
+        (np.eye(2), np.diag([0.0, -1.0]), np.array([[2.0]])),
+        (MonomialBasis(1, ((1,), (0,))), basis(1, 1), MonomialBasis(1, ((1,),))),
+        0,
+    )
+    assert list(cert.polynomial().terms.items()) == [((0,), 1.0), ((2,), 2.0)]
+    assert outcome(QmCertificate.polynomial, cert) == outcome(dict_module_element, cert)
+
+
+def one_term_gram(value):
+    return np.array([[value]]), MonomialBasis(1, ((0,),))
+
+
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        # the product 1e200 * (1e200 x1 + 1e200 x1^2) is refused at its first term x1,
+        # before it is added after the x1^2 that s_0 put first
+        ([{(1,): 1e200, (2,): 1e200}], "non-finite coefficient inf for monomial (1,)"),
+        # the running sum overflows at x1^2 before the last product overflows at x1^5
+        ([{(2,): 1e308 / 1e200}, {(5,): 1e200}], "non-finite coefficient inf for monomial (2,)"),
+    ],
+)
+def test_certificate_polynomial_overflow_raises_where_the_dict_code_raises(generators, message):
+    grams, bases = zip(
+        (np.array([[1e308]]), MonomialBasis(1, ((1,),))),
+        *[one_term_gram(1e200) for _ in generators],
+    )
+    gens = tuple(Polynomial(1, g) for g in generators)
+    cert = QmCertificate(gens, grams, bases, 0)
+    assert outcome(QmCertificate.polynomial, cert) == outcome(dict_module_element, cert) == message
+
+
+@pytest.mark.parametrize(
+    "elements, message",
+    [
+        (((0, 0), (1, 0, 0)), "basis monomial (1, 0, 0) is not 2 non-negative exponents"),
+        (((0, 0), (-1, 2)), "basis monomial (-1, 2) is not 2 non-negative exponents"),
+    ],
+)
+def test_basis_refuses_what_is_not_an_exponent_tuple(elements, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MonomialBasis(2, elements)
