@@ -85,7 +85,7 @@ def load_problem(path: str):
     try:
         a_gens = tuple(parse(s, n) for s in a_strings)
         b_gens = tuple(parse(s, n) for s in b_strings)
-    except (ParseError, TypeError, OverflowError) as err:
+    except (ValueError, TypeError, OverflowError) as err:  # a ParseError is a ValueError
         raise InputError(f"bad polynomial in problem file: {err}") from err
     try:
         a = SemialgebraicSet(n, a_gens)

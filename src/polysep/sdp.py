@@ -54,6 +54,7 @@ class SdpStatus(Enum):
     INFEASIBLE = "Infeasible"
     NUMERICAL_TROUBLE = "NumericalTrouble"
     ITERATION_LIMIT = "IterationLimit"
+    TARGET_REACHED = "TargetReached"
 
 
 class DependentConstraintWarning(UserWarning):
@@ -321,14 +322,22 @@ def _max_step(inv_factors, directions) -> np.ndarray:
     return np.array([min(1e6, -1.0 / side) if side < 0.0 else 1e6 for side in lam])
 
 
-def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
+def solve(
+    problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200, target: float | None = None
+) -> SdpSolution:
     """Solve the block SDP by a Mehrotra predictor-corrector interior-point method.
 
     Status Optimal guarantees relative primal/dual residuals and duality gap
     at most ``tol``; Infeasible comes with a dual improving-ray certificate in
-    the diagnostics.  The iteration schedule is deterministic; after
-    ``max_iter`` iterations, 200 by default and the cap of every separation
-    SDP, the status is IterationLimit.
+    the diagnostics.  With a ``target``, the loop also ends, in status
+    TargetReached, at the first iterate that is not optimal but has relative
+    primal residual at most ``tol`` and objective above ``target``: a
+    positive definite X that all but meets the constraints and certifies the
+    objective exceeds the target.  That test reads only the primal residual
+    and objective, so a solve that never meets it runs as it would without a
+    target.  The iteration schedule is deterministic; after ``max_iter``
+    iterations, 200 by default and the cap of every separation SDP, the
+    status is IterationLimit.
     """
     if not 0.0 < tol <= 1e-2:
         raise ValueError(f"tol must lie in (0, 1e-2], got {tol}")
@@ -435,6 +444,9 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSol
 
         if pinf <= tol and dinf <= tol and relgap <= tol:
             status = SdpStatus.OPTIMAL
+            break
+        if target is not None and pinf <= tol and pobj > target:
+            status = SdpStatus.TARGET_REACHED
             break
 
         # Farkas-style certificate of primal infeasibility: a normalized dual

@@ -82,17 +82,31 @@ def sample_grid(s: SemialgebraicSet, resolution: int) -> np.ndarray:
     """Grid points passing ``contains_many`` with ``CLOUD_MEMBERSHIP_SLACK``; may be empty.
 
     The points are the rows of an (m, n) array, in the x1-major order of
-    ``box_grid_points``.  Before any point is evaluated, ``grid_lines`` drops
-    the grid prefixes the set cannot reach: a prefix (x1, ..., xk), k < n,
-    goes with every grid point under it when some generator's
-    ``box_upper_bound`` over the remaining coordinates is below
-    -``CLOUD_MEMBERSHIP_SLACK`` (a NaN or +inf bound drops nothing).
-    That bound carries a rigorous allowance for the rounding of both itself
-    and the evaluation, so every dropped point fails the membership test as
-    well and the cloud is the full grid's, bit for bit.  The lines left are
-    evaluated through ``contains_axes`` block by block, so memory stays at one
-    block, one chunk of prefixes per level and the kept rows whatever the
-    resolution.
+    ``box_grid_points``: the marked points of ``sample_blocks``, block after
+    block.
+    """
+    kept = [np.empty((0, s.n))]
+    for axes, mask in sample_blocks(s, resolution):
+        flat = np.flatnonzero(mask)
+        if len(flat):
+            kept.append(block_points(axes, mask.shape, flat))
+    return np.concatenate(kept)
+
+
+def sample_blocks(s: SemialgebraicSet, resolution: int):
+    """The grid in blocks, each as (axes, mask): the mask marks the block's sample points.
+
+    Before any point is evaluated, ``grid_lines`` drops the grid prefixes
+    the set cannot reach: a prefix (x1, ..., xk), k < n, goes with every
+    grid point under it when some generator's ``box_upper_bound`` over the
+    remaining coordinates is below -``CLOUD_MEMBERSHIP_SLACK`` (a NaN or
+    +inf bound drops nothing).  That bound carries a rigorous allowance for
+    the rounding of both itself and the evaluation, so every dropped point
+    fails the membership test as well, and the marked points are the full
+    grid's sample points, bit for bit.  The lines left come as
+    ``grid_lines`` blocks, x1-major, and ``contains_axes`` gives each
+    block's mask, shaped like the block's full grid; memory stays at one
+    block and one chunk of prefixes per level whatever the resolution.
     """
 
     def keep(heads):
@@ -101,17 +115,17 @@ def sample_grid(s: SemialgebraicSet, resolution: int) -> np.ndarray:
             excluded = excluded | (g.box_upper_bound(heads) < -CLOUD_MEMBERSHIP_SLACK)
         return ~excluded
 
-    kept = [np.empty((0, s.n))]
     width = max(len(g.terms) for g in s.generators)
     for axes in grid_lines(s.n, resolution, keep, width):
-        mask = on_grid(s.contains_axes(axes, CLOUD_MEMBERSHIP_SLACK), axes)
-        flat = np.flatnonzero(mask)
-        if len(flat):
-            i, j = np.unravel_index(flat, mask.shape)
-            # 1-D takes: indexing the 2-D axes with an array and an int is slower
-            *prefix, line = (x.ravel() for x in axes)
-            kept.append(np.stack([c[i] for c in prefix] + [line[j]], axis=-1))
-    return np.concatenate(kept)
+        yield axes, on_grid(s.contains_axes(axes, CLOUD_MEMBERSHIP_SLACK), axes)
+
+
+def block_points(axes, shape, flat) -> np.ndarray:
+    """The (len(flat), n) points at the flat indices ``flat`` of a ``grid_lines`` block of this shape."""
+    i, j = np.unravel_index(flat, shape)
+    # 1-D takes: indexing the 2-D axes with an array and an int is slower
+    *prefix, line = (x.ravel() for x in axes)
+    return np.stack([c[i] for c in prefix] + [line[j]], axis=-1)
 
 
 def dist_estimate(a: SemialgebraicSet, b: SemialgebraicSet, resolution: int) -> float:

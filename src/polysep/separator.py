@@ -5,7 +5,8 @@ witnessed by quadratic-module memberships of p - 1 over g and of -p over h.
 At a fixed level l the search is one joint SDP: maximize a margin t subject
 to p - 1 - t in Q_l(g) and -p - t in Q_l(h), with the coefficients of p tied
 into both membership systems and eliminated against the g-side expansion.
-A positive optimal margin yields the polynomial and both certificates.
+A certified positive margin, rescaled to the cap of 1, yields the
+polynomial and both certificates.
 
 The joint SDP is reduced by the coordinate sign flips that fix every
 generator of both sets, ball included: each Gram splits into one block per
@@ -27,9 +28,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import Polynomial
+from .poly import Polynomial, on_grid
 from .sdp import SdpProblem, SdpStatus, solve as sdp_solve
-from .semialg import EmptySampleError, SemialgebraicSet, sample_grid
+from .semialg import (
+    EmptySampleError,
+    SemialgebraicSet,
+    block_points,
+    sample_blocks,
+    sample_grid,  # read by perfbench/tracing.py
+)
 from .sos import (
     QmCertificate,
     expand_gram,  # read by perfbench/tracing.py
@@ -228,22 +235,35 @@ def _full_grams(blocks, bases, parts) -> list:
 
 
 def solve_fixed_level(prob: SeparatorProblem) -> SeparatorResult:
-    """Solve the joint margin SDP at the problem's fixed degree and level."""
+    """Solve the joint margin SDP at the problem's fixed degree and level.
+
+    The solve stops at its first iterate that certifies a margin t above
+    ``margin_tol`` with a primal residual within ``solver_tol``, or else runs
+    to optimality, where t at most ``margin_tol`` raises
+    InfeasibleAtLevelError.  A certified iterate is rescaled to the cap: its
+    Grams are multiplied by 3 / (1 + 2t) and t is set to 1, so a separator's
+    slack is always 1.0.
+    """
     opts = prob.options
     n = prob.A.n
     gens_a, gens_b = _augmented_generators(prob.A, prob.B, opts)
     sdp_problem, bases_a, bases_b, parts, flips = _assemble_separation(
         n, gens_a, gens_b, prob.p_degree, prob.level
     )
-    sol = sdp_solve(sdp_problem, tol=opts.solver_tol)
-    if sol.status is not SdpStatus.OPTIMAL:
+    sol = sdp_solve(sdp_problem, tol=opts.solver_tol, target=opts.margin_tol)
+    if sol.status not in (SdpStatus.OPTIMAL, SdpStatus.TARGET_REACHED):
         raise SeparatorSolverError(sol.status, sol.diagnostics.get("message", ""))
     t, blocks = margin_sdp_solution(sol)
     if t <= opts.margin_tol:
         raise InfeasibleAtLevelError(prob.p_degree, prob.level, t)
+    # rescaled to the cap: Grams times 3 / (1 + 2t) turn the constant row's
+    # 1 + 2t into 3, so t = 1 with w = 1 and u = 0, and leave the other rows,
+    # which are homogeneous in the Grams; t = 1 is the optimum
+    scale = 3.0 / (1.0 + 2.0 * t)
+    t = 1.0
 
     # the A side's Gram blocks come first
-    grams = _full_grams(blocks, bases_a + bases_b, parts)
+    grams = _full_grams([scale * block for block in blocks], bases_a + bases_b, parts)
     grams_a, grams_b = tuple(grams[: len(bases_a)]), tuple(grams[len(bases_a) :])
     cert_a = QmCertificate(tuple(gens_a), grams_a, tuple(bases_a), prob.level)
     cert_b = QmCertificate(tuple(gens_b), grams_b, tuple(bases_b), prob.level)
@@ -319,31 +339,50 @@ def run_hierarchy(
 def verify_separation(
     p: Polynomial, a: SemialgebraicSet, b: SemialgebraicSet, resolution: int, tol: float
 ) -> SeparationReport:
-    """Grid check: p >= 1 - tol on samples of A and p <= tol on samples of B."""
+    """Grid check: p >= 1 - tol on samples of A and p <= tol on samples of B.
+
+    Each set's samples are swept block by block, A's before B's, and none
+    is kept: memory is one grid block whatever the resolution.
+    """
     _check_tolerance("tol", tol)
-    cloud_a = sample_grid(a, resolution)
-    if len(cloud_a) == 0:
-        raise EmptySampleError(f"first set has no sample points at resolution {resolution}")
-    cloud_b = sample_grid(b, resolution)
-    if len(cloud_b) == 0:
-        raise EmptySampleError(f"second set has no sample points at resolution {resolution}")
-    vals_a = p.evaluate_many(cloud_a)
-    vals_b = p.evaluate_many(cloud_b)
-    i_min = int(np.argmin(vals_a))
-    i_max = int(np.argmax(vals_b))
-    min_a = float(vals_a[i_min])
-    max_b = float(vals_b[i_max])
+    count_a, min_a, witness_a = _sweep(p, a, resolution, np.argmin, "first")
+    count_b, max_b, witness_b = _sweep(p, b, resolution, np.argmax, "second")
     return SeparationReport(
         min_on_A=min_a,
         max_on_B=max_b,
-        witness_A=tuple(float(v) for v in cloud_a[i_min]),
-        witness_B=tuple(float(v) for v in cloud_b[i_max]),
-        count_A=len(cloud_a),
-        count_B=len(cloud_b),
+        witness_A=witness_a,
+        witness_B=witness_b,
+        count_A=count_a,
+        count_B=count_b,
         resolution=resolution,
         tol=tol,
         passed=bool(min_a >= 1.0 - tol and max_b <= tol),
     )
+
+
+def _sweep(p: Polynomial, s: SemialgebraicSet, resolution: int, pick, which: str):
+    """(count, value, point) of ``sample_grid(s, resolution)``'s p-extreme, without the cloud.
+
+    ``pick`` is ``np.argmin`` or ``np.argmax``.  Per ``sample_blocks``
+    block, p comes from ``evaluate_axes`` on the block's grid, at each
+    sample point the float ``evaluate_many`` gives there, and ``pick`` takes
+    the block's first extreme; ``pick`` over those takes the first of the
+    cloud in its x1-major order, the point ``pick`` over the whole cloud
+    finds.  No sample point raises EmptySampleError naming the ``which`` set.
+    """
+    count, values, points = 0, [], []
+    for axes, mask in sample_blocks(s, resolution):
+        flat = np.flatnonzero(mask)
+        if len(flat):
+            count += len(flat)
+            vals = on_grid(p.evaluate_axes(axes), axes)[mask]
+            i = int(pick(vals))
+            values.append(vals[i])
+            points.append(block_points(axes, mask.shape, flat[i : i + 1])[0])
+    if not count:
+        raise EmptySampleError(f"{which} set has no sample points at resolution {resolution}")
+    k = int(pick(values))
+    return count, float(values[k]), tuple(float(v) for v in points[k])
 
 
 def certificate_residuals(result: SeparatorResult) -> tuple:

@@ -82,7 +82,7 @@ def troubled_solver(monkeypatch):
     """Every separator SDP solve ends in NUMERICAL_TROUBLE; returns the detail each attempt records."""
     message = "step-length eigensolve failed"
 
-    def troubled(problem, tol):
+    def troubled(problem, tol, target=None):
         nan = float("nan")
         return sdp.SdpSolution(
             status=sdp.SdpStatus.NUMERICAL_TROUBLE, X=[], y=np.zeros(problem.num_constraints),

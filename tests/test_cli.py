@@ -102,8 +102,10 @@ def test_separate_golden_tries_the_cheapest_attempts_first(tmp_path, capsys):
     result = json.loads(out.read_text())
     trace = [(t["degree"], t["level"], t["outcome"]) for t in result["diagnostics"]["trace"]]
     assert trace == [(1, 4, "no_margin"), (2, 4, "separated")]
-    golden = json.loads((DATA_DIR / "golden_result.json").read_text())
-    assert result["slack"] == pytest.approx(golden["slack"], abs=1e-12)
+    # a certified margin is rescaled to the cap of 1
+    assert result["slack"] == 1.0
+    code, stdout, _ = run(capsys, "verify", str(DATA_DIR / "golden_problem.json"), str(out))
+    assert code == 0 and json.loads(stdout)["passed"] is True
 
 
 def test_separate_level_cap_below_the_default_degree_cap(tmp_path, capsys, disk_problem_file):
@@ -518,6 +520,10 @@ NAMED_INPUT_ERRORS = {
     ),
     "options is a list": (
         "verify", "problem", lambda d: d.update(options=[1]), "options must be a JSON object"
+    ),
+    "coefficient is past the float range": (
+        "separate", "problem", lambda d: d.update(A_generators=["1e999 - x1^2"]),
+        "bad polynomial in problem file: non-finite coefficient inf for monomial (0, 0)",
     ),
     "result has no p": (
         "verify", "result", lambda d: d.pop("p"), "result file has no polynomial entry"

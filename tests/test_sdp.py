@@ -98,6 +98,35 @@ def test_iteration_limit_status():
     assert sol.iterations == 2
 
 
+def test_a_target_stops_at_the_first_primal_feasible_iterate_above_it():
+    tol, target = 1e-8, -0.095
+    prob = completion_problem()
+    full = solve(prob, tol=tol)
+    # the reference: iterate k is the one k iterations leave, with its own
+    # objective and relative primal residual
+    for k in range(1, full.iterations + 1):
+        x = solve(prob, tol=tol, max_iter=k).X[0]
+        residual = np.linalg.norm([1.0 - x[1, 1], 0.3 - x[0, 1]]) / (1.0 + np.hypot(1.0, 0.3))
+        if residual <= tol and -x[0, 0] > target:
+            break
+    sol = solve(prob, tol=tol, target=target)
+    assert sol.status is SdpStatus.TARGET_REACHED
+    assert 1 < k < full.iterations
+    assert sol.iterations == k
+    assert np.array_equal(sol.X[0], x)
+    assert sol.objective == -x[0, 0] > target and sol.primal_residual <= tol
+
+
+def test_an_unreached_target_changes_nothing():
+    prob = completion_problem()
+    plain = solve(prob, tol=1e-8)
+    # every iterate has x11 > 0, so no objective -x11 exceeds the target 0
+    for sol in (solve(prob, tol=1e-8, target=None), solve(prob, tol=1e-8, target=0.0)):
+        assert sol.status is SdpStatus.OPTIMAL
+        assert sol.iterations == plain.iterations
+        assert np.array_equal(sol.X[0], plain.X[0]) and np.array_equal(sol.y, plain.y)
+
+
 def test_dependent_rows_dropped_with_warning():
     prob = SdpProblem((2,), [-E11], [np.array([E22, E12, 2 * E12])], [1.0, 0.3, 0.6])
     with pytest.warns(DependentConstraintWarning):

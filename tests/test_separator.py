@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -5,10 +6,10 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from conftest import CIRCLE, LEMNISCATE
+from conftest import CIRCLE, DISK_LEFT, DISK_RIGHT, LEMNISCATE
 from polysep import sdp, separator, sos
 from polysep.poly import Polynomial, parse
-from polysep.semialg import EmptySampleError, SemialgebraicSet, sample_grid
+from polysep.semialg import EmptySampleError, SemialgebraicSet, sample_blocks, sample_grid
 from polysep.separator import (
     HierarchyExhaustedError,
     InfeasibleAtLevelError,
@@ -161,6 +162,12 @@ def test_sign_symmetry_reduction_matches_the_full_sdp(n, generators, degree, lev
     full = sdp.solve(full_problem, tol=opts.solver_tol)
     assert full.status is sdp.SdpStatus.OPTIMAL
     full_t = margin_sdp_solution(full)[0]
+    # the reduced SDP solved to optimality too: the same optimum in about as many iterations
+    reduced = sdp.solve(separator._assemble_separation(n, gens_a, gens_b, degree, level)[0],
+                        tol=opts.solver_tol)
+    assert reduced.status is sdp.SdpStatus.OPTIMAL
+    assert abs(margin_sdp_solution(reduced)[0] - full_t) <= 1e-9
+    assert abs(reduced.iterations - full.iterations) <= 1
     problem = SeparatorProblem(A=a, B=b, p_degree=degree, level=level, options=opts)
     if full_t <= opts.margin_tol:
         with pytest.raises(InfeasibleAtLevelError) as info:
@@ -169,8 +176,7 @@ def test_sign_symmetry_reduction_matches_the_full_sdp(n, generators, degree, lev
         return
     result = solve_fixed_level(problem)
     diag = result.diagnostics
-    assert abs(result.slack - full_t) <= 1e-9
-    assert abs(diag["sdp_iterations"] - full.iterations) <= 1
+    assert result.slack == 1.0
     assert diag["sign_flips"] == flips
     assert diag["num_constraints"] < full_problem.num_constraints
     assert max(diag["block_sizes"]) < max(full_problem.block_sizes)
@@ -188,6 +194,45 @@ def test_sign_symmetry_reduction_matches_the_full_sdp(n, generators, degree, lev
 
 CUBIC_A = "0.05 - (x1 + 0.4)^2 - (x2 - 0.1)^3 - x2^2"
 CUBIC_B = "0.04 - (x1 - 0.5)^2 - (x2 + 0.2)^2 + 1/10*x1^3"
+
+
+@pytest.mark.parametrize(
+    "n, generators, degree, level, drops_rows",
+    [
+        (2, (LEMNISCATE, CIRCLE), 1, 4, False),  # no margin
+        (2, (LEMNISCATE, CIRCLE), 2, 4, False),
+        (2, (DISK_LEFT, DISK_RIGHT), 1, 2, False),
+        (3, BALLS3, 2, 4, False),
+        (2, (CUBIC_A, CUBIC_B), 1, 5, True),
+    ],
+    ids=["golden-1-4", "golden-2-4", "disks", "balls3", "cubic-odd-level"],
+)
+def test_a_certified_iterate_ends_the_solve_rescaled_to_margin_one(
+    n, generators, degree, level, drops_rows
+):
+    # the same reduced SDP solved to optimality decides: a margin above
+    # margin_tol separates, any other is reported as it is
+    a, b = (SemialgebraicSet(n, (parse(g, n),)) for g in generators)
+    opts = SeparatorOptions()
+    gens_a, gens_b = separator._augmented_generators(a, b, opts)
+    problem = SeparatorProblem(A=a, B=b, p_degree=degree, level=level, options=opts)
+    warns = pytest.warns(sdp.DependentConstraintWarning) if drops_rows else contextlib.nullcontext()
+    with warns:
+        reduced = separator._assemble_separation(n, gens_a, gens_b, degree, level)[0]
+        optimum = sdp.solve(reduced, tol=opts.solver_tol)
+        assert optimum.status is sdp.SdpStatus.OPTIMAL
+        t = margin_sdp_solution(optimum)[0]
+        if t <= opts.margin_tol:
+            with pytest.raises(InfeasibleAtLevelError) as info:
+                solve_fixed_level(problem)
+            assert info.value.slack == t
+            return
+        result = solve_fixed_level(problem)
+    assert result.slack == 1.0
+    assert max(certificate_residuals(result)) <= 2e-8
+    assert min(c.min_gram_eigenvalue() for c in (result.cert_A, result.cert_B)) > 0.0
+    assert result.diagnostics["sdp_iterations"] <= optimum.iterations
+    assert verify_certificate(result, 2e-8).passed
 
 
 @pytest.mark.parametrize(
@@ -542,6 +587,25 @@ def test_reference_separator_fails_on_two_lobe_reading(
     assert reference_p.evaluate([-0.5, 0.0]) == pytest.approx(5.786, abs=1e-3)
 
 
+@pytest.mark.parametrize("p", ["1 - 2*x1 + x2^2 - x3^3", "7/4", "0"])
+def test_verify_separation_finds_the_cloud_extremes_block_by_block(p):
+    # the first extreme in the cloud's x1-major order; a constant p ties
+    # everywhere, so its witnesses are each cloud's first point
+    n, resolution = 3, 201
+    a, b = (SemialgebraicSet(n, (parse(g, n),)) for g in BALLS3)
+    poly = parse(p, n)
+    report = verify_separation(poly, a, b, resolution, 1e-3)
+    for cloud, pick, value, witness, count in (
+        (sample_grid(a, resolution), np.argmin, report.min_on_A, report.witness_A, report.count_A),
+        (sample_grid(b, resolution), np.argmax, report.max_on_B, report.witness_B, report.count_B),
+    ):
+        vals = poly.evaluate_many(cloud)
+        i = int(pick(vals))
+        assert (value, witness, count) == (float(vals[i]), tuple(cloud[i]), len(cloud))
+    # the sample points span several blocks
+    assert sum(bool(mask.any()) for _, mask in sample_blocks(a, resolution)) > 1
+
+
 def test_verify_separation_empty_sample(lemniscate_set):
     empty = SemialgebraicSet(2, (parse("-1 - x1^2", 2),))
     with pytest.raises(EmptySampleError):
@@ -554,9 +618,9 @@ def test_verify_separation_empty_first_set_skips_the_second_sweep(lemniscate_set
 
     def counting(s, resolution):
         sampled.append(s)
-        return sample_grid(s, resolution)
+        return sample_blocks(s, resolution)
 
-    monkeypatch.setattr(separator, "sample_grid", counting)
+    monkeypatch.setattr(separator, "sample_blocks", counting)
     with pytest.raises(EmptySampleError, match="first set has no sample points at resolution 51"):
         verify_separation(Polynomial.constant(2, 1.0), empty, lemniscate_set, 51, 1e-3)
     assert sampled == [empty]
