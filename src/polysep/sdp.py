@@ -16,12 +16,14 @@ Mehrotra predictor-corrector, using the XZ (HKM) search direction and dense
 linear algebra throughout: the HKM predictor-corrector of SDPT3 (Toh, Todd
 and Tutuncu 1999) on SDPA-style block storage (Fujisawa, Kojima and Nakata
 1997).  The predictor and the corrector share one Newton-direction routine.
-A Cholesky of the row Gram first drops dependent rows: unpivoted when every
-pivot clears the rank tolerance, pivoted otherwise.  Constraints
-come as one (m, s, s) stack per block, the form the quadratic-module
-assembler writes, and an m-vector of right-hand sides.  ``SdpProblem``
-packs C and the stacks once into columns that hold the blocks flattened and
-grouped by size, and the interior-point loop runs on that column layout.
+Dependent rows are dropped first: an exact peel over the nonzero pattern
+sets aside every row that owns a column no other row touches, and only the
+rows it leaves are judged by a Cholesky of their row Gram, unpivoted when
+every pivot clears the rank tolerance, pivoted otherwise.  ``SdpProblem``
+keeps C and the constraints in columns that hold the blocks flattened and
+grouped by size; it packs them from one (m, s, s) stack per block, or takes
+them packed already, as the quadratic-module assembler writes them, and the
+interior-point loop runs on that column layout.
 X, Z, Z^-1 and the search directions are flat vectors of length sum(s_b^2),
 so A(X) is one matrix-vector product, A*(y) one vector-matrix product, and
 the residuals, inner products and updates are one call each.  Per group of
@@ -33,8 +35,9 @@ batched product and one SYRK per group; a Cholesky tests the Newton system
 for positive definiteness and ``numpy.linalg.solve`` solves it.  All linear
 algebra is ``numpy.linalg``.
 ``SdpSolution.X`` and ``SdpSolution.S`` are per-block lists in block order.
-It targets desk-scale problems: robustness over speed, no sparsity
-exploitation, blocks capped at a configured size.
+It targets desk-scale problems: robustness over speed, dense blocks and a
+dense Schur complement (sparsity serves only the rank check), blocks capped
+at a configured size.
 """
 
 from __future__ import annotations
@@ -77,6 +80,19 @@ def _views(flat, groups, block_sizes) -> list:
         out.append(flat[..., start:end].reshape(flat.shape[:-1] + (k, s, s)))
         start = end
     return out
+
+
+def _size_groups(sizes) -> list:
+    """Per block size, ascending, the indices of the blocks of that size."""
+    return [[i for i, t in enumerate(sizes) if t == s] for s in sorted(set(sizes))]
+
+
+def block_offsets(block_sizes) -> list:
+    """Per block, in block order, its first column in the packed layout; its s*s entries follow row-major."""
+    sizes = tuple(block_sizes)
+    groups = _size_groups(sizes)
+    views = _views(np.arange(sum(s * s for s in sizes)), groups, sizes)
+    return _unbatch(groups, [v[:, 0, 0] for v in views])
 
 
 def _unbatch(members, groups) -> list:
@@ -131,26 +147,38 @@ class SdpProblem:
     ``groups`` lists the block indices of each block size, ascending by
     size.  The constructor packs C once (``_pack``) into the flat vector
     ``c``, and the stacks into the m x sum(s_b^2) ``matrix``, both in the
-    column layout of ``_views``.  The rank filter factors the row Gram of
-    ``matrix``; the interior-point loop keeps its iterates in that layout
-    and takes the per-group blocks of the Schur complement, the
-    factorizations and the eigensolves through ``_views``.
+    column layout of ``_views``.  With ``packed``, ``objective`` is that
+    flat ``c`` and ``stacks`` that ``matrix`` already, and both are taken
+    as they are: the matrix is not copied, nor checked for symmetry.  The
+    rank filter reads the nonzero pattern of ``matrix``; the interior-point
+    loop keeps its iterates in that layout and takes the per-group blocks of
+    the Schur complement, the factorizations and the eigensolves through
+    ``_views``.
     """
 
-    def __init__(self, block_sizes, objective, stacks, rhs):
+    def __init__(self, block_sizes, objective, stacks, rhs, *, packed=False):
         sizes = tuple(int(s) for s in block_sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError("block sizes must be positive")
         if any(s > MAX_BLOCK_SIZE for s in sizes):
             raise ValueError(f"block size exceeds the configured limit of {MAX_BLOCK_SIZE}")
         self.block_sizes = sizes
-        self.groups = [[i for i, t in enumerate(sizes) if t == s] for s in sorted(set(sizes))]
-        objective = [None if c is None else np.asarray(c, dtype=float)[None] for c in objective]
-        self.c = _pack(objective, self.groups, sizes, 1, "objective")[0]
+        self.groups = _size_groups(sizes)
+        if not packed:
+            objective = [None if c is None else np.asarray(c, dtype=float)[None] for c in objective]
+            objective = _pack(objective, self.groups, sizes, 1, "objective")[0]
         self.rhs = np.array(rhs, dtype=float)
         if self.rhs.ndim != 1 or not self.rhs.size:
             raise ValueError("problem needs at least one constraint; rhs is a vector of b_k")
-        self.matrix = _pack(stacks, self.groups, sizes, len(self.rhs), "constraint")
+        if not packed:
+            stacks = _pack(stacks, self.groups, sizes, len(self.rhs), "constraint")
+        width = sum(s * s for s in sizes)
+        self.c, self.matrix = np.asarray(objective, dtype=float), np.asarray(stacks, dtype=float)
+        if self.c.shape != (width,) or self.matrix.shape != (len(self.rhs), width):
+            raise ValueError(
+                f"packed objective {self.c.shape} and matrix {self.matrix.shape} do not fit"
+                f" {len(self.rhs)} rows of {width} columns"
+            )
 
     @property
     def constraints(self) -> list:
@@ -220,38 +248,73 @@ def _pivoted_cholesky(gram, tol):
 def _rank_filter(problem: SdpProblem):
     """Drop linearly dependent constraint rows; detect inconsistent duplicates.
 
+    Rows are first peeled over the nonzero pattern of ``matrix``: repeatedly,
+    every row that has a column no other remaining row touches is set aside
+    as independent of the rest, exactly.  A row is peeled only when such an
+    exclusive entry a has a^2 > tol·‖row‖^2, tol = max(shape)·eps, so the
+    Newton system can resolve it.  Dependencies lie among the rows the peel
+    leaves, and only those are judged numerically (``_gram_rank``); on the
+    separation SDPs at even levels it leaves none.
+
+    Returns (kept indices, dropped indices, inconsistent flag).  Raises
+    ValueError when a row's squared norm is past the float range.
+    """
+    mat, b = problem.matrix, problem.rhs
+    m = problem.num_constraints
+    # the flat indices of a boolean pattern come an order faster than np.nonzero's pairs
+    rows, cols = np.divmod(np.flatnonzero(mat != 0.0), mat.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.square(mat[rows, cols])
+        row_squares = np.bincount(rows, weights=squares, minlength=m)
+    if not np.all(np.isfinite(row_squares)):
+        raise ValueError(
+            "the SDP's constraint data overflow double precision in the row Gram A A^T;"
+            " rescale the generators"
+        )
+    if not row_squares.any():
+        return [], list(range(m)), bool(np.any(np.abs(b) > 1e-12))
+    tol = max(mat.shape) * np.finfo(float).eps
+    left = np.ones(m, dtype=bool)
+    strong = squares > tol * row_squares[rows]
+    while rows.size:
+        lone = strong & (np.bincount(cols)[cols] == 1)
+        if not lone.any():
+            break
+        left[rows[lone]] = False
+        live = left[rows]
+        rows, cols, strong = rows[live], cols[live], strong[live]
+    rest = np.flatnonzero(left)
+    if not rest.size:
+        return list(range(m)), [], False
+    dropped, inconsistent = _gram_rank(mat[rest], b[rest], tol)
+    kept = np.ones(m, dtype=bool)
+    kept[rest[dropped]] = False
+    return np.flatnonzero(kept).tolist(), rest[dropped].tolist(), inconsistent
+
+
+def _gram_rank(mat, b, tol):
+    """Dependent rows of ``mat`` by a Cholesky of its row Gram A A^T.
+
     Rank is judged on the row-normalized Gram D^-1/2 A A^T D^-1/2, D the
-    diagonal of A A^T, with tolerance max(shape)·eps, so rescaling a row or
-    the whole problem changes nothing.  When an unpivoted Cholesky of it has
+    diagonal of A A^T, with tolerance ``tol``, so rescaling a row or the
+    whole problem changes nothing.  When an unpivoted Cholesky of it has
     every pivot above the tolerance, every row is kept.  Otherwise a pivoted
     Cholesky keeps the rows of its first ``rank`` pivots.  Each dropped row
     is c^T (kept rows) with c = L11^-T L21^T: one solve tests them all, on
     the same normalized rows, b scaled by D^-1/2 as well.
 
-    Returns (kept indices, dropped indices, inconsistent flag).  Raises
-    ValueError when a row's squared norm is past the float range.
+    Returns (dropped rows, ascending, as an index array; inconsistent flag).
     """
-    m, b = problem.num_constraints, problem.rhs
-    # a row whose squared norm passes the float range shows as an inf diagonal
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = problem.matrix @ problem.matrix.T
+    gram = mat @ mat.T
     norms = np.sqrt(np.diag(gram))
-    if not np.all(np.isfinite(norms)):
-        raise ValueError(
-            "the SDP's constraint data overflow double precision in the row Gram A A^T;"
-            " rescale the generators"
-        )
-    if not norms.any():
-        return [], list(range(m)), bool(np.any(np.abs(b) > 1e-12))
     # a zero row stays zero, and falls below the tolerance
     norms[norms == 0.0] = 1.0
     gram /= norms[:, None]
     gram /= norms[None, :]
     b = b / norms
-    tol = max(problem.matrix.shape) * np.finfo(float).eps
     try:
         if np.all(np.diagonal(np.linalg.cholesky(gram)) ** 2 > tol):
-            return list(range(m)), [], False
+            return np.arange(0), False
     except np.linalg.LinAlgError:
         pass
     fac, piv, rank = _pivoted_cholesky(gram, tol)
@@ -259,7 +322,7 @@ def _rank_filter(problem: SdpProblem):
     coeff = np.linalg.solve(fac[:rank, :rank].T, fac[rank:, :rank].T)
     excess = np.abs(b[dropped] - b[kept] @ coeff)
     inconsistent = bool(np.any(excess > 1e-8 * (1.0 + np.abs(b[dropped]))))
-    return sorted(kept.tolist()), sorted(dropped.tolist()), inconsistent
+    return np.sort(dropped), inconsistent
 
 
 def _transpose(blocks):

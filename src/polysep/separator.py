@@ -14,7 +14,11 @@ parity class of its basis monomials and only the rows of flip-invariant
 monomials are kept, which leaves the optimal margin unchanged.  The Grams
 are written back as full matrices, exactly zero off the parity blocks, so
 certificates and result files keep their form.  ``_assemble_separation`` is
-the package's one quadratic-module SDP assembler.
+the package's one quadratic-module SDP assembler.  Which entry of the packed
+constraint matrix takes which generator coefficient depends only on the
+generators' exponents, the degree and the level; ``_separation_plan`` works
+it out once per such shape, and each assembly scatters the coefficients of
+the generators at hand into a zero matrix.
 
 The hierarchy sweeps (degree, level) pairs cheapest first: level-major, with
 the degrees rising at each even level, and the first pair that separates
@@ -23,13 +27,15 @@ wins.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .poly import Polynomial, on_grid
-from .sdp import SdpProblem, SdpStatus, solve as sdp_solve
+from .sdp import SdpProblem, SdpStatus, block_offsets, solve as sdp_solve
 from .semialg import (
     EmptySampleError,
     SemialgebraicSet,
@@ -41,14 +47,17 @@ from .sos import (
     QmCertificate,
     expand_gram,  # read by perfbench/tracing.py
     gram_incidence,
-    incidence_stack,
-    margin_sdp_data,
-    margin_sdp_solution,
+    incidence_entries,
     monomials_up_to_degree,
     parity_classes,
     reconstruct_residual,
     sign_flips,
 )
+
+# separation SDP shapes whose plans are kept; a plan holds index arrays only,
+# 16 bytes per constraint nonzero (1.6 MB for the 4-D balls at level 12)
+PLAN_CACHE_SIZE = 16
+
 
 class InfeasibleAtLevelError(RuntimeError):
     """The margin SDP found no strict separator at this (degree, level)."""
@@ -163,6 +172,121 @@ def _augmented_generators(a, b, options):
     return gens_a, gens_b
 
 
+@dataclass(frozen=True)
+class _SeparationPlan:
+    """What a separation SDP's shape fixes: its layout, as read-only index arrays.
+
+    ``entries`` are flat positions in the (m, sum s_b^2) constraint matrix,
+    and ``sources`` the positions in the coefficient vector
+    [1, coefficients of gens_a, then of gens_b, in term order] of the
+    values they take.  ``margin`` holds the w and u columns and ``rhs`` the
+    right-hand sides.  ``parts[i]`` lists, per block of multiplier i (A side
+    first), the basis indices it covers, and ``gram_entries[i]`` the flat
+    positions in multiplier i's full Gram of those blocks' entries, block
+    after block, each row-major.
+    """
+
+    bases_a: tuple
+    bases_b: tuple
+    parts: tuple
+    flips: np.ndarray
+    block_sizes: tuple
+    entries: np.ndarray
+    sources: np.ndarray
+    margin: np.ndarray
+    rhs: np.ndarray
+    gram_entries: tuple
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _separation_plan(n, supports_a, supports_b, degree, level) -> _SeparationPlan:
+    """The plan of the joint margin SDP over generators with these exponent tuples.
+
+    ``supports_a`` and ``supports_b`` hold each augmented generator's
+    exponent tuples in term order; the rows and blocks are those
+    ``_assemble_separation`` describes.  The plan is shared between calls,
+    so every array in it is read-only.
+    """
+    bases_a, rows_a = gram_incidence(n, supports_a, level)
+    bases_b, rows_b = gram_incidence(n, supports_b, level)
+    flips = sign_flips(n, [alpha for s in supports_a + supports_b for alpha in s])
+    # each multiplier's Gram splits into one block per parity class of its basis
+    labels, parts = [], []
+    for bas in bases_a + bases_b:
+        label = np.unique(parity_classes(flips, bas.elements), return_inverse=True)[1]
+        labels.append(label)
+        parts.append(tuple(np.flatnonzero(label == c) for c in range(label.max() + 1)))
+    monomials = monomials_up_to_degree(n, level)
+    row_degrees = np.array([sum(alpha) for alpha in monomials])
+    invariant = parity_classes(flips, monomials) == 0
+    touched_a, touched_b = np.zeros((2, len(monomials)), dtype=bool)
+    for touched, side in ((touched_a, rows_a), (touched_b, rows_b)):
+        for rows in side:
+            touched[rows] = True
+    # rows no Gram entry reaches (odd top degrees) are dropped, never row 0 (the
+    # constant, reached by s_0)
+    joint = np.flatnonzero((touched_a | touched_b) & invariant)
+    eliminate = np.flatnonzero(touched_a & invariant & (row_degrees > degree))
+    m = len(joint) + len(eliminate) + 1
+    row_pos = np.full(len(monomials), -1)
+    row_pos[joint] = np.arange(len(joint))
+    # the A side's elimination rows repeat their joint rows, the B side's stay zero
+    repeat = np.full(len(joint), -1)
+    repeat[row_pos[eliminate]] = np.arange(len(joint), m - 1)
+    # the coefficient vector starts with s_0's multiplier 1, which both sides share
+    starts, start = [], 1
+    for side in (supports_a, supports_b):
+        starts.append(0)
+        for support in side:
+            starts.append(start)
+            start += len(support)
+    block_sizes = (1, 1) + tuple(len(idx) for part in parts for idx in part)
+    sizes, offsets = np.array(block_sizes), np.array(block_offsets(block_sizes))
+    width = sum(s * s for s in block_sizes)
+    entries, sources, first = [], [], 2  # first: the multiplier's first block
+    for i, (rows, label, part) in enumerate(zip(rows_a + rows_b, labels, parts)):
+        local = np.empty(len(label), dtype=np.intp)  # basis index within its block
+        for idx in part:
+            local[idx] = np.arange(len(idx))
+        # an invariant row reads Gram entries within one parity class only: the
+        # flips fix every term, so the two basis monomials of such an entry agree
+        row, a, b, term = incidence_entries(rows, row_pos)
+        if i < len(bases_a):
+            copy = repeat[row] >= 0
+            row, a, b, term = (np.concatenate([v, v[copy]]) for v in (row, a, b, term))
+            row[len(copy) :] = repeat[row[len(copy) :]]
+        block = first + label[a]
+        entries.append(row * width + offsets[block] + local[a] * sizes[block] + local[b])
+        sources.append(starts[i] + term)
+        first += len(part)
+    # blocks w and u are the first two of the 1x1 group: columns 0 and 1; the
+    # margin t = w - u enters the constant monomial's row twice, and the last
+    # row pins w = 1
+    constant = np.concatenate([joint, eliminate]) == 0
+    margin = np.where(constant, 2.0, 0.0)
+    margin = np.stack([np.append(margin, 1.0), np.append(np.negative(margin), 0.0)], axis=1)
+    gram_entries = tuple(
+        np.concatenate([(idx[:, None] * len(bas) + idx).ravel() for idx in part])
+        for bas, part in zip(bases_a + bases_b, parts)
+    )
+    plan = _SeparationPlan(
+        bases_a=tuple(bases_a),
+        bases_b=tuple(bases_b),
+        parts=tuple(parts),
+        flips=flips,
+        block_sizes=block_sizes,
+        entries=np.concatenate(entries),
+        sources=np.concatenate(sources),
+        margin=margin,
+        rhs=np.append(np.where(constant, -1.0, 0.0), 1.0),
+        gram_entries=gram_entries,
+    )
+    for arr in (plan.flips, plan.entries, plan.sources, plan.margin, plan.rhs, *plan.gram_entries,
+                *(idx for part in plan.parts for idx in part)):
+        arr.setflags(write=False)
+    return plan
+
+
 def _assemble_separation(n, gens_a, gens_b, degree, level):
     """Joint margin SDP for the two memberships with p eliminated.
 
@@ -173,9 +297,10 @@ def _assemble_separation(n, gens_a, gens_b, degree, level):
         [S_g]_alpha = 0                                  for d < deg(alpha) <= l,
 
     after which p is recovered as 1 + t + S_g truncated to degree d.  The
-    margin is encoded as t = w - u with two 1x1 blocks and the row w = 1,
-    which caps t at 1 (a separator certified with any margin rescales to
-    margin 1) and keeps the problem bounded.
+    margin is encoded as t = w - u with two 1x1 blocks w and u, blocks 0
+    and 1 (objective w - u), and a last row w = 1, which caps t at 1 (a
+    separator certified with any margin rescales to margin 1) and keeps the
+    problem bounded.  The Gram blocks follow, the A side's first.
 
     The SDP is reduced by the coordinate sign flips that fix every generator
     (``sign_flips``): averaging a solution over them keeps its margin, and an
@@ -185,51 +310,35 @@ def _assemble_separation(n, gens_a, gens_b, degree, level):
     of invariant monomials are kept.  Without a symmetry there is one class
     and the SDP is the unreduced one.
 
-    Returns (problem, bases_a, bases_b, parts, flips): ``parts[i]`` lists,
-    per block of multiplier i (A side first), the basis indices it covers.
+    All of that is the shape's plan (``_separation_plan``, cached); this
+    call writes the generators' coefficients into one zero matrix at the
+    plan's entries.  Returns (problem, plan).
     """
-    bases_a, incidence_a = gram_incidence(n, gens_a, level)
-    bases_b, incidence_b = gram_incidence(n, gens_b, level)
-    flips = sign_flips(n, [alpha for g in gens_a + gens_b for alpha in g.terms])
-    parts = []
-    for bas in bases_a + bases_b:
-        classes = parity_classes(flips, bas.elements)
-        parts.append([np.flatnonzero(classes == c) for c in np.unique(classes)])
-    monomials = monomials_up_to_degree(n, level)
-    row_degrees = np.array([sum(alpha) for alpha in monomials])
-    invariant = parity_classes(flips, monomials) == 0
-    reached = [np.concatenate([r.ravel() for r, _ in inc]) for inc in (incidence_a, incidence_b)]
-    touched_a, touched_b = (np.isin(np.arange(len(monomials)), r) for r in reached)
-    # rows no Gram entry reaches (odd top degrees) are dropped, never row 0 (the
-    # constant, reached by s_0)
-    joint = np.flatnonzero((touched_a | touched_b) & invariant)
-    eliminate = np.flatnonzero(touched_a & invariant & (row_degrees > degree))
-    rows = np.concatenate([joint, eliminate])
-    row_pos = np.full(len(monomials), -1)
-    row_pos[joint] = np.arange(len(joint))
-    # an invariant row reads Gram entries within one parity class only
-    stacks = [
-        incidence_stack(inc, row_pos, len(rows), idx)
-        for inc, part in zip(incidence_a + incidence_b, parts)
-        for idx in part
-    ]
-    # the A side's elimination rows repeat their joint rows, the B side's stay zero
-    for st in stacks[: sum(map(len, parts[: len(bases_a)]))]:
-        st[len(joint) : -1] = st[row_pos[eliminate]]
-    constant = rows == 0  # the row of the constant monomial
-    margin, rhs = np.where(constant, 2.0, 0.0), np.where(constant, -1.0, 0.0)
-    problem = SdpProblem(*margin_sdp_data(stacks, margin, rhs))
-    return problem, bases_a, bases_b, parts, flips
+    plan = _separation_plan(
+        n, tuple(tuple(g.terms) for g in gens_a), tuple(tuple(g.terms) for g in gens_b), degree, level
+    )
+    coeffs = np.fromiter(itertools.chain([1.0], *(g.terms.values() for g in gens_a + gens_b)), float)
+    matrix = np.zeros((len(plan.rhs), sum(s * s for s in plan.block_sizes)))
+    matrix[:, :2] = plan.margin
+    np.put(matrix, plan.entries, coeffs[plan.sources])
+    c = np.zeros(matrix.shape[1])
+    c[:2] = (1.0, -1.0)
+    return SdpProblem(plan.block_sizes, c, matrix, plan.rhs, packed=True), plan
 
 
-def _full_grams(blocks, bases, parts) -> list:
-    """Each multiplier's full Gram from its parity blocks, exactly zero off them."""
-    blocks = iter(blocks)
-    grams = []
-    for bas, part in zip(bases, parts):
+def margin_sdp_solution(sol) -> tuple:
+    """(t, Gram blocks) of a solved separation SDP: t = w - u from blocks 0 and 1, then blocks 2, 3, ..."""
+    return float(sol.X[0][0, 0] - sol.X[1][0, 0]), list(sol.X[2:])
+
+
+def _full_grams(blocks, bases, gram_entries) -> list:
+    """Each multiplier's full Gram from its parity blocks, exactly zero off them: one scatter each."""
+    values = np.concatenate([block.ravel() for block in blocks])
+    grams, start = [], 0
+    for bas, entries in zip(bases, gram_entries):
         gram = np.zeros((len(bas), len(bas)))
-        for idx in part:
-            gram[np.ix_(idx, idx)] = next(blocks)
+        np.put(gram, entries, values[start : start + len(entries)])
+        start += len(entries)
         grams.append(gram)
     return grams
 
@@ -247,9 +356,7 @@ def solve_fixed_level(prob: SeparatorProblem) -> SeparatorResult:
     opts = prob.options
     n = prob.A.n
     gens_a, gens_b = _augmented_generators(prob.A, prob.B, opts)
-    sdp_problem, bases_a, bases_b, parts, flips = _assemble_separation(
-        n, gens_a, gens_b, prob.p_degree, prob.level
-    )
+    sdp_problem, plan = _assemble_separation(n, gens_a, gens_b, prob.p_degree, prob.level)
     sol = sdp_solve(sdp_problem, tol=opts.solver_tol, target=opts.margin_tol)
     if sol.status not in (SdpStatus.OPTIMAL, SdpStatus.TARGET_REACHED):
         raise SeparatorSolverError(sol.status, sol.diagnostics.get("message", ""))
@@ -263,10 +370,12 @@ def solve_fixed_level(prob: SeparatorProblem) -> SeparatorResult:
     t = 1.0
 
     # the A side's Gram blocks come first
-    grams = _full_grams([scale * block for block in blocks], bases_a + bases_b, parts)
-    grams_a, grams_b = tuple(grams[: len(bases_a)]), tuple(grams[len(bases_a) :])
-    cert_a = QmCertificate(tuple(gens_a), grams_a, tuple(bases_a), prob.level)
-    cert_b = QmCertificate(tuple(gens_b), grams_b, tuple(bases_b), prob.level)
+    grams = _full_grams(
+        [scale * block for block in blocks], plan.bases_a + plan.bases_b, plan.gram_entries
+    )
+    grams_a, grams_b = tuple(grams[: len(plan.bases_a)]), tuple(grams[len(plan.bases_a) :])
+    cert_a = QmCertificate(tuple(gens_a), grams_a, plan.bases_a, prob.level)
+    cert_b = QmCertificate(tuple(gens_b), grams_b, plan.bases_b, prob.level)
     return SeparatorResult(
         p=(cert_a.polynomial() + (1.0 + t)).truncate(prob.p_degree),
         cert_A=cert_a,
@@ -276,7 +385,7 @@ def solve_fixed_level(prob: SeparatorProblem) -> SeparatorResult:
         p_degree=prob.p_degree,
         diagnostics={
             "sdp_iterations": sol.iterations,
-            "sign_flips": [(np.flatnonzero(f) + 1).tolist() for f in flips],
+            "sign_flips": [(np.flatnonzero(f) + 1).tolist() for f in plan.flips],
             "block_sizes": list(sdp_problem.block_sizes),
             "num_constraints": sdp_problem.num_constraints,
         },

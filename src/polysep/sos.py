@@ -1,24 +1,19 @@
-"""Truncated quadratic modules compiled to max-margin semidefinite programs.
+"""Truncated quadratic modules: bases, Gram incidence, sign symmetries and certificates.
 
 A polynomial q belongs to the degree-l truncated quadratic module of
 generators f_1..f_t when q = s_0 + sum_i s_i f_i with every multiplier s_i a
 sum of squares, deg(s_0) <= l and deg(s_i f_i) <= l.  Each s_i is
 parameterized by a Gram matrix over the monomial basis of half degree
 floor((l - deg f_i)/2), so an identity between module elements becomes one
-linear constraint per monomial of degree <= l.  ``gram_incidence`` finds the
-row each Gram entry feeds per multiplier term; ``incidence_stack`` writes the
-stacks of just the rows and Gram blocks an SDP keeps from it.
+linear constraint per monomial of degree <= l.  Which row each Gram entry
+feeds depends only on the generators' exponents: ``gram_incidence`` finds
+it per multiplier term, and ``incidence_entries`` lists, as index arrays,
+the (row, a, b, term) entries that feed just the rows an SDP keeps.
 ``sign_flips`` and ``parity_classes`` find the coordinate sign flips that
 fix a set of monomials and split monomials by how those flips act on them;
-the separator uses them to reduce its SDP.
-
-``margin_sdp_data`` lays the rows out as a max-margin SDP: two 1x1 blocks w
-and u carry the margin t = w - u, each row adds its own multiple of t to the
-Gram part, and a last row pins w = 1, so t is maximized subject to t <= 1.
-A positive optimum certifies strict feasibility; a non-positive one finds no
-certificate at this level.  ``margin_sdp_solution`` is the one read-out of a
-solved margin SDP: t and the Gram blocks.  ``separator._assemble_separation``
-is the one assembler built on these pieces.
+the separator uses them to reduce its SDP.  ``separator._assemble_separation``
+is the one assembler built on these pieces: it lays the rows out as a
+max-margin SDP, and ``separator.margin_sdp_solution`` reads that SDP back.
 
 ``QmCertificate.polynomial`` reads a certificate back as its module element,
 once per certificate: in arrays of integer-encoded exponents, with the
@@ -33,24 +28,17 @@ from functools import cached_property
 import numpy as np
 
 from .poly import Polynomial
-from .sdp import SdpSolution, min_eigenvalue
+from .sdp import min_eigenvalue
 
 
 def monomials_up_to_degree(n: int, degree: int) -> list:
     """All exponent tuples of total degree <= degree, graded lex (x1 major)."""
-
-    def fixed(total: int, nvars: int):
-        if nvars == 1:
-            yield (total,)
-            return
-        for k in range(total, -1, -1):
-            for rest in fixed(total - k, nvars - 1):
-                yield (k,) + rest
-
-    out = []
-    for d in range(degree + 1):
-        out.extend(fixed(d, n))
-    return out
+    # tails[t]: the exponent tuples of the last j variables with total t, in
+    # order, built up from j = 1 with the first of them, descending, major
+    tails = [[(t,)] for t in range(degree + 1)]
+    for _ in range(n - 1):
+        tails = [[(k,) + rest for k in range(t, -1, -1) for rest in tails[t - k]] for t in range(degree + 1)]
+    return [mono for tail in tails for mono in tail]
 
 
 @dataclass(frozen=True)
@@ -266,20 +254,20 @@ def parity_classes(flips: np.ndarray, monomials) -> np.ndarray:
     return parity @ np.array([1 << j for j in range(len(flips))], dtype=dtype)
 
 
-def gram_incidence(n: int, generators, level: int):
-    """Gram bases and sparse incidence of the level-``level`` quadratic module.
+def gram_incidence(n: int, supports, level: int):
+    """Gram bases and row incidence of the level-``level`` quadratic module.
 
     The module element is sum_i z_i^T G_i z_i f_i over the multipliers
-    f_0 = 1, f_i = ``generators[i-1]``.  Returns (bases, incidence): z_i is
-    ``bases[i]``; ``incidence[i]`` is (rows, coeffs) over the t_i terms of f_i,
-    and term j feeds G_i[a, b] times ``coeffs[j]`` into row monomial
-    ``rows[j, a, b]`` of ``monomials_up_to_degree(n, level)``.  A (row, a, b)
-    triple fixes its term, so each reached entry carries one coefficient.
-    A generator of degree above ``level`` has a negative half degree, which
-    ``basis`` refuses with ValueError.
+    f_0 = 1 and the generators f_i, of which ``supports[i-1]`` lists the
+    exponent tuples in term order.  Returns (bases, rows): z_i is
+    ``bases[i]``, and term j of f_i feeds G_i[a, b], times its coefficient,
+    into row monomial ``rows[i][j, a, b]`` of ``monomials_up_to_degree(n,
+    level)``.  A (row, a, b) triple fixes its term, so each reached entry
+    carries one coefficient.  A generator of degree above ``level`` has a
+    negative half degree, which ``basis`` refuses with ValueError.
     """
-    multipliers = [Polynomial.constant(n, 1.0)] + list(generators)
-    bases = [basis(n, (level - f.total_degree()) // 2) for f in multipliers]
+    supports = [((0,) * n,)] + [tuple(s) for s in supports]
+    bases = [basis(n, (level - max(map(sum, s), default=0)) // 2) for s in supports]
     # exponents are at most level: with c(alpha) = alpha's digits in base B =
     # level + 1 (x1 first), deg(alpha)*B^n - c(alpha) is a linear key rising
     # along the graded-lex rows; Python integers keep it exact past int64
@@ -287,47 +275,24 @@ def gram_incidence(n: int, generators, level: int):
     dtype = np.int64 if base ** (n + 1) < 2**63 else object
     weights = np.array([base**n - base ** (n - 1 - j) for j in range(n)], dtype=dtype)
     row_keys = np.array(monomials_up_to_degree(n, level)) @ weights
-    incidence = []
-    for f, bas in zip(multipliers, bases):
+    rows = []
+    for support, bas in zip(supports, bases):
         keys = np.array(bas.elements) @ weights
-        term_keys = np.array(list(f.terms), dtype=np.int64).reshape(-1, n) @ weights
-        rows = np.searchsorted(row_keys, term_keys[:, None, None] + keys[:, None] + keys)
-        incidence.append((rows, np.array(list(f.terms.values()))))
-    return bases, incidence
+        term_keys = np.array(support, dtype=np.int64).reshape(-1, n) @ weights
+        rows.append(np.searchsorted(row_keys, term_keys[:, None, None] + keys[:, None] + keys))
+    return bases, rows
 
 
-def incidence_stack(incidence, row_pos, m: int, idx) -> np.ndarray:
-    """The (m + 1, k, k) stack of the Gram block on basis indices ``idx`` of one incidence.
+def incidence_entries(rows, row_pos):
+    """The entries of one multiplier's Gram that feed the rows an SDP keeps, as index arrays.
 
-    Row monomial r goes to stack row ``row_pos[r]``, -1 drops it.  The last
-    row stays zero: it is ``margin_sdp_data``'s normalization row.
+    ``rows`` is the multiplier's ``gram_incidence`` array.  Row monomial r
+    goes to SDP row ``row_pos[r]``, -1 drops it.  Returns (row, a, b, term):
+    Gram entry (a, b) feeds SDP row ``row`` with term ``term``'s coefficient.
     """
-    rows, coeffs = incidence
-    pos = row_pos[rows[:, idx[:, None], idx]]
+    pos = row_pos[rows]
     term, a, b = np.nonzero(pos >= 0)
-    stack = np.zeros((m + 1, len(idx), len(idx)))
-    stack[pos[term, a, b], a, b] = coeffs[term]
-    return stack
-
-
-def margin_sdp_data(stacks, margin, rhs):
-    """Block sizes, objective, stacks and rhs of a max-margin SDP over Gram stacks.
-
-    Blocks 0 and 1 are the 1x1 blocks w and u, block 2 + i takes ``stacks[i]``.
-    Row k reads <stacks[i][k], X_i> summed over i, plus ``margin[k]`` times the
-    margin t = w - u, equal to ``rhs[k]``.  The stacks' zero last row pins w = 1,
-    so the objective t is capped at 1.  Returns the arguments of ``SdpProblem``.
-    """
-    block_sizes = (1, 1) + tuple(st.shape[1] for st in stacks)
-    w = np.append(margin, 1.0).reshape(-1, 1, 1)
-    u = np.append(np.negative(margin), 0.0).reshape(-1, 1, 1)
-    objective = [np.ones((1, 1)), -np.ones((1, 1))] + [None] * len(stacks)
-    return block_sizes, objective, [w, u] + list(stacks), np.append(rhs, 1.0)
-
-
-def margin_sdp_solution(sol: SdpSolution):
-    """(t, Gram blocks) of a solved ``margin_sdp_data`` SDP: t = w - u, then blocks 2, 3, ..."""
-    return float(sol.X[0][0, 0] - sol.X[1][0, 0]), list(sol.X[2:])
+    return pos[term, a, b], a, b, term
 
 
 def reconstruct_residual(cert: QmCertificate, target: Polynomial) -> float:

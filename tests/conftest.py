@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from polysep import poly, sdp, semialg, separator
+from polysep import poly, sdp, semialg, separator, sos
 
 LEMNISCATE = "-16/9*(x1^2+x2^2)^2 + x2^2 - x1^2"
 CIRCLE = "1/16 - (x1 - 1/2)^2 - x2^2"
@@ -92,3 +92,22 @@ def troubled_solver(monkeypatch):
 
     monkeypatch.setattr(separator, "sdp_solve", troubled)
     return f"SDP solver failed with status NumericalTrouble. {message}"
+
+
+def incidence_stacks(n, generators, level):
+    """Bases and dense constraint stacks of the level-``level`` quadratic module, from its incidence.
+
+    Per multiplier (1, then ``generators``), the (rows + 1, k, k) stack over
+    every row monomial of degree <= ``level`` and the whole basis: entry
+    [r, a, b] is the coefficient with which G[a, b] feeds row monomial r.
+    The last row stays zero, for a margin SDP's normalization row.
+    """
+    bases, rows = sos.gram_incidence(n, [g.terms for g in generators], level)
+    every = np.arange(len(sos.monomials_up_to_degree(n, level)))
+    stacks = []
+    for f, bas, inc in zip([poly.Polynomial.constant(n, 1.0)] + list(generators), bases, rows):
+        row, a, b, term = sos.incidence_entries(inc, every)
+        stack = np.zeros((len(every) + 1, len(bas), len(bas)))
+        stack[row, a, b] = np.array(list(f.terms.values()))[term]
+        stacks.append(stack)
+    return bases, stacks

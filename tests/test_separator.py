@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from conftest import CIRCLE, DISK_LEFT, DISK_RIGHT, LEMNISCATE
+from conftest import CIRCLE, DISK_LEFT, DISK_RIGHT, LEMNISCATE, incidence_stacks
 from polysep import sdp, separator, sos
 from polysep.poly import Polynomial, parse
 from polysep.semialg import EmptySampleError, SemialgebraicSet, sample_blocks, sample_grid
@@ -17,18 +17,13 @@ from polysep.separator import (
     SeparatorProblem,
     SeparatorResult,
     certificate_residuals,
+    margin_sdp_solution,
     run_hierarchy,
     solve_fixed_level,
     verify_certificate,
     verify_separation,
 )
-from polysep.sos import (
-    gram_incidence,
-    incidence_stack,
-    margin_sdp_data,
-    margin_sdp_solution,
-    monomials_up_to_degree,
-)
+from polysep.sos import monomials_up_to_degree, parity_classes, sign_flips
 
 
 def fixed(a, b, degree, level, **opts):
@@ -68,22 +63,43 @@ def test_identical_sets_are_never_separated(disk_sets):
         assert info.value.slack <= 1e-6
 
 
+def reduced_optimum(a, b, degree, level, opts=SeparatorOptions()):
+    """The untargeted optimal margin of the reduced SDP, and the problem solved for it.
+
+    ``solve_fixed_level`` stops at a certified iterate and reports slack 1,
+    so only the optimum can be compared across levels and problems.
+    """
+    gens_a, gens_b = separator._augmented_generators(a, b, opts)
+    problem = separator._assemble_separation(a.n, gens_a, gens_b, degree, level)[0]
+    sol = sdp.solve(problem, tol=opts.solver_tol)
+    assert sol.status is sdp.SdpStatus.OPTIMAL
+    return margin_sdp_solution(sol)[0], problem
+
+
 def test_level_monotonicity_on_disks(disk_sets):
     a, b = disk_sets
-    slacks = [fixed(a, b, 1, level).slack for level in (2, 4, 6)]
-    for value in slacks:
+    margins = [reduced_optimum(a, b, 1, level)[0] for level in (2, 4, 6)]
+    for value in margins:
         assert value > 1e-6
-    for lo, hi in zip(slacks, slacks[1:]):
+    for lo, hi in zip(margins, margins[1:]):
         assert hi >= lo - 1e-6
 
 
 def test_generator_scaling_preserves_feasibility(disk_sets):
+    # the scaled generators have the disks' monomials, so the second assembly
+    # is a hit on the first one's plan, and gives the SDP a fresh build gives
     a, b = disk_sets
     scaled_a = SemialgebraicSet(2, tuple(g.scale(2.0) for g in a.generators))
     scaled_b = SemialgebraicSet(2, tuple(g.scale(2.0) for g in b.generators))
-    base = fixed(a, b, 1, 2)
-    scaled = fixed(scaled_a, scaled_b, 1, 2)
-    assert scaled.slack == pytest.approx(base.slack, abs=1e-5)
+    separator._separation_plan.cache_clear()
+    base, _ = reduced_optimum(a, b, 1, 2)
+    scaled, cached = reduced_optimum(scaled_a, scaled_b, 1, 2)
+    assert separator._separation_plan.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert scaled == pytest.approx(base, abs=1e-5)
+    separator._separation_plan.cache_clear()
+    gens_a, gens_b = separator._augmented_generators(scaled_a, scaled_b, SeparatorOptions())
+    fresh = separator._assemble_separation(2, gens_a, gens_b, 1, 2)[0]
+    assert_same_sdp(cached, fresh)
 
 
 def test_problem_validation(disk_sets):
@@ -97,52 +113,127 @@ def test_problem_validation(disk_sets):
 # ---- sign-symmetry reduction ----------------------------------------------------
 
 
-def full_margin_sdp(n, gens_a, gens_b, degree, level):
-    """The joint margin SDP without the reduction: whole Grams, every reached row."""
-    row_degrees = np.array([sum(alpha) for alpha in monomials_up_to_degree(n, level)])
+def reference_margin_sdp(n, gens_a, gens_b, degree, level, reduced=True):
+    """The joint margin SDP through per-block stacks and ``SdpProblem``'s packing.
+
+    Reduced, it keeps the rows and parity blocks of the sign flips that fix
+    every generator, as ``_assemble_separation`` does; otherwise whole Grams
+    and every reached row.
+    """
+    monomials = monomials_up_to_degree(n, level)
+    row_degrees = np.array([sum(alpha) for alpha in monomials])
     m = len(row_degrees)
-
-    def dense_stacks(gens):  # every row and the whole basis, then the normalization row
-        bases, incidence = gram_incidence(n, gens, level)
-        stacks = [
-            incidence_stack(inc, np.arange(m), m, np.arange(len(bas)))
-            for inc, bas in zip(incidence, bases)
-        ]
-        assert not any(st[-1].any() for st in stacks)
-        return stacks
-
-    stacks_a, stacks_b = dense_stacks(gens_a), dense_stacks(gens_b)
+    (bases_a, stacks_a), (bases_b, stacks_b) = (incidence_stacks(n, g, level) for g in (gens_a, gens_b))
+    flips = sign_flips(n, [alpha for g in gens_a + gens_b for alpha in g.terms])
+    flips = flips if reduced else flips[:0]
+    invariant = parity_classes(flips, monomials) == 0
     touched_a = np.any([st[:m].any(axis=(1, 2)) for st in stacks_a], axis=0)
     touched_b = np.any([st[:m].any(axis=(1, 2)) for st in stacks_b], axis=0)
-    joint = np.flatnonzero(touched_a | touched_b)
-    eliminate = np.flatnonzero(touched_a & (row_degrees > degree))
+    joint = np.flatnonzero((touched_a | touched_b) & invariant)
+    eliminate = np.flatnonzero(touched_a & invariant & (row_degrees > degree))
     rows = np.concatenate([joint, eliminate])
-    # row m is the zero normalization row, which margin_sdp_data expects last
-    stacks = [st[np.append(rows, m)] for st in stacks_a] + [
+
+    def blocks(bases, stacks):
+        for bas, st in zip(bases, stacks):
+            classes = parity_classes(flips, bas.elements)
+            for c in np.unique(classes):
+                idx = np.flatnonzero(classes == c)
+                yield st[:, idx[:, None], idx]
+
+    # row m is the zero normalization row; the B side's elimination rows stay zero
+    stacks = [st[np.append(rows, m)] for st in blocks(bases_a, stacks_a)] + [
         np.concatenate([st[joint], np.zeros((len(eliminate) + 1,) + st.shape[1:])])
-        for st in stacks_b
+        for st in blocks(bases_b, stacks_b)
     ]
-    margin, rhs = np.where(rows == 0, 2.0, 0.0), np.where(rows == 0, -1.0, 0.0)
-    return sdp.SdpProblem(*margin_sdp_data(stacks, margin, rhs))
+    # blocks w and u carry the margin t = w - u, and the last row pins w = 1
+    margin = np.where(rows == 0, 2.0, 0.0)
+    w = np.append(margin, 1.0).reshape(-1, 1, 1)
+    u = np.append(np.negative(margin), 0.0).reshape(-1, 1, 1)
+    sizes = (1, 1) + tuple(st.shape[1] for st in stacks)
+    objective = [np.ones((1, 1)), -np.ones((1, 1))] + [None] * len(stacks)
+    rhs = np.append(np.where(rows == 0, -1.0, 0.0), 1.0)
+    return sdp.SdpProblem(sizes, objective, [w, u] + stacks, rhs)
+
+
+def full_margin_sdp(n, gens_a, gens_b, degree, level):
+    """The joint margin SDP without the reduction: whole Grams, every reached row."""
+    return reference_margin_sdp(n, gens_a, gens_b, degree, level, reduced=False)
+
+
+def assert_same_sdp(got, expected):
+    """The same SDP, bit for bit: signed zeros, layout and size groups included."""
+    for name in ("matrix", "c", "rhs"):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert (got.block_sizes, got.groups) == (expected.block_sizes, expected.groups)
 
 
 BALLS3 = ("1/16 - (x1 + 0.55)^2 - x2^2 - x3^2", "0.0484 - (x1 - 0.57)^2 - x2^2 - x3^2")
 BALLS4 = ("0.04 - (x1 + 0.5)^2 - x2^2 - x3^2 - x4^2", "0.04 - (x1 - 0.5)^2 - x2^2 - x3^2 - x4^2")
+CUBIC_A = "0.05 - (x1 + 0.4)^2 - (x2 - 0.1)^3 - x2^2"
+CUBIC_B = "0.04 - (x1 - 0.5)^2 - (x2 + 0.2)^2 + 1/10*x1^3"
+
+
+def assembly_peak(n, gens_a, gens_b, degree, level):
+    """The assembled problem and the peak of the memory its assembly allocates."""
+    tracemalloc.start()
+    try:
+        problem = separator._assemble_separation(n, gens_a, gens_b, degree, level)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return problem, peak
 
 
 def test_separation_assembly_allocates_only_the_reduced_sdp():
     n = 4
     a, b = (SemialgebraicSet(n, (parse(g, n),)) for g in BALLS4)
     gens_a, gens_b = separator._augmented_generators(a, b, SeparatorOptions())
-    tracemalloc.start()
-    try:
-        problem = separator._assemble_separation(n, gens_a, gens_b, 2, 8)[0]
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the reduced stacks and the matrix packed from them; stacks over every row
-    # monomial and whole bases would take about 15 times the packed matrix here
-    assert peak <= 3 * problem.matrix.nbytes
+    separator._separation_plan.cache_clear()
+    problem, peak = assembly_peak(n, gens_a, gens_b, 2, 8)
+    # the plan's index arrays and the matrix scattered from them; stacks over
+    # every row monomial and whole bases would take about 15 times the packed
+    # matrix here
+    assert peak <= 1.5 * problem.matrix.nbytes
+
+
+def test_a_cached_assembly_allocates_the_matrix_and_little_else():
+    n = 4
+    a, b = (SemialgebraicSet(n, (parse(g, n),)) for g in BALLS4)
+    gens_a, gens_b = separator._augmented_generators(a, b, SeparatorOptions())
+    separator._assemble_separation(n, gens_a, gens_b, 2, 8)
+    problem, peak = assembly_peak(n, gens_a, gens_b, 2, 8)
+    assert separator._separation_plan.cache_info().hits >= 1
+    assert peak <= 1.1 * problem.matrix.nbytes
+
+
+@pytest.mark.parametrize(
+    "n, generators, degree, level, ball",
+    [
+        (2, (LEMNISCATE, CIRCLE), 2, 4, True),
+        (2, (LEMNISCATE, "1/16 - (x1 - 1/2)^2 - (x2 - 1/5)^2"), 2, 5, True),  # no symmetry
+        (2, (CUBIC_A, CUBIC_B), 1, 5, False),
+        (3, BALLS3, 2, 6, True),
+        (4, BALLS4, 1, 4, True),
+    ],
+)
+def test_planned_assembly_matches_the_stacks_path_bit_for_bit(n, generators, degree, level, ball):
+    # two calls on the same monomials with other coefficients: the second
+    # reuses the first one's plan, and each gives what a fresh plan and the
+    # stacks path give
+    a, b = (SemialgebraicSet(n, (parse(g, n),)) for g in generators)
+    opts = SeparatorOptions(ball_constraint=ball)
+    separator._separation_plan.cache_clear()
+    for factor in (1.0, -3.0):
+        scaled_a, scaled_b = (
+            SemialgebraicSet(n, tuple(g.scale(factor) for g in s.generators)) for s in (a, b)
+        )
+        gens_a, gens_b = separator._augmented_generators(scaled_a, scaled_b, opts)
+        problem = separator._assemble_separation(n, gens_a, gens_b, degree, level)[0]
+        assert_same_sdp(problem, reference_margin_sdp(n, gens_a, gens_b, degree, level))
+        cached = separator._separation_plan.cache_info()
+        separator._separation_plan.cache_clear()
+        assert_same_sdp(problem, separator._assemble_separation(n, gens_a, gens_b, degree, level)[0])
+    assert cached[:2] == (1, 1)  # (hits, misses) before the last fresh build
 
 
 @pytest.mark.parametrize(
@@ -192,10 +283,6 @@ def test_sign_symmetry_reduction_matches_the_full_sdp(n, generators, degree, lev
     assert verify_certificate(result, 1e-6).passed
 
 
-CUBIC_A = "0.05 - (x1 + 0.4)^2 - (x2 - 0.1)^3 - x2^2"
-CUBIC_B = "0.04 - (x1 - 0.5)^2 - (x2 + 0.2)^2 + 1/10*x1^3"
-
-
 @pytest.mark.parametrize(
     "n, generators, degree, level, drops_rows",
     [
@@ -235,7 +322,7 @@ def test_a_certified_iterate_ends_the_solve_rescaled_to_margin_one(
     assert verify_certificate(result, 2e-8).passed
 
 
-@pytest.mark.parametrize(
+RANK_FAMILIES = pytest.mark.parametrize(
     "n, generators, levels, dependent_levels",
     [
         (2, (LEMNISCATE, CIRCLE), (4, 6), ()),
@@ -246,6 +333,9 @@ def test_a_certified_iterate_ends_the_solve_rescaled_to_margin_one(
     ],
     ids=["golden", "lemniscate-disk", "balls3", "balls4", "cubic"],
 )
+
+
+@RANK_FAMILIES
 def test_rank_filter_drops_rows_only_at_odd_levels_of_odd_degree_generators(
     n, generators, levels, dependent_levels
 ):
@@ -262,6 +352,22 @@ def test_rank_filter_drops_rows_only_at_odd_levels_of_odd_degree_generators(
                 _, dropped, inconsistent = sdp._rank_filter(problem)
                 expected = 3 if level in dependent_levels else 0
                 assert (len(dropped), inconsistent) == (expected, False), (ball, level, degree)
+
+
+@RANK_FAMILIES
+def test_rank_filter_forms_no_row_gram_at_even_levels(
+    monkeypatch, n, generators, levels, dependent_levels
+):
+    # the peel proves every row independent, so the numeric Gram test never runs
+    monkeypatch.setattr(sdp, "_gram_rank", None)
+    a, b = (SemialgebraicSet(n, (parse(g, n),)) for g in generators)
+    for ball in (True, False):
+        gens_a, gens_b = separator._augmented_generators(a, b, SeparatorOptions(ball_constraint=ball))
+        for level in (level for level in levels if level % 2 == 0):
+            for degree in range(1, min(3, level) + 1):
+                problem = separator._assemble_separation(n, gens_a, gens_b, degree, level)[0]
+                kept, dropped, inconsistent = sdp._rank_filter(problem)
+                assert (len(kept), dropped, inconsistent) == (problem.num_constraints, [], False)
 
 
 def normalized_gram(problem):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CIRCLE, LEMNISCATE
+from conftest import CIRCLE, LEMNISCATE, incidence_stacks
 from polysep import sdp
 from polysep.cli import _certificate_from_json, _certificate_to_json, _poly_from_json
 from polysep.poly import Polynomial, parse
@@ -21,7 +21,6 @@ from polysep.sos import (
     basis,
     expand_gram,
     gram_incidence,
-    incidence_stack,
     monomials_up_to_degree,
     parity_classes,
     reconstruct_residual,
@@ -195,16 +194,14 @@ INCIDENCE_CASES = [
 @pytest.mark.parametrize("n, generators, level", INCIDENCE_CASES)
 def test_gram_incidence_matches_reference_loop(n, generators, level):
     gens = [parse(g, n) for g in generators]
-    bases, incidence = gram_incidence(n, gens, level)
+    bases, stacks = incidence_stacks(n, gens, level)
     mults = [Polynomial.constant(n, 1.0)] + gens
     contrib = reference_contribution_rows(mults, bases)
     rows = monomials_up_to_degree(n, level)
     assert set(contrib) <= set(rows)
-    every = np.arange(len(rows))
-    for i, (f, bas, inc) in enumerate(zip(mults, bases, incidence)):
+    for i, (f, bas, stack) in enumerate(zip(mults, bases, stacks)):
         assert bas == basis(n, (level - f.total_degree()) // 2)
         # every row and the whole basis, then the zero normalization row
-        stack = incidence_stack(inc, every, len(rows), np.arange(len(bas)))
         assert stack.shape == (len(rows) + 1, len(bas), len(bas))
         assert not stack[-1].any()
         for k, alpha in enumerate(rows):
@@ -221,9 +218,8 @@ def test_separation_rows_match_reference_layout(level):
     # which splits every basis by the parity of the x2 exponent
     for circle, flips in ((SHIFTED_CIRCLE, []), (CIRCLE, [[2]])):
         gens_a, gens_b = [parse(LEMNISCATE, n), ball], [parse(circle, n), ball]
-        problem, bases_a, bases_b, parts, flip_basis = _assemble_separation(
-            n, gens_a, gens_b, degree, level
-        )
+        problem, plan = _assemble_separation(n, gens_a, gens_b, degree, level)
+        bases_a, bases_b, parts, flip_basis = plan.bases_a, plan.bases_b, plan.parts, plan.flips
         assert [(np.flatnonzero(f) + 1).tolist() for f in flip_basis] == flips
 
         def parity(alpha):
@@ -291,15 +287,15 @@ def assembled_separation(case):
     n, a, b, degree, level = SEPARATION_CASES[case]
     ball = Polynomial.ball_generator(n)
     gens_a, gens_b = [parse(g, n) for g in a] + [ball], [parse(g, n) for g in b] + [ball]
-    problem, bases_a, bases_b, parts, flips = _assemble_separation(n, gens_a, gens_b, degree, level)
+    problem, plan = _assemble_separation(n, gens_a, gens_b, degree, level)
 
     def parity(alpha):
-        return tuple(int(np.dot(f, alpha)) % 2 for f in flips)
+        return tuple(int(np.dot(f, alpha)) % 2 for f in plan.flips)
 
     _, _, _, joint, eliminate = reference_separation_rows(
-        gens_a, gens_b, bases_a, bases_b, parity, degree, level
+        gens_a, gens_b, plan.bases_a, plan.bases_b, parity, degree, level
     )
-    return problem, gens_a, gens_b, bases_a, bases_b, parts, joint, eliminate
+    return problem, gens_a, gens_b, plan, joint, eliminate
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -308,11 +304,12 @@ def test_assembled_rows_read_the_certificate_polynomials(case, seed):
     # any symmetric Gram blocks, written back as certificates: each joint row
     # reads the coefficient of S_A + S_B, each elimination row that of S_A,
     # and the normalization row reads no Gram entry
-    problem, gens_a, gens_b, bases_a, bases_b, parts, joint, eliminate = assembled_separation(case)
+    problem, gens_a, gens_b, plan, joint, eliminate = assembled_separation(case)
+    bases_a, bases_b = plan.bases_a, plan.bases_b
     rng = np.random.default_rng(seed)
     blocks = [rng.standard_normal((s, s)) for s in problem.block_sizes[2:]]
     blocks = [(x + x.T) / 2 for x in blocks]
-    grams = _full_grams(blocks, bases_a + bases_b, parts)
+    grams = _full_grams(blocks, bases_a + bases_b, plan.gram_entries)
     level = SEPARATION_CASES[case][4]
     s_a = QmCertificate(tuple(gens_a), tuple(grams[: len(bases_a)]), tuple(bases_a), level).polynomial()
     s_b = QmCertificate(tuple(gens_b), tuple(grams[len(bases_a) :]), tuple(bases_b), level).polynomial()
@@ -332,7 +329,7 @@ def test_assembled_rows_read_the_certificate_polynomials(case, seed):
 def test_level_too_small_raises():
     # x1^4 at level 2 leaves its multiplier the half degree (2 - 4) // 2 = -1
     with pytest.raises(ValueError, match="half degree must be non-negative, got -1"):
-        gram_incidence(1, [parse("1 - x1^4", 1)], 2)
+        gram_incidence(1, [parse("1 - x1^4", 1).terms], 2)
 
 
 def test_zero_multiplier_leaves_the_others_to_decide():
