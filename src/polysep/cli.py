@@ -9,7 +9,8 @@ their basis monomial lists so a result can be re-verified from the two
 files alone.
 
 Exit codes: 0 success, 1 input error, 2 no separator found, 3 verification
-failure, 4 empty sample cloud (``bounds`` only).
+failure (``verify``, or ``separate`` when the result it wrote fails its own
+check), 4 empty sample cloud (``bounds`` only).
 """
 
 from __future__ import annotations
@@ -317,6 +318,9 @@ def cmd_separate(args) -> int:
         f"with margin {result.slack:.6g} in {elapsed:.2f}s",
         file=sys.stderr,
     )
+    if not report["passed"]:
+        print("the written result fails its own check; see its verification entry", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     return EXIT_OK
 
 

@@ -16,10 +16,11 @@ Mehrotra predictor-corrector, using the XZ (HKM) search direction and dense
 linear algebra throughout: the HKM predictor-corrector of SDPT3 (Toh, Todd
 and Tutuncu 1999) on SDPA-style block storage (Fujisawa, Kojima and Nakata
 1997).  The predictor and the corrector share one Newton-direction routine.
-Dependent rows are dropped first: an exact peel over the nonzero pattern
-sets aside every row that owns a column no other row touches, and only the
-rows it leaves are judged by a Cholesky of their row Gram, unpivoted when
-every pivot clears the rank tolerance, pivoted otherwise.  ``SdpProblem``
+The rows must be linearly independent, and no row is ever dropped: an
+exact peel over the nonzero pattern proves independent every row that owns
+a column no other row touches, and only the rows it leaves are judged, by
+one Cholesky of their row Gram; dependent rows are a ValueError that names
+them.  ``SdpProblem``
 keeps C and the constraints in columns that hold the blocks flattened and
 grouped by size; it packs them from one (m, s, s) stack per block, or takes
 them packed already, as the quadratic-module assembler writes them, and the
@@ -42,7 +43,6 @@ at a configured size.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -58,10 +58,6 @@ class SdpStatus(Enum):
     NUMERICAL_TROUBLE = "NumericalTrouble"
     ITERATION_LIMIT = "IterationLimit"
     TARGET_REACHED = "TargetReached"
-
-
-class DependentConstraintWarning(UserWarning):
-    """Linearly dependent constraint rows were dropped before solving."""
 
 
 def _views(flat, groups, block_sizes) -> list:
@@ -150,7 +146,7 @@ class SdpProblem:
     column layout of ``_views``.  With ``packed``, ``objective`` is that
     flat ``c`` and ``stacks`` that ``matrix`` already, and both are taken
     as they are: the matrix is not copied, nor checked for symmetry.  The
-    rank filter reads the nonzero pattern of ``matrix``; the interior-point
+    rank check reads the nonzero pattern of ``matrix``; the interior-point
     loop keeps its iterates in that layout and takes the per-group blocks of
     the Schur complement, the factorizations and the eigensolves through
     ``_views``.
@@ -217,112 +213,55 @@ def min_eigenvalue(mat) -> float:
     return float(np.min(np.linalg.eigvalsh(0.5 * (m + m.T)), initial=np.inf))
 
 
-def _pivoted_cholesky(gram, tol):
-    """Pivoted Cholesky of a positive semidefinite matrix, stopped at its numerical rank.
+def _check_rows(problem: SdpProblem) -> None:
+    """Raise ValueError unless the constraint rows are linearly independent.
 
-    LAPACK's dpstf2 in numpy: step k takes the largest remaining pivot, the
-    diagonal less the squares of the row's columns so far, and stops once it
-    is at most ``tol``; one matrix-vector product gives column k.  Returns
-    (fac, piv, rank): in the symmetric permutation ``piv``, the first rank
-    columns of the lower triangle ``fac`` hold L11 over L21.
-    """
-    a = np.array(gram, dtype=float)
-    n = len(a)
-    piv, squares = np.arange(n), np.zeros(n)
-    for k in range(n):
-        remaining = np.diagonal(a)[k:] - squares[k:]
-        j = k + int(np.argmax(remaining))
-        if not remaining[j - k] > tol:
-            return np.tril(a), piv, k
-        for v in (piv, squares):
-            v[[k, j]] = v[[j, k]]
-        a[[k, j]] = a[[j, k]]
-        a[:, [k, j]] = a[:, [j, k]]
-        a[k, k] = np.sqrt(remaining[j - k])
-        a[k + 1 :, k] -= a[k + 1 :, :k] @ a[k, :k]
-        a[k + 1 :, k] *= 1.0 / a[k, k]
-        squares[k + 1 :] += a[k + 1 :, k] ** 2
-    return np.tril(a), piv, n
-
-
-def _rank_filter(problem: SdpProblem):
-    """Drop linearly dependent constraint rows; detect inconsistent duplicates.
-
-    Rows are first peeled over the nonzero pattern of ``matrix``: repeatedly,
+    Rows are peeled over the nonzero pattern of ``matrix``: repeatedly,
     every row that has a column no other remaining row touches is set aside
-    as independent of the rest, exactly.  A row is peeled only when such an
-    exclusive entry a has a^2 > tol·‖row‖^2, tol = max(shape)·eps, so the
-    Newton system can resolve it.  Dependencies lie among the rows the peel
-    leaves, and only those are judged numerically (``_gram_rank``); on the
-    separation SDPs at even levels it leaves none.
-
-    Returns (kept indices, dropped indices, inconsistent flag).  Raises
-    ValueError when a row's squared norm is past the float range.
+    as independent of the rest, exactly (the singleton-column reduction of
+    LP presolve).  On the separation SDPs, whose levels are even, the peel
+    sets aside every row.  The rows it leaves are judged by one unpivoted
+    Cholesky of their row-normalized Gram D^-1/2 A A^T D^-1/2, D the
+    diagonal of A A^T: every squared pivot must exceed max(shape)·eps, so
+    rescaling a row or the whole problem changes nothing.  Otherwise the
+    ValueError names the rows the peel left; no row is ever dropped.  A
+    row whose squared norm is past the float range is a ValueError too.
     """
-    mat, b = problem.matrix, problem.rhs
+    mat = problem.matrix
     m = problem.num_constraints
     # the flat indices of a boolean pattern come an order faster than np.nonzero's pairs
     rows, cols = np.divmod(np.flatnonzero(mat != 0.0), mat.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.square(mat[rows, cols])
-        row_squares = np.bincount(rows, weights=squares, minlength=m)
+        row_squares = np.bincount(rows, weights=np.square(mat[rows, cols]), minlength=m)
     if not np.all(np.isfinite(row_squares)):
         raise ValueError(
             "the SDP's constraint data overflow double precision in the row Gram A A^T;"
             " rescale the generators"
         )
-    if not row_squares.any():
-        return [], list(range(m)), bool(np.any(np.abs(b) > 1e-12))
-    tol = max(mat.shape) * np.finfo(float).eps
     left = np.ones(m, dtype=bool)
-    strong = squares > tol * row_squares[rows]
     while rows.size:
-        lone = strong & (np.bincount(cols)[cols] == 1)
+        lone = np.bincount(cols)[cols] == 1
         if not lone.any():
             break
         left[rows[lone]] = False
         live = left[rows]
-        rows, cols, strong = rows[live], cols[live], strong[live]
+        rows, cols = rows[live], cols[live]
     rest = np.flatnonzero(left)
     if not rest.size:
-        return list(range(m)), [], False
-    dropped, inconsistent = _gram_rank(mat[rest], b[rest], tol)
-    kept = np.ones(m, dtype=bool)
-    kept[rest[dropped]] = False
-    return np.flatnonzero(kept).tolist(), rest[dropped].tolist(), inconsistent
-
-
-def _gram_rank(mat, b, tol):
-    """Dependent rows of ``mat`` by a Cholesky of its row Gram A A^T.
-
-    Rank is judged on the row-normalized Gram D^-1/2 A A^T D^-1/2, D the
-    diagonal of A A^T, with tolerance ``tol``, so rescaling a row or the
-    whole problem changes nothing.  When an unpivoted Cholesky of it has
-    every pivot above the tolerance, every row is kept.  Otherwise a pivoted
-    Cholesky keeps the rows of its first ``rank`` pivots.  Each dropped row
-    is c^T (kept rows) with c = L11^-T L21^T: one solve tests them all, on
-    the same normalized rows, b scaled by D^-1/2 as well.
-
-    Returns (dropped rows, ascending, as an index array; inconsistent flag).
-    """
-    gram = mat @ mat.T
-    norms = np.sqrt(np.diag(gram))
-    # a zero row stays zero, and falls below the tolerance
+        return
+    # a zero row keeps norm 1, so its pivot is 0 and fails
+    norms = np.sqrt(row_squares[rest])
     norms[norms == 0.0] = 1.0
-    gram /= norms[:, None]
-    gram /= norms[None, :]
-    b = b / norms
+    sub = mat[rest] / norms[:, None]
     try:
-        if np.all(np.diagonal(np.linalg.cholesky(gram)) ** 2 > tol):
-            return np.arange(0), False
+        pivots = np.diagonal(np.linalg.cholesky(sub @ sub.T))
+        independent = bool(np.all(pivots**2 > max(mat.shape) * np.finfo(float).eps))
     except np.linalg.LinAlgError:
-        pass
-    fac, piv, rank = _pivoted_cholesky(gram, tol)
-    kept, dropped = piv[:rank], piv[rank:]
-    coeff = np.linalg.solve(fac[:rank, :rank].T, fac[rank:, :rank].T)
-    excess = np.abs(b[dropped] - b[kept] @ coeff)
-    inconsistent = bool(np.any(excess > 1e-8 * (1.0 + np.abs(b[dropped]))))
-    return np.sort(dropped), inconsistent
+        independent = False
+    if not independent:
+        raise ValueError(
+            f"constraint rows {rest.tolist()} are linearly dependent or zero, or too nearly so to solve"
+        )
 
 
 def _transpose(blocks):
@@ -400,49 +339,23 @@ def solve(
     and objective, so a solve that never meets it runs as it would without a
     target.  The iteration schedule is deterministic; after ``max_iter``
     iterations, 200 by default and the cap of every separation SDP, the
-    status is IterationLimit.
+    status is IterationLimit.  Linearly dependent rows raise ValueError
+    (``_check_rows``).
     """
     if not 0.0 < tol <= 1e-2:
         raise ValueError(f"tol must lie in (0, 1e-2], got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
 
-    sizes = problem.block_sizes
-    kept, dropped, inconsistent = _rank_filter(problem)
-    diagnostics: dict = {"dropped_rows": dropped, "trace": []}
-    if dropped:
-        warnings.warn(
-            f"dropped {len(dropped)} linearly dependent constraint row(s): {dropped}",
-            DependentConstraintWarning,
-            stacklevel=2,
-        )
-    if inconsistent:
-        zeros = [np.zeros((s, s)) for s in sizes]
-        diagnostics["message"] = "inconsistent dependent constraint rows"
-        return SdpSolution(
-            status=SdpStatus.INFEASIBLE,
-            X=zeros,
-            y=np.zeros(problem.num_constraints),
-            S=zeros,
-            objective=float("nan"),
-            dual_objective=float("nan"),
-            gap=float("inf"),
-            primal_residual=float("inf"),
-            dual_residual=float("inf"),
-            iterations=0,
-            diagnostics=diagnostics,
-        )
-    if not kept:
-        raise ValueError("all constraint rows are zero; the problem is not a proper SDP")
+    _check_rows(problem)
+    diagnostics: dict = {"trace": []}
 
     # Every iterate is a flat vector in the column layout of ``matrix``, so
     # A(X) = mat @ x and A*(y) = y @ mat; ``_views`` gives its per-group blocks.
     # X and Z share one (2, sum s_b^2) buffer, and so do their directions: per group a
     # (2, k, s, s) view factors, eigensolves and updates both sides at once.
-    groups = problem.groups
+    sizes, groups = problem.block_sizes, problem.groups
     mat, b, c = problem.matrix, problem.rhs, problem.c
-    if dropped:
-        mat, b = mat[kept], b[kept]
     stacks = _views(mat, groups, sizes)
     # flat[transpose] transposes every block of a flat iterate
     transpose = np.concatenate(
@@ -591,13 +504,10 @@ def solve(
     else:
         iterations = max_iter
 
-    y_full = np.zeros(problem.num_constraints)
-    y_full[kept] = y
-
     return SdpSolution(
         status=status,
         X=_unbatch(groups, x_g),
-        y=y_full,
+        y=y,
         S=_unbatch(groups, z_g),
         objective=pobj,
         dual_objective=dobj,

@@ -20,9 +20,13 @@ generators' exponents, the degree and the level; ``_separation_plan`` works
 it out once per such shape, and each assembly scatters the coefficients of
 the generators at hand into a zero matrix.
 
-The hierarchy sweeps (degree, level) pairs cheapest first: level-major, with
-the degrees rising at each even level, and the first pair that separates
-wins.
+Levels are even: Q_{2k+1} lies inside Q_{2k+2}, and at an even level the
+s_0 Grams make the joint SDP's rows independent by construction: each joint
+row owns a B-side s_0 entry, and then each elimination row an A-side one,
+which the solver's exact peel proves.  ``SeparatorProblem`` refuses an odd
+level.  The hierarchy sweeps (degree, level) pairs cheapest first:
+level-major, with the degrees rising at each level, and the first pair that
+separates wins.
 """
 
 from __future__ import annotations
@@ -119,6 +123,9 @@ class SeparatorProblem:
             raise ValueError("sets must share the ambient dimension")
         if self.p_degree < 0:
             raise ValueError("p_degree must be non-negative")
+        # Q_{2k+1} lies inside Q_{2k+2}, and only odd levels can give dependent rows
+        if self.level % 2:
+            raise ValueError(f"level {self.level} is odd; take the even level {self.level + 1}")
         gens_a, gens_b = _augmented_generators(self.A, self.B, self.options)
         min_level = max([self.p_degree] + [g.total_degree() for g in gens_a + gens_b])
         if self.level < min_level:

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -170,8 +170,8 @@ def test_separate_records_failed_solves_and_exits_two(
 
 
 def test_separate_scaled_generators_drop_no_row(tmp_path, capsys):
-    # the pair scaled by 1e8 has the unscaled pair's quadratic modules: the rank
-    # test judges the row-normalized Gram, so no row is dropped as dependent
+    # the pair scaled by 1e8 has the unscaled pair's quadratic modules, and the
+    # rank check's peel reads only the nonzero pattern, which scaling keeps
     problem = write_problem(tmp_path / "scaled.json", 1, ["1e8*(-x1-0.5)"], ["1e8*(x1-0.5)"])
     out = tmp_path / "r.json"
     with warnings.catch_warnings():
@@ -183,6 +183,40 @@ def test_separate_scaled_generators_drop_no_row(tmp_path, capsys):
     result = json.loads(out.read_text())
     assert (result["degree"], result["level"]) == (1, 2)
     assert result["slack"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_separate_scaled_disk_refuses_no_row_and_certifies_what_it_writes(tmp_path, capsys):
+    # one disk's generator times 1e8: (1, 2)'s Newton system cannot resolve its
+    # rows, and the attempt fails rather than drop rows and write certificates
+    # that miss their identities; (2, 2) separates with exact certificates
+    problem = write_problem(tmp_path / "scaled.json", 2, [f"1e8*({DISK_LEFT})"], [DISK_RIGHT])
+    out = tmp_path / "r.json"
+    code, *_ = run(capsys, "separate", problem, "--out", str(out))
+    assert code == 0
+    result = json.loads(out.read_text())
+    trace = [(t["degree"], t["level"], t["outcome"]) for t in result["diagnostics"]["trace"]]
+    assert trace == [(1, 2, "solver_error"), (2, 2, "separated")]
+    assert "Newton system factorization failed" in result["diagnostics"]["trace"][0]["detail"]
+    verification = result["verification"]
+    assert max(verification["certificate_residual_A"], verification["certificate_residual_B"]) <= 1e-8
+    code, stdout, _ = run(capsys, "verify", problem, str(out))
+    assert code == 0 and json.loads(stdout)["passed"] is True
+
+
+def test_separate_exits_three_when_the_written_result_fails_its_own_check(
+    tmp_path, capsys, monkeypatch, disk_problem_file
+):
+    def failing(result, tol):
+        return replace(real(result, tol), residual_A=1.0, passed=False)
+
+    real = cli.verify_certificate
+    monkeypatch.setattr(cli, "verify_certificate", failing)
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run(capsys, "separate", disk_problem_file, "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert "fails its own check" in stderr
+    result = json.loads(out.read_text())
+    assert result["certificates"] and result["verification"]["certificate_residual_A"] == 1.0
 
 
 def test_separate_without_a_separator_writes_out_as_a_separated_result_does(tmp_path, capsys):

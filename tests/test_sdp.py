@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from polysep import sdp
 from polysep.sdp import (
-    DependentConstraintWarning,
     SdpProblem,
     SdpStatus,
     _cholesky_factors,
@@ -127,19 +126,23 @@ def test_an_unreached_target_changes_nothing():
         assert np.array_equal(sol.X[0], plain.X[0]) and np.array_equal(sol.y, plain.y)
 
 
-def test_dependent_rows_dropped_with_warning():
+def dependent_rows_message(rows):
+    return f"constraint rows {rows} are linearly dependent or zero, or too nearly so to solve"
+
+
+def test_dependent_rows_are_refused_by_name():
+    # E22 owns its column; E12 and 2 E12 share theirs and are left to the Cholesky
     prob = SdpProblem((2,), [-E11], [np.array([E22, E12, 2 * E12])], [1.0, 0.3, 0.6])
-    with pytest.warns(DependentConstraintWarning):
-        sol = solve(prob, tol=1e-8)
-    assert sol.status is SdpStatus.OPTIMAL
-    assert sol.X[0][0, 0] == pytest.approx(0.09, abs=1e-6)
+    with pytest.raises(ValueError) as info:
+        solve(prob, tol=1e-8)
+    assert str(info.value) == dependent_rows_message([1, 2])
 
 
-def test_inconsistent_dependent_rows_are_infeasible():
+def test_inconsistent_dependent_rows_are_refused_by_name():
     prob = SdpProblem((2,), [np.zeros((2, 2))], [np.array([E12, 2 * E12])], [0.3, 0.9])
-    with pytest.warns(DependentConstraintWarning):
-        sol = solve(prob, tol=1e-8)
-    assert sol.status is SdpStatus.INFEASIBLE
+    with pytest.raises(ValueError) as info:
+        solve(prob, tol=1e-8)
+    assert str(info.value) == dependent_rows_message([0, 1])
 
 
 def all_zero_rows_problem(b):
@@ -147,35 +150,37 @@ def all_zero_rows_problem(b):
 
 
 def test_all_zero_rows_with_zero_rhs_are_no_proper_sdp():
-    with pytest.warns(DependentConstraintWarning):
-        with pytest.raises(ValueError) as info:
-            solve(all_zero_rows_problem(0.0))
-    assert str(info.value) == "all constraint rows are zero; the problem is not a proper SDP"
+    with pytest.raises(ValueError) as info:
+        solve(all_zero_rows_problem(0.0))
+    assert str(info.value) == dependent_rows_message([0])
 
 
-def test_all_zero_rows_with_a_nonzero_rhs_are_infeasible():
-    with pytest.warns(DependentConstraintWarning):
-        sol = solve(all_zero_rows_problem(1.0))
-    assert sol.status is SdpStatus.INFEASIBLE
-    assert sol.diagnostics["message"] == "inconsistent dependent constraint rows"
-    assert sol.diagnostics["dropped_rows"] == [0]
+def test_all_zero_rows_with_a_nonzero_rhs_are_refused_by_name():
+    with pytest.raises(ValueError) as info:
+        solve(all_zero_rows_problem(1.0))
+    assert str(info.value) == dependent_rows_message([0])
 
 
-@pytest.mark.parametrize("delta, dropped, objective", [(1e-2, [], -4.0), (1e-10, [1], -2.0)])
-def test_nearly_dependent_row_is_judged_at_the_newton_resolution(delta, dropped, objective):
-    # rows E11, E11 + delta E22, E33 with b = (1, 1 + 2 delta, 1): kept, the middle
-    # row sets X22 = 2; at delta = 1e-10 the Newton system cannot resolve it, and
-    # keeping it ends in NumericalTrouble, so it is dropped as a consistent repeat
+@pytest.mark.parametrize(
+    "delta, status, objective",
+    [(1e-2, SdpStatus.OPTIMAL, -4.0), (1e-10, SdpStatus.NUMERICAL_TROUBLE, None)],
+    ids=["1e-2", "1e-10"],
+)
+def test_nearly_dependent_row_is_judged_at_the_newton_resolution(delta, status, objective):
+    # rows E11, E11 + delta E22, E33 with b = (1, 1 + 2 delta, 1): each owns a
+    # column once the peel has set aside the one before, so every row is kept and
+    # the middle one sets X22 = 2; at delta = 1e-10 the Newton system cannot
+    # resolve it, and the solve says so rather than drop the row
     e = np.eye(3)
     rows = np.array([np.diag(e[0]), np.diag(e[0] + delta * e[1]), np.diag(e[2])])
     prob = SdpProblem((3,), [-e], [rows], [1.0, 1.0 + 2 * delta, 1.0])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         sol = solve(prob, tol=1e-8)
-    assert [w.category for w in caught] == [DependentConstraintWarning] * len(dropped)
-    assert sol.diagnostics["dropped_rows"] == dropped
-    assert sol.status is SdpStatus.OPTIMAL
-    assert sol.objective == pytest.approx(objective, abs=1e-6)
+    assert sol.status is status
+    assert len(sol.y) == 3
+    if objective is not None:
+        assert sol.objective == pytest.approx(objective, abs=1e-6)
 
 
 def failing_after(calls, function, error):
@@ -194,7 +199,7 @@ def failing_after(calls, function, error):
 def test_failed_iterate_factorization_is_numerical_trouble(monkeypatch):
     # X and Z are factored together, one Cholesky of a (2, k, s, s) stack per size
     # group and iteration; with two groups the fourth stacked Cholesky is the second
-    # iteration's second group.  The rank filter and the Newton system's
+    # iteration's second group.  The rank check and the Newton system's
     # positive-definiteness test factor 2-D matrices and pass through.
     error = np.linalg.LinAlgError("Matrix is not positive definite")
     real = np.linalg.cholesky

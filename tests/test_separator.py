@@ -1,10 +1,9 @@
-import contextlib
+import math
 import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-import scipy.linalg as la
 
 from conftest import CIRCLE, DISK_LEFT, DISK_RIGHT, LEMNISCATE, incidence_stacks
 from polysep import sdp, separator, sos
@@ -106,6 +105,9 @@ def test_problem_validation(disk_sets):
     a, b = disk_sets
     with pytest.raises(ValueError):
         SeparatorProblem(A=a, B=b, p_degree=1, level=1)  # below generator degree
+    # Q_5 lies inside Q_6, and only odd levels can have dependent rows
+    with pytest.raises(ValueError, match="level 5 is odd; take the even level 6"):
+        SeparatorProblem(A=a, B=b, p_degree=1, level=5)
     with pytest.raises(ValueError):
         SeparatorProblem(A=a, B=SemialgebraicSet(3, (parse("x1", 3),)), p_degree=1, level=4)
 
@@ -284,37 +286,33 @@ def test_sign_symmetry_reduction_matches_the_full_sdp(n, generators, degree, lev
 
 
 @pytest.mark.parametrize(
-    "n, generators, degree, level, drops_rows",
+    "n, generators, degree, level",
     [
-        (2, (LEMNISCATE, CIRCLE), 1, 4, False),  # no margin
-        (2, (LEMNISCATE, CIRCLE), 2, 4, False),
-        (2, (DISK_LEFT, DISK_RIGHT), 1, 2, False),
-        (3, BALLS3, 2, 4, False),
-        (2, (CUBIC_A, CUBIC_B), 1, 5, True),
+        (2, (LEMNISCATE, CIRCLE), 1, 4),  # no margin
+        (2, (LEMNISCATE, CIRCLE), 2, 4),
+        (2, (DISK_LEFT, DISK_RIGHT), 1, 2),
+        (3, BALLS3, 2, 4),
+        (2, (CUBIC_A, CUBIC_B), 1, 4),
     ],
-    ids=["golden-1-4", "golden-2-4", "disks", "balls3", "cubic-odd-level"],
+    ids=["golden-1-4", "golden-2-4", "disks", "balls3", "cubic"],
 )
-def test_a_certified_iterate_ends_the_solve_rescaled_to_margin_one(
-    n, generators, degree, level, drops_rows
-):
+def test_a_certified_iterate_ends_the_solve_rescaled_to_margin_one(n, generators, degree, level):
     # the same reduced SDP solved to optimality decides: a margin above
     # margin_tol separates, any other is reported as it is
     a, b = (SemialgebraicSet(n, (parse(g, n),)) for g in generators)
     opts = SeparatorOptions()
     gens_a, gens_b = separator._augmented_generators(a, b, opts)
     problem = SeparatorProblem(A=a, B=b, p_degree=degree, level=level, options=opts)
-    warns = pytest.warns(sdp.DependentConstraintWarning) if drops_rows else contextlib.nullcontext()
-    with warns:
-        reduced = separator._assemble_separation(n, gens_a, gens_b, degree, level)[0]
-        optimum = sdp.solve(reduced, tol=opts.solver_tol)
-        assert optimum.status is sdp.SdpStatus.OPTIMAL
-        t = margin_sdp_solution(optimum)[0]
-        if t <= opts.margin_tol:
-            with pytest.raises(InfeasibleAtLevelError) as info:
-                solve_fixed_level(problem)
-            assert info.value.slack == t
-            return
-        result = solve_fixed_level(problem)
+    reduced = separator._assemble_separation(n, gens_a, gens_b, degree, level)[0]
+    optimum = sdp.solve(reduced, tol=opts.solver_tol)
+    assert optimum.status is sdp.SdpStatus.OPTIMAL
+    t = margin_sdp_solution(optimum)[0]
+    if t <= opts.margin_tol:
+        with pytest.raises(InfeasibleAtLevelError) as info:
+            solve_fixed_level(problem)
+        assert info.value.slack == t
+        return
+    result = solve_fixed_level(problem)
     assert result.slack == 1.0
     assert max(certificate_residuals(result)) <= 2e-8
     assert min(c.min_gram_eigenvalue() for c in (result.cert_A, result.cert_B)) > 0.0
@@ -322,125 +320,64 @@ def test_a_certified_iterate_ends_the_solve_rescaled_to_margin_one(
     assert verify_certificate(result, 2e-8).passed
 
 
-RANK_FAMILIES = pytest.mark.parametrize(
-    "n, generators, levels, dependent_levels",
+@pytest.mark.parametrize(
+    "n, generators, levels",
     [
-        (2, (LEMNISCATE, CIRCLE), (4, 6), ()),
-        (2, (LEMNISCATE, "1/16 - (x1 - 0.55)^2 - x2^2"), range(4, 11), ()),
-        (3, BALLS3, range(2, 9), ()),
-        (4, BALLS4, range(2, 9), ()),
-        (2, (CUBIC_A, CUBIC_B), range(4, 9), (5, 7)),
+        (2, (LEMNISCATE, CIRCLE), (4, 6)),
+        (2, (LEMNISCATE, "1/16 - (x1 - 0.55)^2 - x2^2"), range(4, 11, 2)),
+        (3, BALLS3, range(2, 9, 2)),
+        (4, BALLS4, range(2, 9, 2)),
+        (2, (CUBIC_A, CUBIC_B), range(4, 9, 2)),
     ],
     ids=["golden", "lemniscate-disk", "balls3", "balls4", "cubic"],
 )
-
-
-@RANK_FAMILIES
-def test_rank_filter_drops_rows_only_at_odd_levels_of_odd_degree_generators(
-    n, generators, levels, dependent_levels
-):
+def test_rank_filter_forms_no_row_gram_at_even_levels(monkeypatch, n, generators, levels):
     # each joint row owns B-side s_0 entries and each elimination row A-side
-    # ones, so even levels are independent by construction; the cubic pair
-    # repeats three rows, consistently, at its odd levels
-    a, b = (SemialgebraicSet(n, (parse(g, n),)) for g in generators)
-    for ball in (True, False):
-        opts = SeparatorOptions(ball_constraint=ball)
-        gens_a, gens_b = separator._augmented_generators(a, b, opts)
-        for level in levels:
-            for degree in range(1, min(3, level) + 1):
-                problem = separator._assemble_separation(n, gens_a, gens_b, degree, level)[0]
-                _, dropped, inconsistent = sdp._rank_filter(problem)
-                expected = 3 if level in dependent_levels else 0
-                assert (len(dropped), inconsistent) == (expected, False), (ball, level, degree)
-
-
-@RANK_FAMILIES
-def test_rank_filter_forms_no_row_gram_at_even_levels(
-    monkeypatch, n, generators, levels, dependent_levels
-):
-    # the peel proves every row independent, so the numeric Gram test never runs
-    monkeypatch.setattr(sdp, "_gram_rank", None)
+    # ones, so the rank check's peel proves every row independent and its
+    # Cholesky of the row Gram never runs
+    monkeypatch.setattr(np.linalg, "cholesky", None)
     a, b = (SemialgebraicSet(n, (parse(g, n),)) for g in generators)
     for ball in (True, False):
         gens_a, gens_b = separator._augmented_generators(a, b, SeparatorOptions(ball_constraint=ball))
-        for level in (level for level in levels if level % 2 == 0):
+        for level in levels:
             for degree in range(1, min(3, level) + 1):
-                problem = separator._assemble_separation(n, gens_a, gens_b, degree, level)[0]
-                kept, dropped, inconsistent = sdp._rank_filter(problem)
-                assert (len(kept), dropped, inconsistent) == (problem.num_constraints, [], False)
+                sdp._check_rows(separator._assemble_separation(n, gens_a, gens_b, degree, level)[0])
 
 
-def normalized_gram(problem):
-    """The rank filter's row-normalized Gram and tolerance, computed as it does."""
-    gram = problem.matrix @ problem.matrix.T
-    norms = np.sqrt(np.diag(gram))
-    norms[norms == 0.0] = 1.0
-    gram /= norms[:, None]
-    gram /= norms[None, :]
-    return gram, max(problem.matrix.shape) * np.finfo(float).eps
+def random_generator(rng, n):
+    """A polynomial of degree 1..4 in n variables with constant term 1, a fifth of its terms scaled by 1e8."""
+    degree = int(rng.integers(1, 5))
+    exponents = {tuple(int(e) for e in alpha) for alpha in rng.integers(0, degree + 1, (6, n))}
+    terms = {alpha: float(rng.uniform(-1, 1)) for alpha in exponents if 0 < sum(alpha) <= degree}
+    terms[(0,) * n] = 1.0
+    for alpha in terms:
+        if rng.random() < 0.2:
+            terms[alpha] *= 1e8
+    return Polynomial(n, terms)
 
 
-def dpstrf_rank(problem) -> int:
-    """The reference: LAPACK's pivoted Cholesky rank of the normalized Gram."""
-    gram, tol = normalized_gram(problem)
-    return la.lapack.dpstrf(gram, tol=tol, lower=1)[2]
-
-
-def assert_dropped_rows_are_consistent_combinations(problem, kept, dropped):
-    # independent of the filter's own test: least squares over the kept rows
-    # reproduces every dropped row and its right-hand side
-    mat, b = problem.matrix, problem.rhs
-    coeff = np.linalg.lstsq(mat[kept].T, mat[dropped].T, rcond=None)[0]
-    scale = np.abs(mat).max()
-    np.testing.assert_allclose(mat[kept].T @ coeff, mat[dropped].T, atol=1e-10 * scale)
-    np.testing.assert_allclose(b[kept] @ coeff, b[dropped], atol=1e-8 * (1.0 + np.abs(b).max()))
-
-
-@pytest.mark.parametrize("level", range(3, 9))
-@pytest.mark.parametrize("degree", (1, 2, 3))
-def test_rank_filter_keeps_lapack_pivoted_rank_on_the_cubic_pair(monkeypatch, degree, level):
-    # the cubic pair repeats up to three rows, consistently, at odd levels; at
-    # even levels the unpivoted Cholesky keeps every row and the pivoted one never runs
-    a, b = (SemialgebraicSet(2, (parse(g, 2),)) for g in (CUBIC_A, CUBIC_B))
-    gens_a, gens_b = separator._augmented_generators(a, b, SeparatorOptions())
-    problem = separator._assemble_separation(2, gens_a, gens_b, degree, level)[0]
-    if level % 2 == 0:
-        monkeypatch.setattr(sdp, "_pivoted_cholesky", None)
-    kept, dropped, inconsistent = sdp._rank_filter(problem)
-    rank = dpstrf_rank(problem)
-    assert (len(kept), len(dropped), inconsistent) == (rank, problem.num_constraints - rank, False)
-    assert_dropped_rows_are_consistent_combinations(problem, kept, dropped)
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_rank_filter_keeps_lapack_pivoted_rank_on_random_rank_deficient_rows(seed):
-    # rows of random rank r on 4 x 4 symmetric blocks, scaled over six decades;
-    # odd seeds add a zero row
-    rng = np.random.default_rng(seed)
-    rank = int(rng.integers(2, 9))
-    m = rank + int(rng.integers(1, 8))
-    base = rng.standard_normal((rank, 4, 4))
-    base += np.swapaxes(base, 1, 2)
-    coeff = rng.standard_normal((m, rank)) * 10.0 ** rng.uniform(-3, 3, (m, 1))
-    if seed % 2:
-        coeff[rng.integers(m)] = 0.0
-    rhs = coeff @ rng.standard_normal(rank)
-    problem = sdp.SdpProblem((4,), [None], [np.einsum("mr,rij->mij", coeff, base)], rhs)
-
-    kept, dropped, inconsistent = sdp._rank_filter(problem)
-    assert (len(kept), len(dropped), inconsistent) == (rank, m - rank, False)
-    assert dpstrf_rank(problem) == rank
-    assert_dropped_rows_are_consistent_combinations(problem, kept, dropped)
-    # the numpy pivoted Cholesky takes LAPACK's pivots and reproduces the kept rows' Gram
-    gram, tol = normalized_gram(problem)
-    fac, piv, found = sdp._pivoted_cholesky(gram, tol)
-    ref_piv = la.lapack.dpstrf(gram, tol=tol, lower=1)[1] - 1
-    assert found == rank and piv[:rank].tolist() == ref_piv[:rank].tolist()
-    l11 = fac[:rank, :rank]
-    np.testing.assert_allclose(l11 @ l11.T, gram[np.ix_(piv[:rank], piv[:rank])], atol=1e-12)
-    # an inconsistent right-hand side on a dropped row is caught
-    problem.rhs[dropped[0]] += 1.0 + abs(problem.rhs[dropped[0]])
-    assert sdp._rank_filter(problem)[2]
+def test_the_peel_proves_every_row_of_random_even_level_sdps(monkeypatch):
+    # the even-level theorem on seeded random generator sets: n <= 4, degree <= 4,
+    # one to three generators a side, ball on and off; the s_0 basis is capped at
+    # 35 monomials to keep the draw small
+    monkeypatch.setattr(np.linalg, "cholesky", None)
+    rng = np.random.default_rng(20221)
+    checked = 0
+    while checked < 300:
+        n = int(rng.integers(1, 5))
+        sides = [[random_generator(rng, n) for _ in range(rng.integers(1, 4))] for _ in "AB"]
+        opts = SeparatorOptions(ball_constraint=bool(rng.integers(2)))
+        gens_a, gens_b = separator._augmented_generators(
+            *(SemialgebraicSet(n, tuple(gens)) for gens in sides), opts
+        )
+        first = max(g.total_degree() for g in gens_a + gens_b)
+        levels = [lvl for lvl in range(2, 9, 2) if lvl >= first and math.comb(n + lvl // 2, n) <= 35]
+        if not levels:
+            continue
+        for level in levels:
+            for degree in range(1, min(3, level) + 1):
+                sdp._check_rows(separator._assemble_separation(n, gens_a, gens_b, degree, level)[0])
+                checked += 1
 
 
 # ---- certificates --------------------------------------------------------------
